@@ -20,7 +20,7 @@ from .bench import (
     reference_optimum,
     run_experiment,
 )
-from .numerics import Rng, householder_qr, random_orthogonal, spectral_norm
+from .numerics import Rng, random_orthogonal
 from .objective import CompositeObjective, Partition, partition, soft_threshold
 from .problems import (
     ProblemInstance,
@@ -69,7 +69,6 @@ __all__ = [
     "classic_subgradient_step",
     "dump_instance",
     "fista_restart_step",
-    "householder_qr",
     "ista_step",
     "make_2d",
     "make_lasso",
@@ -83,6 +82,5 @@ __all__ = [
     "run",
     "run_experiment",
     "soft_threshold",
-    "spectral_norm",
     "subgradient_step",
 ]

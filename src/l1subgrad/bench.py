@@ -48,6 +48,14 @@ _FAMILY_DEFAULTS = {
 }
 _L1_DEFAULTS = (("alg1", "alg2", "ista", "fista", "classic"), 10.0, 0.25, 2000)
 
+# Long-run reference policy: restarted-FISTA iteration budget, cap on the
+# crossing-subgradient polish, certificate tolerance on the minimal-norm
+# subgradient norm, and how many FISTA iterations pass between certificate checks.
+REFERENCE_BUDGET = 50_000
+REFERENCE_POLISH_CAP = 20_000
+REFERENCE_TOL = 1e-10
+REFERENCE_CHECK_EVERY = 50
+
 
 class ExperimentError(RuntimeError):
     """The experiment as a whole cannot produce a usable result."""
@@ -91,14 +99,17 @@ def build_problem(
 
 
 def _longrun_reference(
-    problem: ProblemInstance, budget: int, polish_cap: int, tol: float
+    problem: ProblemInstance,
+    budget: int = REFERENCE_BUDGET,
+    polish_cap: int = REFERENCE_POLISH_CAP,
+    tol: float = REFERENCE_TOL,
 ) -> ReferenceOptimum:
     obj = problem.objective
     h = 1.0 / obj.lipschitz_L
     state = FistaState.initial(problem.x0)
     best_f = obj.value(state.x)
     best_x = state.x
-    for _ in range(budget):
+    for k in range(1, budget + 1):
         prev_x, prev_y = state.x, state.y
         state = fista_restart_step(obj, state, h)
         f_x = obj.value(state.x)
@@ -106,6 +117,10 @@ def _longrun_reference(
             best_f = f_x
             best_x = state.x
         if np.array_equal(state.x, prev_x) and np.array_equal(state.y, prev_y):
+            break
+        if k % REFERENCE_CHECK_EVERY == 0 and (
+            np.linalg.norm(obj.min_norm_subgradient(best_x)) < tol
+        ):
             break
 
     x = best_x.copy()
@@ -137,17 +152,19 @@ def _longrun_reference(
 
 def reference_optimum(
     problem: ProblemInstance,
-    budget: int = 50_000,
-    polish_cap: int = 20_000,
-    tol: float = 1e-10,
+    budget: int = REFERENCE_BUDGET,
+    polish_cap: int = REFERENCE_POLISH_CAP,
+    tol: float = REFERENCE_TOL,
 ) -> ReferenceOptimum:
     """Best available optimum value for a problem, with a quality certificate.
 
     Uses the analytic value when the instance carries one; otherwise runs
-    restarted FISTA for ``budget`` iterations and polishes with the crossing
-    subgradient method until the minimal-norm subgradient drops below ``tol``
-    or ``polish_cap`` steps pass. The result is flagged uncertified when the
-    subgradient tolerance was not reached.
+    restarted FISTA for at most ``budget`` iterations, stopping early once the
+    best point's minimal-norm subgradient norm is below ``tol`` (checked every
+    ``REFERENCE_CHECK_EVERY`` iterations) or the iteration reaches an exact
+    fixed point. It then polishes with the crossing subgradient method until
+    the norm drops below ``tol`` or ``polish_cap`` steps pass. The result is
+    flagged uncertified when the subgradient tolerance was not reached.
     """
     if problem.f_ref is not None:
         return ReferenceOptimum(value=problem.f_ref, certified=True, subgrad_norm=0.0)
@@ -172,7 +189,7 @@ class ExperimentConfig:
     r: float = 5.0
     gamma: float | None = None
     reference: str = "auto"
-    reference_budget: int = 50_000
+    reference_budget: int = REFERENCE_BUDGET
     out: str | None = None
     jobs: int = 1
 
@@ -242,7 +259,7 @@ def _run_trial(cfg: ExperimentConfig, t: int) -> TrialResult:
             )
         ref = ReferenceOptimum(problem.f_ref, True, 0.0)
     elif cfg.reference == "longrun":
-        ref = _longrun_reference(problem, cfg.reference_budget, 20_000, 1e-10)
+        ref = _longrun_reference(problem, cfg.reference_budget)
     else:
         ref = reference_optimum(problem, budget=cfg.reference_budget)
 

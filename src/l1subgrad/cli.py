@@ -8,6 +8,7 @@ invocation can be repeated byte-for-byte.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from .bench import (
     ExperimentError,
     _FAMILY_DEFAULTS,
     _L1_DEFAULTS,
+    REFERENCE_BUDGET,
     build_problem,
     run_experiment,
     write_trace_csv,
@@ -35,8 +37,8 @@ def _step_value(text: str):
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected 'auto' or a number, got {text!r}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"step must be > 0, got {value}")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"step must be finite and > 0, got {value}")
     return value
 
 
@@ -89,8 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_step_flags(bench)
     bench.add_argument("--reference", choices=("auto", "analytic", "longrun"), default="auto",
                        help="per-trial optimum policy (default auto)")
-    bench.add_argument("--reference-budget", type=int, default=50_000,
-                       help="iteration budget of the long-run reference (default 50000)")
+    bench.add_argument("--reference-budget", type=int, default=REFERENCE_BUDGET,
+                       help="iteration budget of the long-run reference "
+                       f"(default {REFERENCE_BUDGET})")
     bench.add_argument("--out", default=None,
                        help="aggregated CSV path; raw rows and metadata are written alongside")
     bench.add_argument("--jobs", type=int, default=1, help="trial worker threads (default 1)")

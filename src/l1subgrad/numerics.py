@@ -1,14 +1,13 @@
-"""Deterministic randomness and the dense linear-algebra kernels used everywhere else.
+"""Deterministic randomness, seeded orthogonal factors and stable log-sum-exp.
 
 The random stream is fully specified here (splitmix64 + Box-Muller with a fixed
 draw order) instead of delegating to ``numpy.random``, so that problem
 instances and benchmark traces can be regenerated bit-for-bit from a 64-bit
-seed, independently of the numpy version.
+seed on one platform and numpy/BLAS build. Dense factorizations go to LAPACK
+through numpy.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
@@ -16,10 +15,6 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-
-
-class ConvergenceWarning(UserWarning):
-    """An iterative routine hit its iteration cap before reaching tolerance."""
 
 
 class Rng:
@@ -108,88 +103,16 @@ def matvec(m, x) -> np.ndarray:
     return m @ x
 
 
-def householder_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """QR factorization by Householder reflections, normalized so diag(R) >= 0.
-
-    Works for any m x n with m >= n. The sign normalization makes the factor
-    pair unique for full-rank input, which keeps seeded orthogonal sampling
-    deterministic.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    m, n = a.shape
-    if m < n:
-        raise ValueError(f"householder_qr requires rows >= cols, got {a.shape}")
-    r = a.copy()
-    q = np.eye(m)
-    for k in range(min(m - 1, n)):
-        col = r[k:, k]
-        norm = np.sqrt(col @ col)
-        if norm == 0.0:
-            continue
-        alpha = -norm if col[0] >= 0 else norm
-        v = col.copy()
-        v[0] -= alpha
-        vsq = v @ v
-        if vsq == 0.0:
-            continue
-        r[k:, k:] -= np.outer(v, (2.0 / vsq) * (v @ r[k:, k:]))
-        q[:, k:] -= np.outer((q[:, k:] @ v), (2.0 / vsq) * v)
-    d = np.where(np.diag(r[:n, :n]) < 0.0, -1.0, 1.0)
-    q[:, :n] *= d
-    r[:n, :] *= d[:, None]
-    return q, r
-
-
 def random_orthogonal(n: int, rng: Rng) -> np.ndarray:
-    """Haar-distributed n x n orthogonal matrix from a seeded Gaussian QR."""
+    """Haar-distributed n x n orthogonal matrix from a seeded Gaussian QR.
+
+    The factor is normalized so that diag(R) >= 0, which makes it unique for
+    the (almost surely full-rank) Gaussian draw.
+    """
     if n < 1:
         raise ValueError(f"random_orthogonal needs n >= 1, got {n}")
-    g = rng.gaussian_matrix(n, n)
-    q, _ = householder_qr(g)
-    return q
-
-
-def spectral_norm(m, tol: float = 1e-9, max_iter: int = 10_000) -> float:
-    """Largest singular value of ``m`` by power iteration on the Gram operator.
-
-    Starts from the normalized all-ones vector (deterministic; falls back to
-    basis vectors if that happens to lie in the null space) and stops when the
-    estimate's relative change drops below ``tol``. If the cap is hit first,
-    the best estimate is returned and a ConvergenceWarning is emitted.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    ncols = m.shape[1]
-    v = np.ones(ncols) / np.sqrt(ncols)
-    w = m @ v
-    basis = 0
-    while not np.any(w) and basis < ncols:
-        v = np.zeros(ncols)
-        v[basis] = 1.0
-        w = m @ v
-        basis += 1
-    if not np.any(w):
-        return 0.0
-    sigma = np.sqrt(w @ w)
-    for _ in range(max_iter):
-        u = m.T @ w
-        unorm = np.sqrt(u @ u)
-        if unorm == 0.0:
-            return float(sigma)
-        v = u / unorm
-        w = m @ v
-        new_sigma = np.sqrt(w @ w)
-        if abs(new_sigma - sigma) <= tol * max(new_sigma, 1e-300):
-            return float(new_sigma)
-        sigma = new_sigma
-    warnings.warn(
-        f"power iteration did not reach tol={tol} within {max_iter} iterations",
-        ConvergenceWarning,
-    )
-    return float(sigma)
+    q, r = np.linalg.qr(rng.gaussian_matrix(n, n))
+    return q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
 
 
 def logsumexp(z) -> float:

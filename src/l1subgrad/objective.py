@@ -8,6 +8,7 @@ region around a pair of points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -59,12 +60,13 @@ class CompositeObjective:
     mu: float | None = None
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if self.lipschitz_L <= 0:
-            raise ValueError(f"lipschitz_L must be > 0, got {self.lipschitz_L}")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0):
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
+        if not (math.isfinite(self.lipschitz_L) and self.lipschitz_L > 0):
+            raise ValueError(f"lipschitz_L must be finite and > 0, got {self.lipschitz_L}")
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
+        # 0 < mu <= L also rejects nan and inf now that L is finite
         if self.mu is not None and not 0 < self.mu <= self.lipschitz_L:
             raise ValueError(f"mu must satisfy 0 < mu <= L, got mu={self.mu}, L={self.lipschitz_L}")
 

@@ -2,8 +2,9 @@
 
 Each generator consumes a `numerics.Rng` in a documented draw order, so an
 instance is reproducible from (family, dimensions, seed) alone. All gradients
-are analytic and every instance carries a usable Lipschitz constant (planted
-where the spectrum is built in, power-iteration estimate otherwise).
+are analytic and every instance carries a Lipschitz constant that bounds the
+gradient's variation from above (planted where the spectrum is built in, from
+the exact LAPACK spectral norm otherwise).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import Rng, logsumexp, random_orthogonal, softmax, spectral_norm
+from .numerics import Rng, logsumexp, random_orthogonal, softmax
 from .objective import CompositeObjective
 
 
@@ -153,7 +154,7 @@ def make_logistic(m: int, n: int, rng: Rng, gamma: float | None = None) -> Probl
     (m*n standard gaussians, row-major), label uniforms (label 1 where the
     uniform falls below the logistic probability of the corresponding row
     score), x0 (n gaussians, std 2). Default gamma is 0.25 * |grad_g(0)|_inf;
-    L is the power-iteration estimate of sigma_max(M)^2 / 4.
+    L is sigma_max(M)^2 / 4.
     """
     if m < 1 or n < 1:
         raise ValueError(f"dimensions must be >= 1, got m={m}, n={n}")
@@ -174,7 +175,7 @@ def make_logistic(m: int, n: int, rng: Rng, gamma: float | None = None) -> Probl
 
     if gamma is None:
         gamma = 0.25 * float(np.max(np.abs(grad_g(np.zeros(n)))))
-    lip = 0.25 * spectral_norm(mat) ** 2
+    lip = 0.25 * float(np.linalg.norm(mat, 2)) ** 2
     obj = CompositeObjective(eval_g=eval_g, grad_g=grad_g, gamma=gamma, lipschitz_L=lip, dim=n)
     return ProblemInstance(
         objective=obj,
@@ -192,7 +193,7 @@ def make_logsumexp(
     Draw order: the matrix (k*n standard gaussians, row-major), offsets b
     (k standard gaussians), x0 (n standard gaussians). Evaluation is
     max-shifted so row scores of any magnitude are safe. Default gamma is 1;
-    L is the power-iteration estimate of sigma_max(M)^2 / r.
+    L is sigma_max(M)^2 / r.
     """
     if k < 1 or n < 1:
         raise ValueError(f"dimensions must be >= 1, got k={k}, n={n}")
@@ -210,7 +211,7 @@ def make_logsumexp(
     def grad_g(x, _m=mat, _b=b, _r=r):
         return _m.T @ softmax((_m @ x - _b) / _r)
 
-    lip = spectral_norm(mat) ** 2 / r
+    lip = float(np.linalg.norm(mat, 2)) ** 2 / r
     obj = CompositeObjective(eval_g=eval_g, grad_g=grad_g, gamma=gamma, lipschitz_L=lip, dim=n)
     return ProblemInstance(
         objective=obj,

@@ -152,19 +152,32 @@ def suite_pl(seed: int = 0, instances: int = 5, samples_per: int = 200) -> list[
 def _limit_point(obj: CompositeObjective, x: np.ndarray, h: float, cap: int = 20_000):
     """Continue the subgradient iteration to its floating-point limit.
 
-    In float64 the map either reaches an exact fixed point or settles into a
-    tiny cycle (period 2 in practice); iteration stops as soon as the state
-    two steps back reappears, and the cycle point of least objective value is
-    returned.
+    In float64 the map is deterministic on a finite set, so it reaches an
+    exact fixed point or a cycle of some period. Brent's algorithm finds the
+    cycle in O(1) memory: a saved point jumps to the running iterate whenever
+    the step count since the last jump reaches the next power of two, and the
+    cycle is closed when the iterate returns to the saved point. The steps
+    since that jump then cover the cycle exactly once, and its least-valued
+    point is returned. If no cycle closes within ``cap`` steps, the
+    least-valued point since the last jump is returned.
     """
-    prev = x.copy()
-    curr = subgradient_step(obj, prev, h)
+    saved = x
+    best, best_f = x, obj.value(x)
+    power = steps = 1
+    curr = subgradient_step(obj, x, h)
     for _ in range(cap):
-        nxt = subgradient_step(obj, curr, h)
-        if np.array_equal(nxt, prev):
+        if np.array_equal(curr, saved):
             break
-        prev, curr = curr, nxt
-    return prev if obj.value(prev) <= obj.value(curr) else curr
+        f_curr = obj.value(curr)
+        if steps == power:
+            saved, best, best_f = curr, curr, f_curr
+            power *= 2
+            steps = 0
+        elif f_curr < best_f:
+            best, best_f = curr, f_curr
+        curr = subgradient_step(obj, curr, h)
+        steps += 1
+    return best
 
 
 def _quadratic_gaps(prob, iterates: list[np.ndarray], x_star: np.ndarray) -> np.ndarray:

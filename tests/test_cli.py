@@ -1,6 +1,7 @@
 import subprocess
 import sys
 
+import pytest
 
 from l1subgrad.cli import main
 
@@ -71,6 +72,17 @@ class TestSolve:
             "solve", "--problem", "toy2d", "--solver", "ista", "--iters", "5", "--step", "-1"
         )
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--gamma", "nan"), ("--gamma", "inf"), ("--step", "inf"), ("--step", "nan")]
+    )
+    def test_non_finite_input_is_usage_error(self, flag, value):
+        proc = _invoke(
+            "solve", "--problem", "quadratic", "--n", "5", "--solver", "alg1", "--iters", "3",
+            flag, value,
+        )
+        assert proc.returncode == 2
+        assert "must be finite" in proc.stderr
 
     def test_dump_instance_flag(self, tmp_path, capsys):
         dump = tmp_path / "inst.txt"

@@ -58,6 +58,13 @@ class TestValue:
         with pytest.raises(ValueError):
             CompositeObjective(lambda x: 0.0, lambda x: x, 1.0, 1.0, 0)
 
+    @pytest.mark.parametrize("field", ["gamma", "lipschitz_L", "mu"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_parameters_rejected(self, field, bad):
+        params = {"gamma": 1.0, "lipschitz_L": 1.0, "mu": 0.5, field: bad}
+        with pytest.raises(ValueError, match=field):
+            CompositeObjective(lambda x: 0.0, lambda x: x, dim=2, **params)
+
 
 class TestPartition:
     def test_mixed_signs(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from l1subgrad.numerics import Rng, spectral_norm
+from l1subgrad.numerics import Rng
 from l1subgrad.problems import (
     dump_instance,
     make_2d,
@@ -49,6 +49,18 @@ def test_lipschitz_constant_bounds_gradient_variation(family):
         assert lhs <= obj.lipschitz_L * np.linalg.norm(u - v) * (1.0 + 1e-9)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_lipschitz_constant_is_an_upper_bound(seed):
+    # the auto step 1/L must not exceed the inverse of the true constant, so
+    # the comparison with the dense SVD is exact, with no slack
+    logistic = make_logistic(150, 40, Rng(seed))
+    s = np.linalg.svd(logistic.data["design"], compute_uv=False)[0]
+    assert logistic.objective.lipschitz_L >= 0.25 * s**2
+    logsumexp = make_logsumexp(120, 50, Rng(seed), r=5.0)
+    s = np.linalg.svd(logsumexp.data["design"], compute_uv=False)[0]
+    assert logsumexp.objective.lipschitz_L >= s**2 / 5.0
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_gradient_matches_finite_differences(family):
     from l1subgrad.verify import _central_fd
@@ -80,8 +92,8 @@ class TestQuadratic:
 
     def test_planted_l_matches_power_iteration(self):
         prob = make_quadratic(40, Rng(3))
-        est = spectral_norm(prob.data["matrix"], tol=1e-10)
-        assert abs(est - prob.objective.lipschitz_L) < 1e-6 * prob.objective.lipschitz_L
+        est = np.linalg.svd(prob.data["matrix"], compute_uv=False)[0]
+        assert abs(est - prob.objective.lipschitz_L) < 1e-12 * prob.objective.lipschitz_L
 
     def test_gamma_ties_to_offset(self):
         prob = make_quadratic(30, Rng(4))
@@ -115,8 +127,8 @@ class TestLasso:
 
     def test_planted_l_matches_power_iteration(self):
         prob = make_lasso(25, 35, Rng(8))
-        est = spectral_norm(prob.data["design"], tol=1e-10) ** 2
-        assert abs(est - prob.objective.lipschitz_L) < 1e-6 * prob.objective.lipschitz_L
+        est = np.linalg.svd(prob.data["design"], compute_uv=False)[0] ** 2
+        assert abs(est - prob.objective.lipschitz_L) < 1e-12 * prob.objective.lipschitz_L
 
     def test_rank_deficient_has_no_mu(self):
         assert make_lasso(10, 20, Rng(9)).objective.mu is None
