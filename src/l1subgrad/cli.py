@@ -166,16 +166,18 @@ def _cmd_solve(args) -> int:
         problem.objective, problem.x0, cfg,
         f_ref=problem.f_ref, problem=args.problem, seed=args.seed,
     )
+    bad = np.flatnonzero(~np.isfinite(trace.f_values))
+    if bad.size:
+        raise SolverError(
+            f"{args.solver} diverged: first non-finite value at iteration {int(bad[0])}"
+        )
     if args.out:
         write_trace_csv(args.out, trace, args.problem, trial=0, certified=problem.f_ref is not None)
     final_f = float(trace.f_values[-1])
     print(f"problem={args.problem} solver={args.solver} iters={args.iters} seed={args.seed}")
     print(f"final_f={_fmt(final_f)}")
-    if np.all(np.isfinite(trace.x_final)):
-        sub_norm = float(np.linalg.norm(problem.objective.min_norm_subgradient(trace.x_final)))
-        print(f"final_subgrad_norm={_fmt(sub_norm)}")
-    else:
-        print("final_subgrad_norm=inf")
+    sub_norm = float(np.linalg.norm(problem.objective.min_norm_subgradient(trace.x_final)))
+    print(f"final_subgrad_norm={_fmt(sub_norm)}")
     gaps = trace.gaps()
     if gaps is not None:
         print(f"final_gap={_fmt(float(gaps[-1]))}")

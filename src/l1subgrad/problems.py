@@ -5,6 +5,13 @@ instance is reproducible from (family, dimensions, seed) alone. All gradients
 are analytic and every instance carries a Lipschitz constant that bounds the
 gradient's variation from above (planted where the spectrum is built in, from
 the exact LAPACK spectral norm otherwise).
+
+The matrix families (quadratic, lasso, logistic, logsumexp) compute the
+product of their matrix with x once per point: ``eval_g`` and ``grad_g`` read
+it through `_shared_product`, which remembers the last point and its product.
+The solvers often ask for g and its gradient at the same point in turn (f(x)
+after a step, the subgradient at x in the next), and the product dominates
+either call. The 2-D example has no product to share and keeps plain closures.
 """
 
 from __future__ import annotations
@@ -17,6 +24,32 @@ import numpy as np
 
 from .numerics import Rng, logsumexp, random_orthogonal, softmax
 from .objective import CompositeObjective
+
+
+def _shared_product(mat: np.ndarray):
+    """x -> mat @ x, computed once for repeated calls at the same point.
+
+    A one-slot memo holding the last point's shape and bytes with its
+    product, as one tuple, so that a reader never sees a point paired with
+    another point's product. The bytes are a copy: mutating the caller's
+    array in place cannot make a stale hit. Comparing bytes is exact (it
+    tells -0.0 from 0.0) and costs about a microsecond at n = 1000, against
+    hundreds for the product.
+    """
+    memo = (None, None)
+
+    def product(x):
+        nonlocal memo
+        x = np.asarray(x, dtype=np.float64)
+        key = (x.shape, x.tobytes())
+        last_key, last_y = memo
+        if key == last_key:
+            return last_y
+        y = mat @ x
+        memo = (key, y)
+        return y
+
+    return product
 
 
 @dataclass(frozen=True)
@@ -69,11 +102,13 @@ def make_quadratic(
     if gamma is None:
         gamma = 0.25 * float(np.max(np.abs(b)))
 
-    def eval_g(x, _m=m, _b=b):
-        return 0.5 * float(x @ (_m @ x)) + float(_b @ x)
+    mx = _shared_product(m)
 
-    def grad_g(x, _m=m, _b=b):
-        return _m @ x + _b
+    def eval_g(x, _b=b):
+        return 0.5 * float(x @ mx(x)) + float(_b @ x)
+
+    def grad_g(x, _b=b):
+        return mx(x) + _b
 
     mu = float(np.min(eigs))
     lip = float(np.max(eigs))
@@ -116,12 +151,14 @@ def make_lasso(
     if gamma is None:
         gamma = 1.0
 
-    def eval_g(x, _a=a, _b=b):
-        res = _a @ x - _b
+    ax = _shared_product(a)
+
+    def eval_g(x, _b=b):
+        res = ax(x) - _b
         return 0.5 * float(res @ res)
 
     def grad_g(x, _a=a, _b=b):
-        return _a.T @ (_a @ x - _b)
+        return _a.T @ (ax(x) - _b)
 
     lip = float(np.max(sigma)) ** 2
     mu = float(np.min(sigma)) ** 2 if m >= n else None
@@ -166,12 +203,14 @@ def make_logistic(m: int, n: int, rng: Rng, gamma: float | None = None) -> Probl
     labels = (rng.uniforms(m) < probs).astype(np.float64)
     x0 = rng.gaussians(n, 0.0, 2.0)
 
-    def eval_g(x, _m=mat, _b=labels):
-        t = _m @ x
+    mx = _shared_product(mat)
+
+    def eval_g(x, _b=labels):
+        t = mx(x)
         return float(np.sum((1.0 - _b) * t + np.logaddexp(0.0, -t)))
 
     def grad_g(x, _m=mat, _b=labels):
-        return _m.T @ (_sigmoid(_m @ x) - _b)
+        return _m.T @ (_sigmoid(mx(x)) - _b)
 
     if gamma is None:
         gamma = 0.25 * float(np.max(np.abs(grad_g(np.zeros(n)))))
@@ -205,11 +244,13 @@ def make_logsumexp(
     if gamma is None:
         gamma = 1.0
 
-    def eval_g(x, _m=mat, _b=b, _r=r):
-        return _r * logsumexp((_m @ x - _b) / _r)
+    mx = _shared_product(mat)
+
+    def eval_g(x, _b=b, _r=r):
+        return _r * logsumexp((mx(x) - _b) / _r)
 
     def grad_g(x, _m=mat, _b=b, _r=r):
-        return _m.T @ softmax((_m @ x - _b) / _r)
+        return _m.T @ softmax((mx(x) - _b) / _r)
 
     lip = float(np.linalg.norm(mat, 2)) ** 2 / r
     obj = CompositeObjective(eval_g=eval_g, grad_g=grad_g, gamma=gamma, lipschitz_L=lip, dim=n)

@@ -71,17 +71,22 @@ def _crossing_phase(obj, x, sub, h):
     return x_second, mask, False, f_second
 
 
+def _subgradient_step(obj: CompositeObjective, x, h: float):
+    """`subgradient_step` plus f at the new point when the step computed it (else None)."""
+    _check_step(h)
+    x = as_vector(x, dim=obj.dim)
+    sub = obj.min_norm_subgradient(x)
+    x_next, _, _, f_next = _crossing_phase(obj, x, sub, h)
+    return x_next, f_next
+
+
 def subgradient_step(obj: CompositeObjective, x, h: float) -> np.ndarray:
     """One iteration of the constant-step minimal-norm subgradient method.
 
     Evaluates grad_g once when no component strictly changes sign, twice
     otherwise (the re-evaluation at the pinned point x').
     """
-    _check_step(h)
-    x = as_vector(x, dim=obj.dim)
-    sub = obj.min_norm_subgradient(x)
-    x_next, _, _, _ = _crossing_phase(obj, x, sub, h)
-    return x_next
+    return _subgradient_step(obj, x, h)[0]
 
 
 @dataclass
@@ -286,10 +291,10 @@ def run(
     method = cfg.method
     h = cfg.resolve_step(obj)
     f_values = np.empty(cfg.max_iter + 1)
-    f_values[0] = obj.value(x0)
+    acc_state = SolverState.initial(obj, x0) if method == "alg2" else None
+    f_values[0] = acc_state.f_x if acc_state is not None else obj.value(x0)
 
     x = x0.copy()
-    acc_state = SolverState.initial(obj, x0) if method == "alg2" else None
     fista_state = FistaState.initial(x0) if method == "fista" else None
 
     # divergence of the unguarded methods is detected through inf propagation,
@@ -298,8 +303,9 @@ def run(
         for k in range(1, cfg.max_iter + 1):
             try:
                 if method == "alg1":
-                    x = subgradient_step(obj, x, h)
-                    f_k = obj.value(x)
+                    x, f_k = _subgradient_step(obj, x, h)
+                    if f_k is None:
+                        f_k = obj.value(x)
                 elif method == "alg2":
                     acc_state = accelerated_step(obj, acc_state, h)
                     x = acc_state.x

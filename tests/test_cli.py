@@ -1,9 +1,12 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from l1subgrad.bench import build_problem
 from l1subgrad.cli import main
+from l1subgrad.solvers import SolverConfig, run
 
 
 def _invoke(*args):
@@ -66,6 +69,22 @@ class TestSolve:
             "solve", "--problem", "toy2d", "--solver", "ista", "--iters", "5", "--step", "0.1"
         )
         assert proc.returncode == 0
+
+    @pytest.mark.parametrize("solver", ["ista", "fista"])
+    def test_divergence_is_a_numerical_failure(self, solver):
+        # step 0.05 is about 5/L on this instance
+        problem = build_problem("quadratic", 0, n=50)
+        trace = run(problem.objective, problem.x0,
+                    SolverConfig(method=solver, max_iter=500, step_h=0.05))
+        first_bad = int(np.flatnonzero(~np.isfinite(trace.f_values))[0])
+        proc = _invoke(
+            "solve", "--problem", "quadratic", "--n", "50", "--solver", solver, "--step", "0.05"
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"error: {solver} diverged: first non-finite value at iteration {first_bad}\n"
+        )
 
     def test_bad_step_rejected(self):
         proc = _invoke(

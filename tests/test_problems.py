@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from l1subgrad.numerics import Rng
+import l1subgrad.problems as problems
+from l1subgrad.numerics import Rng, logsumexp, softmax
 from l1subgrad.problems import (
+    _sigmoid,
     dump_instance,
     make_2d,
     make_lasso,
@@ -73,6 +75,93 @@ def test_gradient_matches_finite_differences(family):
         grad = obj.smooth_grad(x)
         fd = _central_fd(obj, x)
         assert np.linalg.norm(fd - grad) < 1e-5 * max(1.0, np.linalg.norm(grad))
+
+
+def _direct_quadratic(d, x):
+    m, b = d["matrix"], d["offset"]
+    return 0.5 * float(x @ (m @ x)) + float(b @ x), m @ x + b
+
+
+def _direct_lasso(d, x):
+    a, b = d["design"], d["rhs"]
+    res = a @ x - b
+    return 0.5 * float(res @ res), a.T @ (a @ x - b)
+
+
+def _direct_logistic(d, x):
+    m, b = d["design"], d["labels"]
+    t = m @ x
+    return float(np.sum((1.0 - b) * t + np.logaddexp(0.0, -t))), m.T @ (_sigmoid(m @ x) - b)
+
+
+def _direct_logsumexp(d, x):
+    m, b, r = d["design"], d["offset"], d["smoothing"]
+    return r * logsumexp((m @ x - b) / r), m.T @ softmax((m @ x - b) / r)
+
+
+# g and grad g of each matrix family, recomputed from ``problem.data`` with
+# one product per formula and no memo
+DIRECT = {
+    "quadratic": _direct_quadratic,
+    "lasso": _direct_lasso,
+    "logistic": _direct_logistic,
+    "logsumexp": _direct_logsumexp,
+}
+
+
+class TestSharedProduct:
+    @pytest.mark.parametrize("family", sorted(DIRECT))
+    def test_oracle_matches_direct_formula_bitwise(self, family):
+        prob = FAMILIES[family](Rng(41))
+        obj = prob.objective
+        x, y = _probe_points(obj.dim, 43, count=2)
+
+        def check(point, order):
+            value, grad = DIRECT[family](prob.data, point)
+            for name in order:
+                if name == "eval":
+                    assert obj.eval_g(point) == value
+                else:
+                    assert np.array_equal(obj.grad_g(point), grad)
+
+        check(x, ("eval", "grad"))  # grad at the point eval just saw
+        check(x, ("grad", "eval"))
+        check(y, ("grad", "eval"))  # a call at another point in between
+        check(x, ("eval",))
+        check(y, ("grad",))
+        check(x, ("grad",))
+
+    @pytest.mark.parametrize("family", sorted(DIRECT))
+    def test_in_place_mutation_never_hits_a_stale_product(self, family):
+        prob = FAMILIES[family](Rng(47))
+        obj = prob.objective
+        x = prob.x0.copy()
+        obj.eval_g(x)
+        obj.grad_g(x)
+        x[0] += 1.0
+        value, grad = DIRECT[family](prob.data, x)
+        assert np.array_equal(obj.grad_g(x), grad)
+        assert obj.eval_g(x) == value
+
+    def test_alg2_makes_at_most_two_products_per_iteration(self, monkeypatch):
+        from l1subgrad.solvers import SolverConfig, run
+
+        computed = {"n": 0}
+
+        class CountedMatrix:
+            def __init__(self, mat):
+                self.mat = mat
+
+            def __matmul__(self, x):
+                computed["n"] += 1
+                return self.mat @ x
+
+        shared = problems._shared_product
+        monkeypatch.setattr(problems, "_shared_product", lambda mat: shared(CountedMatrix(mat)))
+        prob = make_quadratic(50, Rng(0))
+        iters = 200
+        run(prob.objective, prob.x0, SolverConfig(method="alg2", max_iter=iters))
+        assert 0 < computed["n"] <= 2.0 * iters
 
 
 class TestQuadratic:

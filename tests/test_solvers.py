@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -341,6 +343,43 @@ class TestRunDriver:
         )
         with pytest.raises(SolverError, match="iteration"):
             run(obj, np.array([5.0, 4.0]), SolverConfig(method="alg1", max_iter=50))
+
+    def test_no_value_is_evaluated_twice(self):
+        # eval_g and grad_g counted through dataclasses.replace, as perfbench's trace does
+        calls = {"eval": 0, "grad": 0}
+
+        def counted(fn, slot):
+            def call(x):
+                calls[slot] += 1
+                return fn(x)
+
+            return call
+
+        prob = make_quadratic(30, Rng(7))
+        obj = dataclasses.replace(
+            prob.objective,
+            eval_g=counted(prob.objective.eval_g, "eval"),
+            grad_g=counted(prob.objective.grad_g, "grad"),
+        )
+        iters = 100
+        h = 1.0 / obj.lipschitz_L
+
+        # alg1: one grad_g per step plus one at x' when a sign crosses; f is
+        # evaluated at x0, once per plain step and twice per crossing step
+        run(obj, prob.x0, SolverConfig(method="alg1", max_iter=iters))
+        crossings = calls["grad"] - iters
+        assert crossings > 0
+        assert calls["eval"] == 1 + iters + crossings
+
+        # alg2: exactly the evaluations of driving the steps by hand
+        calls.update(eval=0)
+        run(obj, prob.x0, SolverConfig(method="alg2", max_iter=iters))
+        in_run = calls["eval"]
+        calls.update(eval=0)
+        state = SolverState.initial(obj, prob.x0)
+        for _ in range(iters):
+            state = accelerated_step(obj, state, h)
+        assert in_run == calls["eval"]
 
     def test_rejects_nonfinite_start(self):
         prob = make_2d()
