@@ -21,7 +21,7 @@ from .bench import (
     run_experiment,
 )
 from .numerics import Rng, random_orthogonal
-from .objective import CompositeObjective, Partition, partition, soft_threshold
+from .objective import CompositeObjective, soft_threshold
 from .problems import (
     ProblemInstance,
     dump_instance,
@@ -57,7 +57,6 @@ __all__ = [
     "FistaState",
     "GapCurve",
     "IterationTrace",
-    "Partition",
     "ProblemInstance",
     "ReferenceOptimum",
     "Rng",
@@ -75,7 +74,6 @@ __all__ = [
     "make_logistic",
     "make_logsumexp",
     "make_quadratic",
-    "partition",
     "perturb_2d",
     "random_orthogonal",
     "reference_optimum",

@@ -10,8 +10,7 @@ order is fixed and floats are written with shortest round-trip repr.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +27,7 @@ from .problems import (
     perturb_2d,
 )
 from .solvers import (
+    METHODS,
     FistaState,
     IterationTrace,
     SolverConfig,
@@ -41,7 +41,8 @@ log = logging.getLogger(__name__)
 
 EXPERIMENTS = ("quadratic", "lasso", "logistic", "logsumexp", "toy2d", "toy2d-perturbed")
 
-# (solver list, classic step scale, classic step exponent, max_iter) defaults
+# family values of the ExperimentConfig fields that `resolved` fills when left None
+_DEFAULTED_FIELDS = ("solvers", "classic_scale", "classic_exponent", "max_iter")
 _FAMILY_DEFAULTS = {
     "toy2d": (("alg1", "ista", "classic"), 1.0, 1.0, 500),
     "toy2d-perturbed": (("alg1", "ista", "classic"), 1.0, 1.0, 500),
@@ -191,7 +192,6 @@ class ExperimentConfig:
     reference: str = "auto"
     reference_budget: int = REFERENCE_BUDGET
     out: str | None = None
-    jobs: int = 1
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -202,26 +202,19 @@ class ExperimentConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.reference not in ("auto", "analytic", "longrun"):
             raise ValueError(f"reference must be auto|analytic|longrun, got {self.reference!r}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        if self.reference_budget < 0:
+            raise ValueError(f"reference_budget must be >= 0, got {self.reference_budget}")
+        if self.solvers is not None:
+            if not self.solvers:
+                raise ValueError(f"solvers must name at least one of {METHODS}")
+            for s in self.solvers:
+                if s not in METHODS:
+                    raise ValueError(f"unknown solver {s!r}, expected one of {METHODS}")
 
     def resolved(self) -> "ExperimentConfig":
         """Fill family defaults for solvers, classic schedule and max_iter."""
-        slist, cscale, cexp, iters = _FAMILY_DEFAULTS.get(self.experiment, _L1_DEFAULTS)
-        updates = {}
-        if self.solvers is None:
-            updates["solvers"] = slist
-        if self.classic_scale is None:
-            updates["classic_scale"] = cscale
-        if self.classic_exponent is None:
-            updates["classic_exponent"] = cexp
-        if self.max_iter is None:
-            updates["max_iter"] = iters
-        if not updates:
-            return self
-        kwargs = {f.name: getattr(self, f.name) for f in fields(self)}
-        kwargs.update(updates)
-        return ExperimentConfig(**kwargs)
+        defaults = zip(_DEFAULTED_FIELDS, _FAMILY_DEFAULTS.get(self.experiment, _L1_DEFAULTS))
+        return replace(self, **{k: v for k, v in defaults if getattr(self, k) is None})
 
 
 @dataclass
@@ -246,7 +239,7 @@ class GapCurve:
         return float(self.mean_gaps[solver][-1])
 
 
-def _run_trial(cfg: ExperimentConfig, t: int) -> TrialResult:
+def _run_trial(cfg: ExperimentConfig, solver_cfgs: list[SolverConfig], t: int) -> TrialResult:
     seed = cfg.base_seed + t
     problem = build_problem(
         cfg.experiment, seed, n=cfg.n, m=cfg.m, k=cfg.k, r=cfg.r, gamma=cfg.gamma
@@ -264,23 +257,14 @@ def _run_trial(cfg: ExperimentConfig, t: int) -> TrialResult:
         ref = reference_optimum(problem, budget=cfg.reference_budget)
 
     traces = {}
-    for name in cfg.solvers:
-        sc = SolverConfig(
-            method=name,
-            max_iter=cfg.max_iter,
-            step_h=cfg.step,
-            classic_step_scale=cfg.classic_scale,
-            classic_step_exponent=cfg.classic_exponent,
-        )
-        trace = run(
-            problem.objective, problem.x0, sc, f_ref=ref.value, problem=cfg.experiment, seed=seed
-        )
+    for sc in solver_cfgs:
+        trace = run(problem.objective, problem.x0, sc, f_ref=ref.value)
         if ref.certified and np.min(trace.gaps()) < -1e-9:
             raise ExperimentError(
                 f"certified reference above trace values for {cfg.experiment!r} "
-                f"(solver {name}, trial {t}, min gap {np.min(trace.gaps()):.3e})"
+                f"(solver {sc.method}, trial {t}, min gap {np.min(trace.gaps()):.3e})"
             )
-        traces[name] = trace
+        traces[sc.method] = trace
     return TrialResult(trial=t, seed=seed, f_ref=ref.value, certified=ref.certified, traces=traces)
 
 
@@ -291,32 +275,29 @@ def run_experiment(cfg: ExperimentConfig) -> GapCurve:
     experiment fails outright if more than 5% of trials abort.
     """
     cfg = cfg.resolved()
-    results: dict[int, TrialResult] = {}
+    solver_cfgs = [
+        SolverConfig(
+            method=name,
+            max_iter=cfg.max_iter,
+            step_h=cfg.step,
+            classic_step_scale=cfg.classic_scale,
+            classic_step_exponent=cfg.classic_exponent,
+        )
+        for name in cfg.solvers
+    ]
+    completed: list[TrialResult] = []
     aborted: list[tuple[int, str]] = []
-
-    def attempt(t: int):
+    for t in range(cfg.trials):
         try:
-            return t, _run_trial(cfg, t), None
+            completed.append(_run_trial(cfg, solver_cfgs, t))
         except SolverError as exc:
-            return t, None, str(exc)
-
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            outcomes = list(pool.map(attempt, range(cfg.trials)))
-    else:
-        outcomes = [attempt(t) for t in range(cfg.trials)]
-    for t, res, reason in outcomes:
-        if res is None:
-            log.warning("trial %d aborted: %s", t, reason)
-            aborted.append((t, reason))
-        else:
-            results[t] = res
+            log.warning("trial %d aborted: %s", t, exc)
+            aborted.append((t, str(exc)))
 
     if len(aborted) > 0.05 * cfg.trials:
         raise ExperimentError(
             f"{len(aborted)} of {cfg.trials} trials aborted: {aborted[:3]} ..."
         )
-    completed = [results[t] for t in sorted(results)]
     mean_gaps = {
         name: np.mean([res.traces[name].gaps() for res in completed], axis=0)
         for name in cfg.solvers
@@ -333,16 +314,21 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def write_trace_csv(path, trace: IterationTrace, experiment: str, trial: int, certified: bool):
-    """Per-iteration rows: experiment,solver,trial,iter,f_value,gap,certified."""
+_TRACE_HEADER = "experiment,solver,trial,iter,f_value,gap,certified"
+
+
+def _trace_rows(experiment: str, trace: IterationTrace, trial: int, certified: bool):
+    """One CSV row per recorded iteration; the gap is blank without a reference."""
     gaps = trace.gaps()
-    lines = ["experiment,solver,trial,iter,f_value,gap,certified"]
+    flag = "true" if certified else "false"
     for i, f_v in enumerate(trace.f_values):
         gap = "" if gaps is None else _fmt(gaps[i])
-        lines.append(
-            f"{experiment},{trace.method},{trial},{i},{_fmt(f_v)},{gap},"
-            f"{'true' if certified else 'false'}"
-        )
+        yield f"{experiment},{trace.method},{trial},{i},{_fmt(f_v)},{gap},{flag}"
+
+
+def write_trace_csv(path, trace: IterationTrace, experiment: str, trial: int, certified: bool):
+    """Per-iteration rows: experiment,solver,trial,iter,f_value,gap,certified."""
+    lines = [_TRACE_HEADER, *_trace_rows(experiment, trace, trial, certified)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -359,16 +345,10 @@ def write_experiment_csv(cfg: ExperimentConfig, curve: GapCurve):
             agg.append(f"{curve.experiment},{name},{i},{_fmt(g)},{curve.trials}")
     out.write_text("\n".join(agg) + "\n")
 
-    raw = ["experiment,solver,trial,iter,f_value,gap,certified"]
+    raw = [_TRACE_HEADER]
     for name in sorted(curve.mean_gaps):
         for res in curve.raw:
-            trace = res.traces[name]
-            gaps = trace.gaps()
-            flag = "true" if res.certified else "false"
-            for i, f_v in enumerate(trace.f_values):
-                raw.append(
-                    f"{curve.experiment},{name},{res.trial},{i},{_fmt(f_v)},{_fmt(gaps[i])},{flag}"
-                )
+            raw.extend(_trace_rows(curve.experiment, res.traces[name], res.trial, res.certified))
     raw_path.write_text("\n".join(raw) + "\n")
 
     meta = [f"library_version={__version__}", "seed_policy=base_seed+trial_index"]

@@ -18,9 +18,8 @@ from .bench import (
     EXPERIMENTS,
     ExperimentConfig,
     ExperimentError,
-    _FAMILY_DEFAULTS,
-    _L1_DEFAULTS,
     REFERENCE_BUDGET,
+    _fmt,
     build_problem,
     run_experiment,
     write_trace_csv,
@@ -66,7 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Constant-step subgradient solvers for l1-composite objectives, "
         "with proximal baselines and reproducible benchmarks.",
     )
-    parser.add_argument("--config", default=None, help=argparse.SUPPRESS)
     subs = parser.add_subparsers(dest="command", required=True)
 
     solve = subs.add_parser("solve", help="run one solver on one problem instance")
@@ -96,7 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
                        f"(default {REFERENCE_BUDGET})")
     bench.add_argument("--out", default=None,
                        help="aggregated CSV path; raw rows and metadata are written alongside")
-    bench.add_argument("--jobs", type=int, default=1, help="trial worker threads (default 1)")
     bench.add_argument("--config", default=None, help="key=value file of flag defaults")
 
     verify = subs.add_parser("verify", help="run the executable property suites")
@@ -111,23 +108,25 @@ def _expand_config(argv: list[str]) -> list[str]:
     """Turn `--config file` into synthetic flags prepended after the subcommand.
 
     The file holds one `key=value` per line (# comments allowed); explicit
-    command-line flags win because argparse keeps the last occurrence.
+    command-line flags win because argparse keeps the last occurrence. At most
+    one `--config` may be given.
     """
-    out = list(argv)
-    path = None
-    for i, tok in enumerate(out):
-        if tok == "--config" and i + 1 < len(out):
-            path = out[i + 1]
-            del out[i : i + 2]
-            break
+    out: list[str] = []
+    paths: list[str] = []
+    tokens = iter(argv)
+    for tok in tokens:
         if tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-            del out[i]
-            break
-    if path is None:
+            paths.append(tok.split("=", 1)[1])
+        elif tok == "--config" and (path := next(tokens, None)) is not None:
+            paths.append(path)
+        else:
+            out.append(tok)
+    if len(paths) > 1:
+        raise ValueError(f"--config given {len(paths)} times; pass one file")
+    if not paths:
         return out
     extra: list[str] = []
-    for line in Path(path).read_text().splitlines():
+    for line in Path(paths[0]).read_text().splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -142,30 +141,24 @@ def _expand_config(argv: list[str]) -> list[str]:
     return out + extra
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 def _cmd_solve(args) -> int:
+    family = ExperimentConfig(
+        args.problem, trials=1,
+        classic_scale=args.classic_scale, classic_exponent=args.classic_exponent,
+    ).resolved()
+    cfg = SolverConfig(
+        method=args.solver,
+        max_iter=args.iters,
+        step_h=args.step,
+        classic_step_scale=family.classic_scale,
+        classic_step_exponent=family.classic_exponent,
+    )
     problem = build_problem(
         args.problem, args.seed, n=args.n, m=args.m, k=args.k, r=args.r, gamma=args.gamma
     )
     if args.dump_instance:
         dump_instance(problem, args.dump_instance)
-    family = _FAMILY_DEFAULTS.get(args.problem, _L1_DEFAULTS)
-    cfg = SolverConfig(
-        method=args.solver,
-        max_iter=args.iters,
-        step_h=args.step,
-        classic_step_scale=args.classic_scale if args.classic_scale is not None else family[1],
-        classic_step_exponent=(
-            args.classic_exponent if args.classic_exponent is not None else family[2]
-        ),
-    )
-    trace = run(
-        problem.objective, problem.x0, cfg,
-        f_ref=problem.f_ref, problem=args.problem, seed=args.seed,
-    )
+    trace = run(problem.objective, problem.x0, cfg, f_ref=problem.f_ref)
     bad = np.flatnonzero(~np.isfinite(trace.f_values))
     if bad.size:
         raise SolverError(
@@ -188,9 +181,6 @@ def _cmd_bench(args) -> int:
     solvers = None
     if args.solvers is not None:
         solvers = tuple(s.strip() for s in args.solvers.split(",") if s.strip())
-        for s in solvers:
-            if s not in METHODS:
-                raise ValueError(f"unknown solver {s!r}, expected one of {METHODS}")
     cfg = ExperimentConfig(
         experiment=args.experiment,
         trials=args.trials,
@@ -208,7 +198,6 @@ def _cmd_bench(args) -> int:
         reference=args.reference,
         reference_budget=args.reference_budget,
         out=args.out,
-        jobs=args.jobs,
     )
     curve = run_experiment(cfg)
     print(f"experiment={curve.experiment} trials={curve.trials} iters={len(next(iter(curve.mean_gaps.values()))) - 1}")

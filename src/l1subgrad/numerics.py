@@ -89,20 +89,6 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
-def dot(a, b) -> float:
-    a = as_vector(a)
-    b = as_vector(b, dim=a.shape[0])
-    return float(a @ b)
-
-
-def matvec(m, x) -> np.ndarray:
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
-    x = as_vector(x, dim=m.shape[1])
-    return m @ x
-
-
 def random_orthogonal(n: int, rng: Rng) -> np.ndarray:
     """Haar-distributed n x n orthogonal matrix from a seeded Gaussian QR.
 

@@ -33,6 +33,11 @@ def _min_norm_from_grad(grad: np.ndarray, x: np.ndarray, gamma: float) -> np.nda
 def _directional_from_grad(
     grad: np.ndarray, q: np.ndarray, qp: np.ndarray, gamma: float
 ) -> np.ndarray:
+    # Subgradient of f at q' consistent with the sign region of (q, q'), from
+    # grad = grad_g(q'): grad_i + gamma where either point is positive,
+    # grad_i - gamma where either is negative, plain grad_i where both are
+    # exactly zero. The momentum phase guarantees q_i * q'_i >= 0, so a
+    # violation indicates a solver bug.
     if np.any(q * qp < 0.0):
         bad = int(np.argmax(q * qp < 0.0))
         raise ValueError(
@@ -92,41 +97,3 @@ class CompositeObjective:
         """
         x = as_vector(x, dim=self.dim)
         return _min_norm_from_grad(self.smooth_grad(x), x, self.gamma)
-
-    def directional_subgradient(self, q, q_prime) -> np.ndarray:
-        """Subgradient of f at q_prime consistent with the sign region of (q, q_prime).
-
-        Requires q_i * q'_i >= 0 for every component (the momentum phase
-        guarantees this); a violation indicates a solver bug. Componentwise:
-        grad_g(q')_i + gamma where either point is positive, grad_g(q')_i -
-        gamma where either is negative, and plain grad_g(q')_i where both are
-        exactly zero.
-        """
-        q = as_vector(q, dim=self.dim)
-        qp = as_vector(q_prime, dim=self.dim)
-        return _directional_from_grad(self.smooth_grad(qp), q, qp, self.gamma)
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Index sets {x>0}, {x<0}, {x=0} induced by a point (0-based, sorted)."""
-
-    alpha_plus: tuple[int, ...]
-    alpha_minus: tuple[int, ...]
-    beta: tuple[int, ...]
-
-    def __post_init__(self):
-        merged = sorted(self.alpha_plus) + sorted(self.alpha_minus) + sorted(self.beta)
-        n = len(merged)
-        if sorted(merged) != list(range(n)):
-            raise ValueError("index sets must be disjoint and cover 0..n-1")
-
-
-def partition(x) -> Partition:
-    """Classify components by exact sign; zero means exactly 0.0."""
-    x = as_vector(x)
-    return Partition(
-        alpha_plus=tuple(int(i) for i in np.flatnonzero(x > 0.0)),
-        alpha_minus=tuple(int(i) for i in np.flatnonzero(x < 0.0)),
-        beta=tuple(int(i) for i in np.flatnonzero(x == 0.0)),
-    )

@@ -101,7 +101,6 @@ class SolverState:
 
     x: np.ndarray
     p: np.ndarray
-    k: int
     f_x: float
     q: np.ndarray | None = None
     grad_cache: np.ndarray | None = None
@@ -109,7 +108,7 @@ class SolverState:
     @classmethod
     def initial(cls, obj: CompositeObjective, x0) -> "SolverState":
         x0 = as_vector(x0, dim=obj.dim)
-        return cls(x=x0.copy(), p=np.zeros(obj.dim), k=0, f_x=obj.value(x0))
+        return cls(x=x0.copy(), p=np.zeros(obj.dim), f_x=obj.value(x0))
 
 
 def accelerated_step(obj: CompositeObjective, state: SolverState, h: float) -> SolverState:
@@ -164,7 +163,7 @@ def accelerated_step(obj: CompositeObjective, state: SolverState, h: float) -> S
         grad_cache = None
         f_new = f_q if f_q is not None else obj.value(x_new)
 
-    return SolverState(x=x_new, p=p, k=state.k + 1, f_x=f_new, q=q, grad_cache=grad_cache)
+    return SolverState(x=x_new, p=p, f_x=f_new, q=q, grad_cache=grad_cache)
 
 
 def ista_step(obj: CompositeObjective, x, h: float) -> np.ndarray:
@@ -236,6 +235,15 @@ class SolverConfig:
         if self.step_h != "auto":
             if not isinstance(self.step_h, (int, float)) or not self.step_h > 0:
                 raise ValueError(f"step_h must be 'auto' or a positive number, got {self.step_h!r}")
+        if not (math.isfinite(self.classic_step_scale) and self.classic_step_scale > 0):
+            raise ValueError(
+                f"classic_step_scale must be finite and > 0, got {self.classic_step_scale}"
+            )
+        # exponent 0 gives a constant step, as in verify's anti-oscillation suite
+        if not (math.isfinite(self.classic_step_exponent) and self.classic_step_exponent >= 0):
+            raise ValueError(
+                f"classic_step_exponent must be finite and >= 0, got {self.classic_step_exponent}"
+            )
 
     def resolve_step(self, obj: CompositeObjective) -> float:
         if self.step_h == "auto":
@@ -256,8 +264,6 @@ class IterationTrace:
     h: float
     f_values: np.ndarray
     f_ref: float | None = None
-    problem: str = ""
-    seed: int | None = None
     x_final: np.ndarray | None = None
 
     def gaps(self) -> np.ndarray | None:
@@ -270,12 +276,7 @@ class IterationTrace:
 
 
 def run(
-    obj: CompositeObjective,
-    x0,
-    cfg: SolverConfig,
-    f_ref: float | None = None,
-    problem: str = "",
-    seed: int | None = None,
+    obj: CompositeObjective, x0, cfg: SolverConfig, f_ref: float | None = None
 ) -> IterationTrace:
     """Drive ``cfg.method`` for ``cfg.max_iter`` steps, recording f each iteration.
 
@@ -330,12 +331,4 @@ def run(
             f_values[k] = f_k
 
     trace_h = cfg.classic_step_scale if method == "classic" else h
-    return IterationTrace(
-        method=method,
-        h=trace_h,
-        f_values=f_values,
-        f_ref=f_ref,
-        problem=problem,
-        seed=seed,
-        x_final=x,
-    )
+    return IterationTrace(method=method, h=trace_h, f_values=f_values, f_ref=f_ref, x_final=x)

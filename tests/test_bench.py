@@ -62,8 +62,6 @@ class TestExperimentConfig:
             ExperimentConfig(experiment="toy2d", trials=0)
         with pytest.raises(ValueError):
             ExperimentConfig(experiment="toy2d", trials=1, reference="exact")
-        with pytest.raises(ValueError):
-            ExperimentConfig(experiment="toy2d", trials=1, jobs=0)
 
     def test_family_defaults(self):
         toy = ExperimentConfig(experiment="toy2d", trials=1).resolved()
@@ -158,18 +156,6 @@ class TestRunExperiment:
         assert first[0] == "toy2d" and first[1] == "alg1" and first[2] == "0" and first[3] == "0"
         assert first[6] == "true"
 
-    def test_thread_jobs_match_serial(self, tmp_path):
-        outs = []
-        for jobs, tag in ((1, "serial"), (4, "threads")):
-            out = tmp_path / f"{tag}.csv"
-            cfg = ExperimentConfig(
-                experiment="toy2d-perturbed", trials=8, base_seed=3, max_iter=20,
-                reference_budget=1500, jobs=jobs, out=str(out),
-            )
-            run_experiment(cfg)
-            outs.append(out)
-        assert outs[0].read_bytes() == outs[1].read_bytes()
-
     def test_analytic_reference_requires_analytic_optimum(self):
         cfg = ExperimentConfig(
             experiment="toy2d-perturbed", trials=1, max_iter=2, reference="analytic"
@@ -190,17 +176,21 @@ class TestRunExperiment:
     def test_few_aborts_are_tolerated_and_logged(self, monkeypatch, caplog):
         real_run = bench.run
 
-        def flaky(obj, x0, cfg, f_ref=None, problem="", seed=None):
-            if seed == 5:
+        calls = []
+
+        def flaky(obj, x0, cfg, f_ref=None):
+            calls.append(cfg.method)
+            if len(calls) == 6:  # one solver per trial, so this is trial 5
                 raise SolverError("synthetic failure")
-            return real_run(obj, x0, cfg, f_ref=f_ref, problem=problem, seed=seed)
+            return real_run(obj, x0, cfg, f_ref=f_ref)
 
         monkeypatch.setattr(bench, "run", flaky)
         cfg = ExperimentConfig(experiment="toy2d", trials=40, max_iter=3, solvers=("alg1",))
         with caplog.at_level("WARNING"):
             curve = run_experiment(cfg)
         assert curve.trials == 39
-        assert any("aborted" in rec.message for rec in caplog.records)
+        assert [res.trial for res in curve.raw] == [t for t in range(40) if t != 5]
+        assert any("trial 5 aborted" in rec.message for rec in caplog.records)
 
     def test_too_many_aborts_fail_the_experiment(self, monkeypatch):
         def always_fail(*args, **kwargs):

@@ -128,16 +128,10 @@ class TestBench:
             "--seed", "0", "--solvers", "alg1,ista", "--out", str(bench_out),
         ]) == 0
         capsys.readouterr()
-        solve_rows = [
-            line.split(",") for line in solve_out.read_text().splitlines()[1:]
-        ]
-        bench_rows = [
-            line.split(",")
-            for line in bench_out.with_suffix(".raw.csv").read_text().splitlines()[1:]
-            if line.split(",")[1] == "alg1"
-        ]
-        assert [r[4] for r in solve_rows] == [r[4] for r in bench_rows]
-        assert [r[5] for r in solve_rows] == [r[5] for r in bench_rows]
+        solve_lines = solve_out.read_text().splitlines()
+        bench_lines = bench_out.with_suffix(".raw.csv").read_text().splitlines()
+        assert solve_lines[0] == bench_lines[0]
+        assert solve_lines[1:] == [line for line in bench_lines if line.split(",")[1] == "alg1"]
 
     def test_deterministic_aggregate(self, tmp_path):
         args = (
@@ -163,6 +157,35 @@ class TestBench:
     def test_unknown_solver_rejected(self):
         proc = _invoke("bench", "--experiment", "toy2d", "--trials", "1", "--solvers", "sgd")
         assert proc.returncode == 2
+
+    def test_empty_solver_list_rejected(self, capsys):
+        assert main([
+            "bench", "--experiment", "toy2d", "--trials", "2", "--iters", "5", "--solvers", ",",
+        ]) == 2
+        assert "solvers must name at least one" in capsys.readouterr().err
+
+
+_SOLVE_CLASSIC = ("solve", "--problem", "toy2d", "--solver", "classic", "--iters", "5")
+_BENCH_TOY = ("bench", "--experiment", "toy2d", "--trials", "1", "--iters", "5")
+
+
+@pytest.mark.parametrize("args, message", [
+    (_SOLVE_CLASSIC + ("--classic-scale", "-1"), "must be finite and > 0"),
+    (_SOLVE_CLASSIC + ("--classic-scale", "nan"), "must be finite and > 0"),
+    (_SOLVE_CLASSIC + ("--classic-scale", "inf"), "must be finite and > 0"),
+    (_SOLVE_CLASSIC + ("--classic-exponent", "nan"), "must be finite and >= 0"),
+    (_SOLVE_CLASSIC + ("--classic-exponent", "-1"), "must be finite and >= 0"),
+    (_BENCH_TOY + ("--classic-scale", "0"), "must be finite and > 0"),
+    (_BENCH_TOY + ("--classic-exponent", "inf"), "must be finite and >= 0"),
+    (_BENCH_TOY + ("--reference-budget", "-5"), "reference_budget must be >= 0"),
+], ids=[
+    "solve-scale-negative", "solve-scale-nan", "solve-scale-inf", "solve-exponent-nan",
+    "solve-exponent-negative", "bench-scale-zero", "bench-exponent-inf", "bench-budget-negative",
+])
+def test_bad_schedule_or_budget_is_usage_error(args, message, capsys):
+    assert main(list(args)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
 
 
 class TestVerify:
@@ -203,6 +226,16 @@ class TestConfigFile:
 
     def test_missing_config_file_is_usage_error(self):
         assert main(["solve", "--config", "/nonexistent/x.cfg"]) == 2
+
+    def test_repeated_config_is_usage_error(self, tmp_path, capsys):
+        (tmp_path / "c1.txt").write_text("iters=7\n")
+        (tmp_path / "c2.txt").write_text("iters=9\n")
+        assert main([
+            "solve", "--problem", "toy2d", "--solver", "alg1",
+            "--config", str(tmp_path / "c1.txt"), "--config", str(tmp_path / "c2.txt"),
+        ]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--config given 2 times" in err
 
     def test_malformed_config_line(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

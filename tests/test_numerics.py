@@ -3,9 +3,7 @@ import pytest
 
 from l1subgrad.numerics import (
     Rng,
-    dot,
     logsumexp,
-    matvec,
     random_orthogonal,
     softmax,
 )
@@ -71,35 +69,6 @@ class TestRng:
         rng = Rng(5)
         assert np.all(np.isfinite(rng.uniforms(50_000)))
         assert np.all(np.isfinite(rng.gaussians(50_000)))
-
-
-class TestDotMatvec:
-    def test_dot_hand_example(self):
-        assert dot([1, 2, 3], [4, 5, 6]) == 32.0
-
-    def test_dot_zero_vector(self):
-        assert dot([1.5, -2.5], [0.0, 0.0]) == 0.0
-
-    def test_dot_orthonormal_basis(self):
-        assert dot([1, 0, 0], [0, 1, 0]) == 0.0
-
-    def test_dot_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            dot([1, 2], [1, 2, 3])
-
-    def test_matvec_identity(self):
-        x = np.array([3.0, -1.0, 2.0])
-        assert np.array_equal(matvec(np.eye(3), x), x)
-
-    def test_matvec_zero(self):
-        assert np.array_equal(matvec(np.zeros((2, 3)), [1, 2, 3]), np.zeros(2))
-
-    def test_matvec_hand_example(self):
-        assert np.array_equal(matvec([[1, 2], [3, 4]], [1, 1]), [3.0, 7.0])
-
-    def test_matvec_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            matvec(np.eye(3), [1.0, 2.0])
 
 
 class TestRandomOrthogonal:

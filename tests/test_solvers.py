@@ -146,7 +146,7 @@ class TestAcceleratedStep:
     def test_fixed_point(self):
         obj = make_2d().objective
         x_star = np.array([1.0, 0.0])
-        state = SolverState(x=x_star.copy(), p=np.zeros(2), k=0, f_x=obj.value(x_star))
+        state = SolverState(x=x_star.copy(), p=np.zeros(2), f_x=obj.value(x_star))
         out = accelerated_step(obj, state, 1.0 / obj.lipschitz_L)
         assert np.array_equal(out.x, x_star)
         assert np.all(out.p == 0.0)
