@@ -49,9 +49,10 @@ _FAMILY_DEFAULTS = {
 }
 _L1_DEFAULTS = (("alg1", "alg2", "ista", "fista", "classic"), 10.0, 0.25, 2000)
 
-# Long-run reference policy: restarted-FISTA iteration budget, cap on the
-# crossing-subgradient polish, certificate tolerance on the minimal-norm
-# subgradient norm, and how many FISTA iterations pass between certificate checks.
+# Reference optimum (`reference_optimum`): restarted-FISTA iteration budget, cap
+# on the crossing-subgradient polish, certificate tolerance on the minimal-norm
+# subgradient norm, and how many FISTA iterations pass between the checks for a
+# certificate or a stalled best value.
 REFERENCE_BUDGET = 50_000
 REFERENCE_POLISH_CAP = 20_000
 REFERENCE_TOL = 1e-10
@@ -99,77 +100,58 @@ def build_problem(
     raise ValueError(f"unknown experiment {experiment!r}, expected one of {EXPERIMENTS}")
 
 
-def _longrun_reference(
-    problem: ProblemInstance,
-    budget: int = REFERENCE_BUDGET,
-    polish_cap: int = REFERENCE_POLISH_CAP,
-    tol: float = REFERENCE_TOL,
-) -> ReferenceOptimum:
-    obj = problem.objective
-    h = 1.0 / obj.lipschitz_L
-    state = FistaState.initial(problem.x0)
-    best_f = obj.value(state.x)
-    best_x = state.x
-    for k in range(1, budget + 1):
-        prev_x, prev_y = state.x, state.y
-        state = fista_restart_step(obj, state, h)
-        f_x = obj.value(state.x)
-        if f_x < best_f:
-            best_f = f_x
-            best_x = state.x
-        if np.array_equal(state.x, prev_x) and np.array_equal(state.y, prev_y):
-            break
-        if k % REFERENCE_CHECK_EVERY == 0 and (
-            np.linalg.norm(obj.min_norm_subgradient(best_x)) < tol
-        ):
-            break
-
-    x = best_x.copy()
-    sub_norm = float(np.linalg.norm(obj.min_norm_subgradient(x)))
-    for _ in range(polish_cap):
-        sub = obj.min_norm_subgradient(x)
-        sub_norm = float(np.linalg.norm(sub))
-        if sub_norm < tol:
-            break
-        x_next, _, _, f_next = _crossing_phase(obj, x, sub, h)
-        if f_next is None:
-            f_next = obj.value(x_next)
-        if f_next < best_f:
-            best_f = f_next
-        if np.array_equal(x_next, x):
-            sub_norm = float(np.linalg.norm(obj.min_norm_subgradient(x_next)))
-            break
-        x = x_next
-    certified = sub_norm < tol
-    if not certified:
-        log.warning(
-            "reference for %s is uncertified: |subgradient| = %.3e after budget %d",
-            problem.label,
-            sub_norm,
-            budget,
-        )
-    return ReferenceOptimum(value=best_f, certified=certified, subgrad_norm=sub_norm)
-
-
-def reference_optimum(
-    problem: ProblemInstance,
-    budget: int = REFERENCE_BUDGET,
-    polish_cap: int = REFERENCE_POLISH_CAP,
-    tol: float = REFERENCE_TOL,
-) -> ReferenceOptimum:
+def reference_optimum(problem: ProblemInstance) -> ReferenceOptimum:
     """Best available optimum value for a problem, with a quality certificate.
 
-    Uses the analytic value when the instance carries one; otherwise runs
-    restarted FISTA for at most ``budget`` iterations, stopping early once the
-    best point's minimal-norm subgradient norm is below ``tol`` (checked every
-    ``REFERENCE_CHECK_EVERY`` iterations) or the iteration reaches an exact
-    fixed point. It then polishes with the crossing subgradient method until
-    the norm drops below ``tol`` or ``polish_cap`` steps pass. The result is
-    flagged uncertified when the subgradient tolerance was not reached.
+    Uses the analytic value when the instance carries one. Otherwise runs
+    restarted FISTA for at most ``REFERENCE_BUDGET`` iterations and hands over,
+    at the first check (every ``REFERENCE_CHECK_EVERY`` iterations) where the
+    best point's minimal-norm subgradient norm is below ``REFERENCE_TOL`` or the
+    best value has not moved since the previous check, to the crossing
+    subgradient polish. The polish runs until the norm drops below
+    ``REFERENCE_TOL``, the iterate stops moving, or ``REFERENCE_POLISH_CAP``
+    steps pass. The result is flagged uncertified when the tolerance was not
+    reached.
     """
     if problem.f_ref is not None:
         return ReferenceOptimum(value=problem.f_ref, certified=True, subgrad_norm=0.0)
-    return _longrun_reference(problem, budget, polish_cap, tol)
+    obj = problem.objective
+    h = 1.0 / obj.lipschitz_L
+    state = FistaState.initial(problem.x0)
+    best_f = checked_f = obj.value(state.x)
+    best_x = state.x
+    for k in range(1, REFERENCE_BUDGET + 1):
+        state = fista_restart_step(obj, state, h)
+        f_x = obj.value(state.x)
+        if f_x < best_f:
+            best_f, best_x = f_x, state.x
+        if k % REFERENCE_CHECK_EVERY == 0:
+            if best_f == checked_f or (
+                np.linalg.norm(obj.min_norm_subgradient(best_x)) < REFERENCE_TOL
+            ):
+                break
+            checked_f = best_f
+
+    x = best_x
+    for step in range(REFERENCE_POLISH_CAP + 1):
+        sub = obj.min_norm_subgradient(x)
+        sub_norm = float(np.linalg.norm(sub))
+        if sub_norm < REFERENCE_TOL or step == REFERENCE_POLISH_CAP:
+            break
+        x_next, _, _, f_next = _crossing_phase(obj, x, sub, h)
+        best_f = min(best_f, obj.value(x_next) if f_next is None else f_next)
+        if np.array_equal(x_next, x):
+            break
+        x = x_next
+    certified = sub_norm < REFERENCE_TOL
+    if not certified:
+        log.warning(
+            "reference for %s is uncertified: |subgradient| = %.3e after %d polish steps",
+            problem.label,
+            sub_norm,
+            step,
+        )
+    return ReferenceOptimum(value=best_f, certified=certified, subgrad_norm=sub_norm)
 
 
 @dataclass(frozen=True)
@@ -189,8 +171,6 @@ class ExperimentConfig:
     k: int | None = None
     r: float = 5.0
     gamma: float | None = None
-    reference: str = "auto"
-    reference_budget: int = REFERENCE_BUDGET
     out: str | None = None
 
     def __post_init__(self):
@@ -200,10 +180,6 @@ class ExperimentConfig:
             )
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.reference not in ("auto", "analytic", "longrun"):
-            raise ValueError(f"reference must be auto|analytic|longrun, got {self.reference!r}")
-        if self.reference_budget < 0:
-            raise ValueError(f"reference_budget must be >= 0, got {self.reference_budget}")
         if self.solvers is not None:
             if not self.solvers:
                 raise ValueError(f"solvers must name at least one of {METHODS}")
@@ -244,18 +220,7 @@ def _run_trial(cfg: ExperimentConfig, solver_cfgs: list[SolverConfig], t: int) -
     problem = build_problem(
         cfg.experiment, seed, n=cfg.n, m=cfg.m, k=cfg.k, r=cfg.r, gamma=cfg.gamma
     )
-    if cfg.reference == "analytic":
-        if problem.f_ref is None:
-            raise ExperimentError(
-                f"experiment {cfg.experiment!r} has no analytic optimum; "
-                "use reference='auto' or 'longrun'"
-            )
-        ref = ReferenceOptimum(problem.f_ref, True, 0.0)
-    elif cfg.reference == "longrun":
-        ref = _longrun_reference(problem, cfg.reference_budget)
-    else:
-        ref = reference_optimum(problem, budget=cfg.reference_budget)
-
+    ref = reference_optimum(problem)
     traces = {}
     for sc in solver_cfgs:
         trace = run(problem.objective, problem.x0, sc, f_ref=ref.value)

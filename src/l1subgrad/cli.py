@@ -18,7 +18,6 @@ from .bench import (
     EXPERIMENTS,
     ExperimentConfig,
     ExperimentError,
-    REFERENCE_BUDGET,
     _fmt,
     build_problem,
     run_experiment,
@@ -87,11 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma list of solvers (default: family set)")
     _add_problem_flags(bench)
     _add_step_flags(bench)
-    bench.add_argument("--reference", choices=("auto", "analytic", "longrun"), default="auto",
-                       help="per-trial optimum policy (default auto)")
-    bench.add_argument("--reference-budget", type=int, default=REFERENCE_BUDGET,
-                       help="iteration budget of the long-run reference "
-                       f"(default {REFERENCE_BUDGET})")
     bench.add_argument("--out", default=None,
                        help="aggregated CSV path; raw rows and metadata are written alongside")
     bench.add_argument("--config", default=None, help="key=value file of flag defaults")
@@ -109,7 +103,7 @@ def _expand_config(argv: list[str]) -> list[str]:
 
     The file holds one `key=value` per line (# comments allowed); explicit
     command-line flags win because argparse keeps the last occurrence. At most
-    one `--config` may be given.
+    one `--config` may be given, and the file may not set `config` itself.
     """
     out: list[str] = []
     paths: list[str] = []
@@ -133,7 +127,10 @@ def _expand_config(argv: list[str]) -> list[str]:
         if "=" not in line:
             raise ValueError(f"bad config line (expected key=value): {line!r}")
         key, value = line.split("=", 1)
-        extra.extend([f"--{key.strip().replace('_', '-')}", value.strip()])
+        flag = key.strip().replace("_", "-")
+        if flag == "config":
+            raise ValueError(f"a config file cannot name another config file: {line!r}")
+        extra.extend([f"--{flag}", value.strip()])
     # insert right after the subcommand token so explicit flags override
     for i, tok in enumerate(out):
         if not tok.startswith("-"):
@@ -195,8 +192,6 @@ def _cmd_bench(args) -> int:
         k=args.k,
         r=args.r,
         gamma=args.gamma,
-        reference=args.reference,
-        reference_budget=args.reference_budget,
         out=args.out,
     )
     curve = run_experiment(cfg)

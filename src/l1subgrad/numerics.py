@@ -32,7 +32,6 @@ class Rng:
       in (0, 1], ``u2 = (raw1 >> 11) * 2**-53``, and returns the Box-Muller
       cosine branch ``sqrt(-2 ln u1) * cos(2 pi u2)`` (the sine mate is
       discarded; no values are cached between calls).
-    * ``bernoulli`` consumes 1 raw value (a uniform compared against p).
 
     Vector draws consume values in index order; matrices fill row-major.
     """
@@ -72,11 +71,6 @@ class Rng:
 
     def gaussian_matrix(self, rows: int, cols: int) -> np.ndarray:
         return self.gaussians(rows * cols).reshape(rows, cols)
-
-    def bernoulli(self, p: float) -> bool:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"bernoulli p must lie in [0, 1], got {p}")
-        return bool(self.uniform() < p)
 
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:

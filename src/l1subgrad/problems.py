@@ -65,7 +65,6 @@ class ProblemInstance:
     x0: np.ndarray
     label: str
     f_ref: float | None = None
-    mu_known: float | None = None
     data: dict | None = None
 
 
@@ -119,7 +118,6 @@ def make_quadratic(
         objective=obj,
         x0=x0,
         label="quadratic",
-        mu_known=mu,
         data={"matrix": m, "offset": b, "eigenvalues": eigs},
     )
 
@@ -169,7 +167,6 @@ def make_lasso(
         objective=obj,
         x0=x0,
         label="lasso",
-        mu_known=mu,
         data={"design": a, "rhs": b, "target": y, "singular_values": sigma},
     )
 
@@ -298,7 +295,6 @@ def make_2d(
         x0=np.asarray(x0, dtype=np.float64),
         label="toy2d",
         f_ref=f_ref,
-        mu_known=mu,
         data={
             "hessian": np.array([[1.0, c], [c, 1.5]]),
             "offset": np.array([-2.0, 1.0 - c]),
@@ -327,7 +323,6 @@ def perturb_2d(rng: Rng) -> ProblemInstance:
         x0=base.x0,
         label="toy2d-perturbed",
         f_ref=None,
-        mu_known=base.mu_known,
         data=base.data,
     )
 

@@ -32,8 +32,8 @@ class SolverError(RuntimeError):
 
 
 def _check_step(h: float):
-    if not h > 0:
-        raise ValueError(f"step size must be > 0, got {h}")
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"step size must be finite and > 0, got {h}")
 
 
 def _require_finite(v: np.ndarray, what: str):
@@ -233,8 +233,14 @@ class SolverConfig:
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be >= 0, got {self.max_iter}")
         if self.step_h != "auto":
-            if not isinstance(self.step_h, (int, float)) or not self.step_h > 0:
-                raise ValueError(f"step_h must be 'auto' or a positive number, got {self.step_h!r}")
+            if not (
+                isinstance(self.step_h, (int, float))
+                and math.isfinite(self.step_h)
+                and self.step_h > 0
+            ):
+                raise ValueError(
+                    f"step_h must be 'auto' or a finite positive number, got {self.step_h!r}"
+                )
         if not (math.isfinite(self.classic_step_scale) and self.classic_step_scale > 0):
             raise ValueError(
                 f"classic_step_scale must be finite and > 0, got {self.classic_step_scale}"

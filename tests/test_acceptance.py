@@ -4,9 +4,11 @@ tolerance and prints a one-line PASS/FAIL verdict with the measured margin.
 Run with `pytest tests/test_acceptance.py -s` to see the verdict lines.
 """
 
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -79,7 +81,6 @@ def test_criterion_6_toy2d_reproduction():
     cfg = ExperimentConfig(
         experiment="toy2d", trials=1, max_iter=horizon,
         solvers=("alg1", "ista", "classic"), classic_scale=1.0, classic_exponent=1.0,
-        reference="analytic",
     )
     curve = run_experiment(cfg)
     alg1 = curve.mean_gaps["alg1"]
@@ -98,7 +99,6 @@ def test_criterion_6_toy2d_reproduction():
     perturbed = ExperimentConfig(
         experiment="toy2d-perturbed", trials=100, base_seed=7, max_iter=horizon,
         solvers=("alg1", "ista", "classic"), classic_scale=1.0, classic_exponent=1.0,
-        reference_budget=2000,
     )
     pcurve = run_experiment(perturbed)
     mean_ok = pcurve.final_mean_gap("alg1") < pcurve.final_mean_gap("ista")
@@ -127,8 +127,7 @@ def test_criterion_7_l1_family_ordering():
     for name, dims in scales.items():
         cfg = ExperimentConfig(
             experiment=name, trials=20, base_seed=0, max_iter=horizon,
-            solvers=("alg1", "alg2", "ista", "fista", "classic"),
-            reference_budget=20_000, **dims,
+            solvers=("alg1", "alg2", "ista", "fista", "classic"), **dims,
         )
         curve = run_experiment(cfg)
         finals[name] = {s: curve.final_mean_gap(s) for s in curve.mean_gaps}
@@ -155,9 +154,14 @@ def test_criterion_7_l1_family_ordering():
     )
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def _cli(*args):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "l1subgrad", *args], capture_output=True, text=True
+        [sys.executable, "-m", "l1subgrad", *args], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -172,7 +176,7 @@ def test_criterion_8_determinism(tmp_path):
 
     bench_args = (
         "bench", "--experiment", "toy2d-perturbed", "--trials", "3", "--iters", "20",
-        "--seed", "11", "--reference-budget", "1500",
+        "--seed", "11",
     )
     a = _cli(*bench_args, "--out", str(tmp_path / "b1.csv"))
     b = _cli(*bench_args, "--out", str(tmp_path / "b2.csv"))

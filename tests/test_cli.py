@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +11,15 @@ from l1subgrad.cli import main
 from l1subgrad.solvers import SolverConfig, run
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def _invoke(*args):
     """Subprocess invocation, for end-to-end and byte-determinism checks."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "l1subgrad", *args], capture_output=True, text=True
+        [sys.executable, "-m", "l1subgrad", *args], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -136,7 +143,7 @@ class TestBench:
     def test_deterministic_aggregate(self, tmp_path):
         args = (
             "bench", "--experiment", "toy2d-perturbed", "--trials", "5", "--iters", "25",
-            "--seed", "7", "--reference-budget", "2000",
+            "--seed", "7",
         )
         a = _invoke(*args, "--out", str(tmp_path / "a.csv"))
         b = _invoke(*args, "--out", str(tmp_path / "b.csv"))
@@ -177,10 +184,9 @@ _BENCH_TOY = ("bench", "--experiment", "toy2d", "--trials", "1", "--iters", "5")
     (_SOLVE_CLASSIC + ("--classic-exponent", "-1"), "must be finite and >= 0"),
     (_BENCH_TOY + ("--classic-scale", "0"), "must be finite and > 0"),
     (_BENCH_TOY + ("--classic-exponent", "inf"), "must be finite and >= 0"),
-    (_BENCH_TOY + ("--reference-budget", "-5"), "reference_budget must be >= 0"),
 ], ids=[
     "solve-scale-negative", "solve-scale-nan", "solve-scale-inf", "solve-exponent-nan",
-    "solve-exponent-negative", "bench-scale-zero", "bench-exponent-inf", "bench-budget-negative",
+    "solve-exponent-negative", "bench-scale-zero", "bench-exponent-inf",
 ])
 def test_bad_schedule_or_budget_is_usage_error(args, message, capsys):
     assert main(list(args)) == 2
@@ -236,6 +242,13 @@ class TestConfigFile:
         ]) == 2
         out, err = capsys.readouterr()
         assert out == "" and "--config given 2 times" in err
+
+    def test_nested_config_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("problem=toy2d\nsolver=alg1\nconfig=/nonexistent\n")
+        assert main(["solve", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "cannot name another config file" in err
 
     def test_malformed_config_line(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -14,7 +14,6 @@ class TestRng:
         a, b = Rng(1234), Rng(1234)
         assert np.array_equal(a.uniforms(100), b.uniforms(100))
         assert np.array_equal(a.gaussians(100), b.gaussians(100))
-        assert a.bernoulli(0.5) == b.bernoulli(0.5)
 
     def test_different_seeds_differ(self):
         assert not np.array_equal(Rng(1).uniforms(10), Rng(2).uniforms(10))
@@ -41,24 +40,12 @@ class TestRng:
         b._raw(6)
         assert a.uniform() == b.uniform()
 
-    def test_bernoulli_edge_probabilities(self):
-        rng = Rng(3)
-        assert not any(rng.bernoulli(0.0) for _ in range(100))
-        assert all(rng.bernoulli(1.0) for _ in range(100))
-
-    def test_bernoulli_frequency(self):
-        rng = Rng(11)
-        hits = sum(rng.bernoulli(0.3) for _ in range(20_000))
-        assert abs(hits / 20_000 - 0.3) < 0.02
-
     def test_invalid_parameters(self):
         rng = Rng(0)
         with pytest.raises(ValueError):
             rng.gaussian(0.0, -1.0)
         with pytest.raises(ValueError):
             rng.uniform(2.0, 1.0)
-        with pytest.raises(ValueError):
-            rng.bernoulli(1.5)
 
     def test_matrix_fills_row_major(self):
         a = Rng(21).gaussian_matrix(3, 4)

@@ -89,6 +89,13 @@ class TestSubgradientStep:
         with pytest.raises(ValueError):
             subgradient_step(_quad_1d(), np.array([1.0]), 0.0)
 
+    @pytest.mark.parametrize("h", [np.inf, np.nan])
+    def test_rejects_nonfinite_step(self, h):
+        with pytest.raises(ValueError, match="finite"):
+            subgradient_step(_quad_1d(), np.array([1.0]), h)
+        with pytest.raises(ValueError, match="finite"):
+            ista_step(_quad_1d(), np.array([1.0]), h)
+
     def test_gradient_evaluation_counts(self):
         calls = {"n": 0}
 
@@ -393,6 +400,9 @@ class TestRunDriver:
             SolverConfig(method="alg1", max_iter=-1)
         with pytest.raises(ValueError):
             SolverConfig(method="alg1", max_iter=10, step_h=0.0)
+        for h in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite positive"):
+                SolverConfig(method="alg1", max_iter=3, step_h=h)
 
     def test_final_iterate_returned(self):
         prob = make_2d()
