@@ -7,7 +7,19 @@ plus an accelerated variant driven by conservative momentum with adaptive
 restarts. ISTA, restarted FISTA and the classical decaying-step subgradient
 method are included as baselines, together with seeded problem generators and
 a benchmark harness that reproduces gap curves as CSV.
+
+Importing the package before numpy pins BLAS and OpenMP to one thread (see
+the README's reproducibility section): a threaded matrix product sums in
+another order, so output bytes would depend on the core count.
 """
+
+import os
+import sys
+
+if "numpy" not in sys.modules:
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
+    del _var
 
 from ._version import __version__
 from .bench import (

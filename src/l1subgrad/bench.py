@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, fields, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from ._version import __version__
-from .numerics import Rng
+from .numerics import Rng, as_vector
 from .problems import (
     ProblemInstance,
     make_2d,
@@ -33,7 +34,7 @@ from .solvers import (
     SolverConfig,
     SolverError,
     _crossing_phase,
-    fista_restart_step,
+    _fista_step,
     run,
 )
 
@@ -117,29 +118,29 @@ def reference_optimum(problem: ProblemInstance) -> ReferenceOptimum:
         return ReferenceOptimum(value=problem.f_ref, certified=True, subgrad_norm=0.0)
     obj = problem.objective
     h = 1.0 / obj.lipschitz_L
-    state = FistaState.initial(problem.x0)
-    best_f = checked_f = obj.value(state.x)
+    state = FistaState.initial(as_vector(problem.x0, dim=obj.dim))
+    best_f = checked_f = obj._value(state.x)
     best_x = state.x
     for k in range(1, REFERENCE_BUDGET + 1):
-        state = fista_restart_step(obj, state, h)
-        f_x = obj.value(state.x)
+        state = _fista_step(obj, state, h)
+        f_x = obj._value(state.x)
         if f_x < best_f:
             best_f, best_x = f_x, state.x
         if k % REFERENCE_CHECK_EVERY == 0:
             if best_f == checked_f or (
-                np.linalg.norm(obj.min_norm_subgradient(best_x)) < REFERENCE_TOL
+                np.linalg.norm(obj._sub(best_x)) < REFERENCE_TOL
             ):
                 break
             checked_f = best_f
 
     x = best_x
     for step in range(REFERENCE_POLISH_CAP + 1):
-        sub = obj.min_norm_subgradient(x)
+        sub = obj._sub(x)
         sub_norm = float(np.linalg.norm(sub))
         if sub_norm < REFERENCE_TOL or step == REFERENCE_POLISH_CAP:
             break
         x_next, _, _, f_next = _crossing_phase(obj, x, sub, h)
-        best_f = min(best_f, obj.value(x_next) if f_next is None else f_next)
+        best_f = min(best_f, obj._value(x_next) if f_next is None else f_next)
         if np.array_equal(x_next, x):
             break
         x = x_next
@@ -196,7 +197,6 @@ class ExperimentConfig:
 @dataclass
 class TrialResult:
     trial: int
-    seed: int
     f_ref: float
     certified: bool
     traces: dict[str, IterationTrace]
@@ -216,9 +216,8 @@ class GapCurve:
 
 
 def _run_trial(cfg: ExperimentConfig, solver_cfgs: list[SolverConfig], t: int) -> TrialResult:
-    seed = cfg.base_seed + t
     problem = build_problem(
-        cfg.experiment, seed, n=cfg.n, m=cfg.m, k=cfg.k, r=cfg.r, gamma=cfg.gamma
+        cfg.experiment, cfg.base_seed + t, n=cfg.n, m=cfg.m, k=cfg.k, r=cfg.r, gamma=cfg.gamma
     )
     ref = reference_optimum(problem)
     traces = {}
@@ -230,7 +229,7 @@ def _run_trial(cfg: ExperimentConfig, solver_cfgs: list[SolverConfig], t: int) -
                 f"(solver {sc.method}, trial {t}, min gap {np.min(trace.gaps()):.3e})"
             )
         traces[sc.method] = trace
-    return TrialResult(trial=t, seed=seed, f_ref=ref.value, certified=ref.certified, traces=traces)
+    return TrialResult(trial=t, f_ref=ref.value, certified=ref.certified, traces=traces)
 
 
 def run_experiment(cfg: ExperimentConfig) -> GapCurve:
@@ -279,16 +278,22 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
+def _fmt_each(values: np.ndarray):
+    """`_fmt` of every entry: ``tolist`` gives Python floats, whose repr is that text."""
+    return map(repr, values.tolist())
+
+
 _TRACE_HEADER = "experiment,solver,trial,iter,f_value,gap,certified"
 
 
 def _trace_rows(experiment: str, trace: IterationTrace, trial: int, certified: bool):
     """One CSV row per recorded iteration; the gap is blank without a reference."""
     gaps = trace.gaps()
+    gap_text = repeat("") if gaps is None else _fmt_each(gaps)
     flag = "true" if certified else "false"
-    for i, f_v in enumerate(trace.f_values):
-        gap = "" if gaps is None else _fmt(gaps[i])
-        yield f"{experiment},{trace.method},{trial},{i},{_fmt(f_v)},{gap},{flag}"
+    prefix = f"{experiment},{trace.method},{trial}"
+    for i, (f_v, gap) in enumerate(zip(_fmt_each(trace.f_values), gap_text)):
+        yield f"{prefix},{i},{f_v},{gap},{flag}"
 
 
 def write_trace_csv(path, trace: IterationTrace, experiment: str, trial: int, certified: bool):
@@ -306,8 +311,8 @@ def write_experiment_csv(cfg: ExperimentConfig, curve: GapCurve):
 
     agg = ["experiment,solver,iter,mean_gap,trials"]
     for name in sorted(curve.mean_gaps):
-        for i, g in enumerate(curve.mean_gaps[name]):
-            agg.append(f"{curve.experiment},{name},{i},{_fmt(g)},{curve.trials}")
+        for i, g in enumerate(_fmt_each(curve.mean_gaps[name])):
+            agg.append(f"{curve.experiment},{name},{i},{g},{curve.trials}")
     out.write_text("\n".join(agg) + "\n")
 
     raw = [_TRACE_HEADER]

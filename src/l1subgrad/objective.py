@@ -19,7 +19,11 @@ from .numerics import as_vector
 
 def soft_threshold(z, tau: float) -> np.ndarray:
     """Componentwise sign(z) * max(|z| - tau, 0), the prox of tau * |.|_1."""
-    z = np.asarray(z, dtype=np.float64)
+    return _shrink(np.asarray(z, dtype=np.float64), tau)
+
+
+def _shrink(z: np.ndarray, tau: float) -> np.ndarray:
+    # `soft_threshold` of a float64 array, without the coercion
     return np.sign(z) * np.maximum(np.abs(z) - tau, 0.0)
 
 
@@ -27,7 +31,7 @@ def _min_norm_from_grad(grad: np.ndarray, x: np.ndarray, gamma: float) -> np.nda
     # On the support the l1 term is differentiable (grad + gamma*sign(x)); on
     # zero components the least-|.| choice over [-gamma, gamma] is the
     # soft-threshold of the smooth partial derivative.
-    return np.where(x != 0.0, grad + gamma * np.sign(x), soft_threshold(grad, gamma))
+    return np.where(x != 0.0, grad + gamma * np.sign(x), _shrink(grad, gamma))
 
 
 def _directional_from_grad(
@@ -38,8 +42,9 @@ def _directional_from_grad(
     # grad_i - gamma where either is negative, plain grad_i where both are
     # exactly zero. The momentum phase guarantees q_i * q'_i >= 0, so a
     # violation indicates a solver bug.
-    if np.any(q * qp < 0.0):
-        bad = int(np.argmax(q * qp < 0.0))
+    crossed = q * qp < 0.0
+    if crossed.any():
+        bad = int(np.argmax(crossed))
         raise ValueError(
             f"sign-inconsistent pair at component {bad}: q={q[bad]}, q'={qp[bad]}"
         )
@@ -77,15 +82,13 @@ class CompositeObjective:
 
     def value(self, x) -> float:
         """f(x) = g(x) + gamma * |x|_1."""
-        x = as_vector(x, dim=self.dim)
-        return float(self.eval_g(x)) + self.gamma * float(np.sum(np.abs(x)))
+        return self._value(as_vector(x, dim=self.dim))
 
     def smooth_value(self, x) -> float:
         return float(self.eval_g(as_vector(x, dim=self.dim)))
 
     def smooth_grad(self, x) -> np.ndarray:
-        x = as_vector(x, dim=self.dim)
-        return as_vector(self.grad_g(x), dim=self.dim)
+        return self._grad(as_vector(x, dim=self.dim))
 
     def min_norm_subgradient(self, x) -> np.ndarray:
         """The least-Euclidean-norm element of the subdifferential of f at x.
@@ -95,5 +98,21 @@ class CompositeObjective:
         nonzero, and the soft-threshold of grad_g(x)_i by gamma where x_i is
         exactly zero. Evaluates grad_g once.
         """
-        x = as_vector(x, dim=self.dim)
-        return _min_norm_from_grad(self.smooth_grad(x), x, self.gamma)
+        return self._sub(as_vector(x, dim=self.dim))
+
+    # The raw forms below take x as a 1-D float64 array of length dim, already
+    # checked by the caller; the solvers' kernels call them on every iteration.
+
+    def _value(self, x: np.ndarray) -> float:
+        # np.add.reduce is the reduction np.sum runs, without its Python wrapper
+        return float(self.eval_g(x)) + self.gamma * float(np.add.reduce(np.abs(x)))
+
+    def _grad(self, x: np.ndarray) -> np.ndarray:
+        # grad_g is the caller's function, so its result is still checked
+        g = self.grad_g(x)
+        if type(g) is np.ndarray and g.dtype == np.float64 and g.shape == (self.dim,):
+            return g
+        return as_vector(g, dim=self.dim)
+
+    def _sub(self, x: np.ndarray) -> np.ndarray:
+        return _min_norm_from_grad(self._grad(x), x, self.gamma)

@@ -172,12 +172,9 @@ def make_lasso(
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # exp(-|t|) never overflows; it is exp(-t) where t >= 0 and exp(t) elsewhere
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def make_logistic(m: int, n: int, rng: Rng, gamma: float | None = None) -> ProblemInstance:

@@ -7,12 +7,21 @@ Solver ids (used by the CLI and in CSV output):
 * ``ista``    forward-backward soft-thresholding with constant step
 * ``fista``   FISTA with gradient-scheme adaptive restart
 * ``classic`` textbook subgradient method with a decaying step schedule
+
+Validation happens once, at the boundary. `run` checks the start point and
+the resolved step before its loop; each public step function checks its step
+and iterate on every call. Both then call the same private kernel per method
+(``_subgradient_step``, ``_accelerated_step``, ``_ista_step``,
+``_fista_step``, ``_classic_step``), which trusts its arrays: 1-D float64 of
+the objective's length. Inside the kernels the objective is reached through
+its raw ``_value``/``_grad``/``_sub`` methods, which skip the coercion; only
+the result of the user's ``grad_g`` is still checked.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,7 +30,7 @@ from .objective import (
     CompositeObjective,
     _directional_from_grad,
     _min_norm_from_grad,
-    soft_threshold,
+    _shrink,
 )
 
 METHODS = ("alg1", "alg2", "ista", "fista", "classic")
@@ -37,7 +46,7 @@ def _check_step(h: float):
 
 
 def _require_finite(v: np.ndarray, what: str):
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise SolverError(f"non-finite values in {what}")
 
 
@@ -56,27 +65,24 @@ def _crossing_phase(obj, x, sub, h):
     x_temp = x - h * sub
     _require_finite(x_temp, "the forward point x - h*d")
     prod = x_temp * x
-    if np.all(prod >= 0.0):
+    if (prod >= 0.0).all():
         return x_temp, None, False, None
     mask = prod <= 0.0
     x_prime = np.where(mask, 0.0, x)
-    sub_prime = obj.min_norm_subgradient(x_prime)
+    sub_prime = obj._sub(x_prime)
     v = np.where(mask, -h * sub_prime, -h * sub)
     x_second = x_prime + v
     _require_finite(x_second, "the completed point x''")
-    f_prime = obj.value(x_prime)
-    f_second = obj.value(x_second)
+    f_prime = obj._value(x_prime)
+    f_second = obj._value(x_second)
     if f_prime < f_second:
         return x_prime, mask, True, f_prime
     return x_second, mask, False, f_second
 
 
-def _subgradient_step(obj: CompositeObjective, x, h: float):
+def _subgradient_step(obj: CompositeObjective, x: np.ndarray, h: float):
     """`subgradient_step` plus f at the new point when the step computed it (else None)."""
-    _check_step(h)
-    x = as_vector(x, dim=obj.dim)
-    sub = obj.min_norm_subgradient(x)
-    x_next, _, _, f_next = _crossing_phase(obj, x, sub, h)
+    x_next, _, _, f_next = _crossing_phase(obj, x, obj._sub(x), h)
     return x_next, f_next
 
 
@@ -86,7 +92,8 @@ def subgradient_step(obj: CompositeObjective, x, h: float) -> np.ndarray:
     Evaluates grad_g once when no component strictly changes sign, twice
     otherwise (the re-evaluation at the pinned point x').
     """
-    return _subgradient_step(obj, x, h)[0]
+    _check_step(h)
+    return _subgradient_step(obj, as_vector(x, dim=obj.dim), h)[0]
 
 
 @dataclass
@@ -108,7 +115,48 @@ class SolverState:
     @classmethod
     def initial(cls, obj: CompositeObjective, x0) -> "SolverState":
         x0 = as_vector(x0, dim=obj.dim)
-        return cls(x=x0.copy(), p=np.zeros(obj.dim), f_x=obj.value(x0))
+        return cls(x=x0.copy(), p=np.zeros(obj.dim), f_x=obj._value(x0))
+
+
+def _accelerated_step(obj: CompositeObjective, state: SolverState, h: float) -> SolverState:
+    x = state.x
+    p = state.p
+    if state.grad_cache is not None:
+        sub = _min_norm_from_grad(state.grad_cache, x, obj.gamma)
+    else:
+        sub = obj._sub(x)
+
+    q, mask, prime_selected, f_q = _crossing_phase(obj, x, sub, h)
+    if mask is None:
+        q_old = x
+        p = np.where(q == 0.0, 0.0, p)
+    else:
+        p = np.where(mask, 0.0, p)
+        q_old = np.where(mask, 0.0, x)
+        if prime_selected:
+            p = np.zeros(obj.dim)
+
+    sqrt_h = math.sqrt(h)
+    q_prime = q + sqrt_h * p
+    flip = q_prime * q < 0.0
+    if flip.any():
+        q_prime = np.where(flip, 0.0, q_prime)
+        p = (q_prime - q) / sqrt_h
+
+    grad_qp = obj._grad(q_prime)
+    r = float(_directional_from_grad(grad_qp, q, q_prime, obj.gamma) @ p)
+    if r <= 0.0:
+        p = p + (q - q_old) / sqrt_h
+        x_new = q_prime
+        grad_cache = grad_qp
+        f_new = obj._value(x_new)
+    else:
+        x_new = q
+        p = (q - q_old) / sqrt_h
+        grad_cache = None
+        f_new = f_q if f_q is not None else obj._value(x_new)
+
+    return SolverState(x=x_new, p=p, f_x=f_new, q=q, grad_cache=grad_cache)
 
 
 def accelerated_step(obj: CompositeObjective, state: SolverState, h: float) -> SolverState:
@@ -126,51 +174,18 @@ def accelerated_step(obj: CompositeObjective, state: SolverState, h: float) -> S
     scheme is conservative: momentum is only ever reset, never damped.
     """
     _check_step(h)
-    x = state.x
-    p = state.p
-    if state.grad_cache is not None:
-        sub = _min_norm_from_grad(state.grad_cache, x, obj.gamma)
-    else:
-        sub = obj.min_norm_subgradient(x)
+    state = replace(state, x=as_vector(state.x, dim=obj.dim))
+    return _accelerated_step(obj, state, h)
 
-    q, mask, prime_selected, f_q = _crossing_phase(obj, x, sub, h)
-    if mask is None:
-        q_old = x
-        p = np.where(q == 0.0, 0.0, p)
-    else:
-        p = np.where(mask, 0.0, p)
-        q_old = np.where(mask, 0.0, x)
-        if prime_selected:
-            p = np.zeros(obj.dim)
 
-    sqrt_h = math.sqrt(h)
-    q_prime = q + sqrt_h * p
-    flip = q_prime * q < 0.0
-    if np.any(flip):
-        q_prime = np.where(flip, 0.0, q_prime)
-        p = (q_prime - q) / sqrt_h
-
-    grad_qp = obj.smooth_grad(q_prime)
-    r = float(_directional_from_grad(grad_qp, q, q_prime, obj.gamma) @ p)
-    if r <= 0.0:
-        p = p + (q - q_old) / sqrt_h
-        x_new = q_prime
-        grad_cache = grad_qp
-        f_new = obj.value(x_new)
-    else:
-        x_new = q
-        p = (q - q_old) / sqrt_h
-        grad_cache = None
-        f_new = f_q if f_q is not None else obj.value(x_new)
-
-    return SolverState(x=x_new, p=p, f_x=f_new, q=q, grad_cache=grad_cache)
+def _ista_step(obj: CompositeObjective, x: np.ndarray, h: float) -> np.ndarray:
+    return _shrink(x - h * obj._grad(x), obj.gamma * h)
 
 
 def ista_step(obj: CompositeObjective, x, h: float) -> np.ndarray:
     """Forward gradient step followed by soft-thresholding at gamma*h."""
     _check_step(h)
-    x = as_vector(x, dim=obj.dim)
-    return soft_threshold(x - h * obj.smooth_grad(x), obj.gamma * h)
+    return _ista_step(obj, as_vector(x, dim=obj.dim), h)
 
 
 @dataclass
@@ -185,6 +200,16 @@ class FistaState:
         return cls(x=x0.copy(), y=x0.copy(), t=1.0)
 
 
+def _fista_step(obj: CompositeObjective, state: FistaState, h: float) -> FistaState:
+    x_new = _ista_step(obj, state.y, h)
+    t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * state.t**2))
+    y_new = x_new + ((state.t - 1.0) / t_new) * (x_new - state.x)
+    if float((state.y - x_new) @ (x_new - state.x)) > 0.0:
+        t_new = 1.0
+        y_new = x_new.copy()
+    return FistaState(x=x_new, y=y_new, t=t_new)
+
+
 def fista_restart_step(obj: CompositeObjective, state: FistaState, h: float) -> FistaState:
     """One FISTA step with the gradient-scheme adaptive restart.
 
@@ -193,13 +218,17 @@ def fista_restart_step(obj: CompositeObjective, state: FistaState, h: float) -> 
     composite gradient at y points against the direction just travelled.
     """
     _check_step(h)
-    x_new = soft_threshold(state.y - h * obj.smooth_grad(state.y), obj.gamma * h)
-    t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * state.t**2))
-    y_new = x_new + ((state.t - 1.0) / t_new) * (x_new - state.x)
-    if float((state.y - x_new) @ (x_new - state.x)) > 0.0:
-        t_new = 1.0
-        y_new = x_new.copy()
-    return FistaState(x=x_new, y=y_new, t=t_new)
+    state = replace(
+        state, x=as_vector(state.x, dim=obj.dim), y=as_vector(state.y, dim=obj.dim)
+    )
+    return _fista_step(obj, state, h)
+
+
+def _classic_step(
+    obj: CompositeObjective, x: np.ndarray, k: int, scale: float, exponent: float
+) -> np.ndarray:
+    h_k = scale * float(k) ** (-exponent)
+    return x - h_k * obj._sub(x)
 
 
 def classic_subgradient_step(
@@ -212,9 +241,7 @@ def classic_subgradient_step(
     """
     if k < 1:
         raise ValueError(f"iteration index must be >= 1, got {k}")
-    x = as_vector(x, dim=obj.dim)
-    h_k = scale * float(k) ** (-exponent)
-    return x - h_k * obj.min_norm_subgradient(x)
+    return _classic_step(obj, as_vector(x, dim=obj.dim), k, scale, exponent)
 
 
 @dataclass(frozen=True)
@@ -293,13 +320,14 @@ def run(
     instead.
     """
     x0 = as_vector(x0, dim=obj.dim)
-    if not np.all(np.isfinite(x0)):
+    if not np.isfinite(x0).all():
         raise ValueError("x0 must be finite")
     method = cfg.method
     h = cfg.resolve_step(obj)
+    _check_step(h)
     f_values = np.empty(cfg.max_iter + 1)
     acc_state = SolverState.initial(obj, x0) if method == "alg2" else None
-    f_values[0] = acc_state.f_x if acc_state is not None else obj.value(x0)
+    f_values[0] = acc_state.f_x if acc_state is not None else obj._value(x0)
 
     x = x0.copy()
     fista_state = FistaState.initial(x0) if method == "fista" else None
@@ -312,26 +340,26 @@ def run(
                 if method == "alg1":
                     x, f_k = _subgradient_step(obj, x, h)
                     if f_k is None:
-                        f_k = obj.value(x)
+                        f_k = obj._value(x)
                 elif method == "alg2":
-                    acc_state = accelerated_step(obj, acc_state, h)
+                    acc_state = _accelerated_step(obj, acc_state, h)
                     x = acc_state.x
                     f_k = acc_state.f_x
                 elif method == "ista":
-                    x = ista_step(obj, x, h)
-                    f_k = obj.value(x)
+                    x = _ista_step(obj, x, h)
+                    f_k = obj._value(x)
                 elif method == "fista":
-                    fista_state = fista_restart_step(obj, fista_state, h)
+                    fista_state = _fista_step(obj, fista_state, h)
                     x = fista_state.x
-                    f_k = obj.value(x)
+                    f_k = obj._value(x)
                 else:
-                    x = classic_subgradient_step(
+                    x = _classic_step(
                         obj, x, k, cfg.classic_step_scale, cfg.classic_step_exponent
                     )
-                    f_k = obj.value(x) if np.all(np.isfinite(x)) else np.inf
+                    f_k = obj._value(x) if np.isfinite(x).all() else math.inf
             except SolverError as exc:
                 raise SolverError(f"{method} failed at iteration {k}: {exc}") from exc
-            if not np.isfinite(f_k):
+            if not math.isfinite(f_k):
                 f_values[k:] = np.inf
                 break
             f_values[k] = f_k

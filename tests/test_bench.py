@@ -50,13 +50,13 @@ class TestReferenceOptimum:
 
     def test_fista_hands_over_once_its_best_value_stalls(self, monkeypatch):
         calls = []
-        real_step = bench.fista_restart_step
+        real_step = bench._fista_step
 
         def counted(*args):
             calls.append(None)
             return real_step(*args)
 
-        monkeypatch.setattr(bench, "fista_restart_step", counted)
+        monkeypatch.setattr(bench, "_fista_step", counted)
         # seed 2: restarted FISTA cycles at rounding level without reaching an
         # exact fixed point, so only the stall check ends it before its budget
         ref = reference_optimum(build_problem("quadratic", 2, n=200))

@@ -14,12 +14,12 @@ from l1subgrad.solvers import SolverConfig, run
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def _invoke(*args):
+def _invoke(*args, env=None):
     """Subprocess invocation, for end-to-end and byte-determinism checks."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "l1subgrad", *args], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, **(env or {}), "PYTHONPATH": path},
     )
 
 
@@ -70,6 +70,21 @@ class TestSolve:
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
+    def test_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # n=300 is large enough for a threaded BLAS to split the products
+        args = ("solve", "--problem", "quadratic", "--solver", "ista", "--n", "300",
+                "--iters", "1", "--seed", "0")
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}.csv"
+            env = {var: threads for var in
+                   ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+            proc = _invoke(*args, "--out", str(out), env=env)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append((proc.stdout, out.read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_explicit_step_accepted(self):
         proc = _invoke(

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -275,6 +277,22 @@ class TestLogistic:
         prob = make_logistic(10, 3000, Rng(19))
         rate = np.mean(prob.data["signal"] != 0.0)
         assert abs(rate - 0.2) < 0.03
+
+    def test_sigmoid_matches_two_mask_form_bitwise(self):
+        def two_masks(t):
+            out = np.empty_like(t)
+            pos = t >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+            e = np.exp(t[~pos])
+            out[~pos] = e / (1.0 + e)
+            return out
+
+        edges = [0.0, -0.0, 710.0, -710.0, 745.0, -745.0, 800.0, -800.0, 1e-300, -1e-300]
+        t = np.concatenate([edges, Rng(20).gaussians(2000, 0.0, 30.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, want = _sigmoid(t), two_masks(t)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestLogSumExp:

@@ -3,10 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from l1subgrad.numerics import Rng
+import l1subgrad.objective as objective
+import l1subgrad.solvers as solvers
+from l1subgrad.bench import EXPERIMENTS, ExperimentConfig, build_problem
+from l1subgrad.numerics import Rng, as_vector
 from l1subgrad.objective import CompositeObjective
 from l1subgrad.problems import make_2d, make_quadratic
 from l1subgrad.solvers import (
+    METHODS,
     FistaState,
     SolverConfig,
     SolverError,
@@ -91,10 +95,15 @@ class TestSubgradientStep:
 
     @pytest.mark.parametrize("h", [np.inf, np.nan])
     def test_rejects_nonfinite_step(self, h):
+        obj, x = _quad_1d(), np.array([1.0])
         with pytest.raises(ValueError, match="finite"):
-            subgradient_step(_quad_1d(), np.array([1.0]), h)
+            subgradient_step(obj, x, h)
         with pytest.raises(ValueError, match="finite"):
-            ista_step(_quad_1d(), np.array([1.0]), h)
+            ista_step(obj, x, h)
+        with pytest.raises(ValueError, match="finite"):
+            accelerated_step(obj, SolverState.initial(obj, x), h)
+        with pytest.raises(ValueError, match="finite"):
+            fista_restart_step(obj, FistaState.initial(x), h)
 
     def test_gradient_evaluation_counts(self):
         calls = {"n": 0}
@@ -409,3 +418,83 @@ class TestRunDriver:
         trace = run(prob.objective, prob.x0, SolverConfig(method="alg1", max_iter=50))
         assert trace.x_final is not None
         assert prob.objective.value(trace.x_final) == trace.f_values[-1]
+
+
+def _hand_loop(obj, x0, cfg):
+    """f values of driving the public step functions by hand, as `run` records them."""
+    h = cfg.resolve_step(obj)
+    x = np.array(x0, dtype=np.float64)
+    acc = SolverState.initial(obj, x)
+    fista = FistaState.initial(x)
+    f_values = [obj.value(x)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, cfg.max_iter + 1):
+            if cfg.method == "alg1":
+                x = subgradient_step(obj, x, h)
+            elif cfg.method == "alg2":
+                acc = accelerated_step(obj, acc, h)
+                x = acc.x
+            elif cfg.method == "ista":
+                x = ista_step(obj, x, h)
+            elif cfg.method == "fista":
+                fista = fista_restart_step(obj, fista, h)
+                x = fista.x
+            else:
+                x = classic_subgradient_step(
+                    obj, x, k, cfg.classic_step_scale, cfg.classic_step_exponent
+                )
+            f = obj.value(x) if np.all(np.isfinite(x)) else np.inf
+            if not np.isfinite(f):
+                f_values += [np.inf] * (cfg.max_iter + 1 - len(f_values))
+                break
+            f_values.append(f)
+    return np.array(f_values)
+
+
+class TestLeanLoop:
+    """`run` checks its inputs once and drives the same kernels as the public steps."""
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    @pytest.mark.parametrize("method", METHODS)
+    def test_run_matches_public_steps_bitwise(self, experiment, method):
+        prob = build_problem(experiment, 1, n=12, m=9, k=10)
+        family = ExperimentConfig(experiment, trials=1).resolved()
+        cfg = SolverConfig(
+            method=method, max_iter=40, classic_step_scale=family.classic_scale,
+            classic_step_exponent=family.classic_exponent,
+        )
+        trace = run(prob.objective, prob.x0, cfg)
+        assert trace.f_values.tobytes() == _hand_loop(prob.objective, prob.x0, cfg).tobytes()
+
+    @pytest.mark.parametrize("experiment", ["quadratic", "toy2d"])
+    def test_coercions_do_not_grow_with_iterations(self, experiment, monkeypatch):
+        calls = []
+
+        def counted(x, dim=None):
+            calls.append(None)
+            return as_vector(x, dim=dim)
+
+        monkeypatch.setattr(solvers, "as_vector", counted)
+        monkeypatch.setattr(objective, "as_vector", counted)
+        prob = build_problem(experiment, 0, n=30)
+        for method in METHODS:
+            counts = []
+            for iters in (10, 200):
+                calls.clear()
+                run(prob.objective, prob.x0, SolverConfig(method=method, max_iter=iters))
+                counts.append(len(calls))
+            assert counts[0] == counts[1], (method, counts)
+
+    def test_public_steps_reject_wrong_length(self):
+        obj = make_2d().objective
+        x = np.zeros(3)
+        with pytest.raises(ValueError, match="dimension"):
+            subgradient_step(obj, x, 0.5)
+        with pytest.raises(ValueError, match="dimension"):
+            accelerated_step(obj, SolverState(x=x, p=np.zeros(3), f_x=0.0), 0.5)
+        with pytest.raises(ValueError, match="dimension"):
+            ista_step(obj, x, 0.5)
+        with pytest.raises(ValueError, match="dimension"):
+            fista_restart_step(obj, FistaState.initial(x), 0.5)
+        with pytest.raises(ValueError, match="dimension"):
+            classic_subgradient_step(obj, x, 1, 1.0, 1.0)
