@@ -36,7 +36,6 @@ from .numerics import Rng, random_orthogonal
 from .objective import CompositeObjective, soft_threshold
 from .problems import (
     ProblemInstance,
-    dump_instance,
     make_2d,
     make_lasso,
     make_logistic,
@@ -78,7 +77,6 @@ __all__ = [
     "accelerated_step",
     "build_problem",
     "classic_subgradient_step",
-    "dump_instance",
     "fista_restart_step",
     "ista_step",
     "make_2d",

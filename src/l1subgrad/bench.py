@@ -44,11 +44,10 @@ EXPERIMENTS = ("quadratic", "lasso", "logistic", "logsumexp", "toy2d", "toy2d-pe
 
 # family values of the ExperimentConfig fields that `resolved` fills when left None
 _DEFAULTED_FIELDS = ("solvers", "classic_scale", "classic_exponent", "max_iter")
-_FAMILY_DEFAULTS = {
-    "toy2d": (("alg1", "ista", "classic"), 1.0, 1.0, 500),
-    "toy2d-perturbed": (("alg1", "ista", "classic"), 1.0, 1.0, 500),
-}
-_L1_DEFAULTS = (("alg1", "alg2", "ista", "fista", "classic"), 10.0, 0.25, 2000)
+_FAMILY_DEFAULTS = dict.fromkeys(
+    ("toy2d", "toy2d-perturbed"), (("alg1", "ista", "classic"), 1.0, 1.0, 500)
+)
+_L1_DEFAULTS = (METHODS, SolverConfig.classic_step_scale, SolverConfig.classic_step_exponent, 2000)
 
 # Reference optimum (`reference_optimum`): restarted-FISTA iteration budget, cap
 # on the crossing-subgradient polish, certificate tolerance on the minimal-norm
@@ -187,6 +186,8 @@ class ExperimentConfig:
             for s in self.solvers:
                 if s not in METHODS:
                     raise ValueError(f"unknown solver {s!r}, expected one of {METHODS}")
+            if len(set(self.solvers)) < len(self.solvers):
+                raise ValueError(f"solvers must not repeat a name, got {','.join(self.solvers)}")
 
     def resolved(self) -> "ExperimentConfig":
         """Fill family defaults for solvers, classic schedule and max_iter."""
@@ -197,7 +198,6 @@ class ExperimentConfig:
 @dataclass
 class TrialResult:
     trial: int
-    f_ref: float
     certified: bool
     traces: dict[str, IterationTrace]
 
@@ -229,7 +229,7 @@ def _run_trial(cfg: ExperimentConfig, solver_cfgs: list[SolverConfig], t: int) -
                 f"(solver {sc.method}, trial {t}, min gap {np.min(trace.gaps()):.3e})"
             )
         traces[sc.method] = trace
-    return TrialResult(trial=t, f_ref=ref.value, certified=ref.certified, traces=traces)
+    return TrialResult(trial=t, certified=ref.certified, traces=traces)
 
 
 def run_experiment(cfg: ExperimentConfig) -> GapCurve:
@@ -296,30 +296,32 @@ def _trace_rows(experiment: str, trace: IterationTrace, trial: int, certified: b
         yield f"{prefix},{i},{f_v},{gap},{flag}"
 
 
+def _write_lines(path, lines):
+    """Write ``lines`` to ``path``, each ending in a newline, creating its directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(lines) + "\n")
+
+
 def write_trace_csv(path, trace: IterationTrace, experiment: str, trial: int, certified: bool):
     """Per-iteration rows: experiment,solver,trial,iter,f_value,gap,certified."""
-    lines = [_TRACE_HEADER, *_trace_rows(experiment, trace, trial, certified)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_lines(path, [_TRACE_HEADER, *_trace_rows(experiment, trace, trial, certified)])
 
 
 def write_experiment_csv(cfg: ExperimentConfig, curve: GapCurve):
     """Write aggregated CSV to cfg.out, plus raw rows and a key=value sidecar."""
     out = Path(cfg.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    raw_path = out.with_suffix(".raw.csv")
-    meta_path = out.with_suffix(".meta.txt")
-
     agg = ["experiment,solver,iter,mean_gap,trials"]
     for name in sorted(curve.mean_gaps):
         for i, g in enumerate(_fmt_each(curve.mean_gaps[name])):
             agg.append(f"{curve.experiment},{name},{i},{g},{curve.trials}")
-    out.write_text("\n".join(agg) + "\n")
+    _write_lines(out, agg)
 
     raw = [_TRACE_HEADER]
     for name in sorted(curve.mean_gaps):
         for res in curve.raw:
             raw.extend(_trace_rows(curve.experiment, res.traces[name], res.trial, res.certified))
-    raw_path.write_text("\n".join(raw) + "\n")
+    _write_lines(out.with_suffix(".raw.csv"), raw)
 
     meta = [f"library_version={__version__}", "seed_policy=base_seed+trial_index"]
     for f in fields(cfg):
@@ -328,4 +330,4 @@ def write_experiment_csv(cfg: ExperimentConfig, curve: GapCurve):
             value = ",".join(str(v) for v in value)
         meta.append(f"{f.name}={value}")
     meta.append(f"completed_trials={curve.trials}")
-    meta_path.write_text("\n".join(meta) + "\n")
+    _write_lines(out.with_suffix(".meta.txt"), meta)

@@ -23,7 +23,6 @@ from .bench import (
     run_experiment,
     write_trace_csv,
 )
-from .problems import dump_instance
 from .solvers import METHODS, SolverConfig, SolverError, run
 from .verify import SUITES, run_suites
 
@@ -73,8 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem_flags(solve)
     _add_step_flags(solve)
     solve.add_argument("--out", default=None, help="write the per-iteration CSV here (default: none)")
-    solve.add_argument("--dump-instance", default=None,
-                       help="write the generated problem as a plain-text dump (default: none)")
     solve.add_argument("--config", default=None, help="key=value file of flag defaults")
 
     bench = subs.add_parser("bench", help="run a multi-trial experiment and average gap curves")
@@ -153,8 +150,6 @@ def _cmd_solve(args) -> int:
     problem = build_problem(
         args.problem, args.seed, n=args.n, m=args.m, k=args.k, r=args.r, gamma=args.gamma
     )
-    if args.dump_instance:
-        dump_instance(problem, args.dump_instance)
     trace = run(problem.objective, problem.x0, cfg, f_ref=problem.f_ref)
     bad = np.flatnonzero(~np.isfinite(trace.f_values))
     if bad.size:
@@ -229,7 +224,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "bench":
             return _cmd_bench(args)
         return _cmd_verify(args)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SolverError, ExperimentError) as exc:

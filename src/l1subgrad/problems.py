@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -57,8 +56,8 @@ class ProblemInstance:
     """A composite objective plus its canonical start and optional certificates.
 
     ``data`` exposes the raw generative arrays (design matrices, offsets, ...)
-    for instance dumping and for measurement code that needs more than the
-    black-box objective interface.
+    for measurement code that needs more than the black-box objective
+    interface.
     """
 
     objective: CompositeObjective
@@ -230,8 +229,8 @@ def make_logsumexp(
     """
     if k < 1 or n < 1:
         raise ValueError(f"dimensions must be >= 1, got k={k}, n={n}")
-    if r <= 0:
-        raise ValueError(f"smoothing r must be > 0, got {r}")
+    if not (math.isfinite(r) and r > 0):
+        raise ValueError(f"smoothing r must be finite and > 0, got {r}")
     mat = rng.gaussian_matrix(k, n)
     b = rng.gaussians(k)
     x0 = rng.gaussians(n)
@@ -322,38 +321,3 @@ def perturb_2d(rng: Rng) -> ProblemInstance:
         f_ref=None,
         data=base.data,
     )
-
-
-def dump_instance(instance: ProblemInstance, path) -> None:
-    """Write a plain-text dump: key=value header, then row-major array blocks.
-
-    Scalars are written with shortest round-trip repr; each array block starts
-    with ``[name rows=r cols=c]`` followed by r lines of c space-separated
-    values. Vectors dump as a single row. Intended for diffing instances
-    across implementations, not as a load format (instances are regenerated
-    from seeds).
-    """
-    obj = instance.objective
-    lines = [
-        f"label={instance.label}",
-        f"dim={obj.dim}",
-        f"gamma={obj.gamma!r}",
-        f"lipschitz_L={obj.lipschitz_L!r}",
-        f"mu={'' if obj.mu is None else repr(obj.mu)}",
-        f"f_ref={'' if instance.f_ref is None else repr(instance.f_ref)}",
-    ]
-
-    def block(name: str, arr: np.ndarray):
-        arr = np.atleast_2d(np.asarray(arr, dtype=np.float64))
-        lines.append(f"[{name} rows={arr.shape[0]} cols={arr.shape[1]}]")
-        for row in arr:
-            lines.append(" ".join(repr(float(v)) for v in row))
-
-    block("x0", instance.x0)
-    for name in sorted(instance.data or {}):
-        value = instance.data[name]
-        if np.isscalar(value):
-            lines.insert(6, f"{name}={float(value)!r}")
-        else:
-            block(name, value)
-    Path(path).write_text("\n".join(lines) + "\n")

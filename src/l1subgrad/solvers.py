@@ -288,13 +288,11 @@ class SolverConfig:
 class IterationTrace:
     """Objective values of one run, k = 0 .. max_iter, plus metadata.
 
-    ``h`` records the constant step actually used (for ``classic``, the k=1
-    step, i.e. the schedule scale). ``f_values`` entries are finite except
-    that a diverging run is recorded as +inf from the first bad iterate on.
+    ``f_values`` entries are finite except that a diverging run is recorded
+    as +inf from the first bad iterate on.
     """
 
     method: str
-    h: float
     f_values: np.ndarray
     f_ref: float | None = None
     x_final: np.ndarray | None = None
@@ -303,9 +301,6 @@ class IterationTrace:
         if self.f_ref is None:
             return None
         return self.f_values - self.f_ref
-
-    def __len__(self) -> int:
-        return len(self.f_values)
 
 
 def run(
@@ -364,5 +359,4 @@ def run(
                 break
             f_values[k] = f_k
 
-    trace_h = cfg.classic_step_scale if method == "classic" else h
-    return IterationTrace(method=method, h=trace_h, f_values=f_values, f_ref=f_ref, x_final=x)
+    return IterationTrace(method=method, f_values=f_values, f_ref=f_ref, x_final=x)

@@ -54,8 +54,9 @@ class TestSolve:
         assert "n must be >= 1" in proc.stderr
 
     def test_unknown_flag_is_usage_error(self):
-        proc = _invoke("solve", "--problem", "toy2d", "--solver", "alg1", "--frobnicate", "3")
-        assert proc.returncode == 2
+        for flag in (("--frobnicate", "3"), ("--dump-instance", "F")):
+            proc = _invoke("solve", "--problem", "toy2d", "--solver", "alg1", *flag)
+            assert proc.returncode == 2
 
     def test_missing_required_flags(self):
         assert _invoke("solve", "--problem", "toy2d").returncode == 2
@@ -125,16 +126,21 @@ class TestSolve:
         assert proc.returncode == 2
         assert "must be finite" in proc.stderr
 
-    def test_dump_instance_flag(self, tmp_path, capsys):
-        dump = tmp_path / "inst.txt"
+    def test_out_creates_missing_directories(self, tmp_path, capsys):
+        out = tmp_path / "x" / "y" / "t.csv"
         assert main([
-            "solve", "--problem", "lasso", "--m", "5", "--n", "6", "--solver", "ista",
-            "--iters", "2", "--dump-instance", str(dump),
+            "solve", "--problem", "toy2d", "--solver", "alg1", "--iters", "3", "--out", str(out),
         ]) == 0
         capsys.readouterr()
-        text = dump.read_text()
-        assert text.startswith("label=lasso\ndim=6\n")
-        assert "[design rows=5 cols=6]" in text
+        assert len(out.read_text().splitlines()) == 5
+
+    def test_unwritable_out_is_usage_error(self, tmp_path):
+        proc = _invoke(
+            "solve", "--problem", "toy2d", "--solver", "alg1", "--iters", "3", "--out", str(tmp_path)
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 class TestBench:
@@ -189,6 +195,8 @@ class TestBench:
 
 _SOLVE_CLASSIC = ("solve", "--problem", "toy2d", "--solver", "classic", "--iters", "5")
 _BENCH_TOY = ("bench", "--experiment", "toy2d", "--trials", "1", "--iters", "5")
+_SOLVE_LOGSUMEXP = ("solve", "--problem", "logsumexp", "--solver", "alg1", "--iters", "3",
+                    "--n", "4", "--k", "5")
 
 
 @pytest.mark.parametrize("args, message", [
@@ -199,9 +207,13 @@ _BENCH_TOY = ("bench", "--experiment", "toy2d", "--trials", "1", "--iters", "5")
     (_SOLVE_CLASSIC + ("--classic-exponent", "-1"), "must be finite and >= 0"),
     (_BENCH_TOY + ("--classic-scale", "0"), "must be finite and > 0"),
     (_BENCH_TOY + ("--classic-exponent", "inf"), "must be finite and >= 0"),
+    (_BENCH_TOY + ("--solvers", "alg1,alg1"), "must not repeat a name"),
+    (_SOLVE_LOGSUMEXP + ("--r", "nan"), "smoothing r must be finite and > 0"),
+    (_SOLVE_LOGSUMEXP + ("--r", "inf"), "smoothing r must be finite and > 0"),
 ], ids=[
     "solve-scale-negative", "solve-scale-nan", "solve-scale-inf", "solve-exponent-nan",
-    "solve-exponent-negative", "bench-scale-zero", "bench-exponent-inf",
+    "solve-exponent-negative", "bench-scale-zero", "bench-exponent-inf", "bench-solvers-repeated",
+    "solve-r-nan", "solve-r-inf",
 ])
 def test_bad_schedule_or_budget_is_usage_error(args, message, capsys):
     assert main(list(args)) == 2

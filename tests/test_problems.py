@@ -7,7 +7,6 @@ import l1subgrad.problems as problems
 from l1subgrad.numerics import Rng, logsumexp, softmax
 from l1subgrad.problems import (
     _sigmoid,
-    dump_instance,
     make_2d,
     make_lasso,
     make_logistic,
@@ -324,8 +323,9 @@ class TestLogSumExp:
         assert make_logsumexp(10, 5, Rng(25), gamma=0.2).objective.gamma == 0.2
 
     def test_rejects_bad_smoothing(self):
-        with pytest.raises(ValueError):
-            make_logsumexp(5, 5, Rng(0), r=0.0)
+        for r in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="smoothing r must be finite and > 0"):
+                make_logsumexp(5, 5, Rng(0), r=r)
 
 
 class TestToy2d:
@@ -370,26 +370,3 @@ class TestToy2d:
         assert abs(np.mean(cs) - 0.85) < 0.02
         assert abs(np.std(cs) - 0.1) < 0.02
         assert abs(np.mean(gammas) - 1.0) < 0.02
-
-
-class TestDumpInstance:
-    def test_dump_round_trip_fields(self, tmp_path):
-        prob = make_quadratic(4, Rng(33))
-        path = tmp_path / "instance.txt"
-        dump_instance(prob, path)
-        text = path.read_text()
-        assert text.startswith("label=quadratic\ndim=4\n")
-        assert "[matrix rows=4 cols=4]" in text
-        assert "[x0 rows=1 cols=4]" in text
-        assert f"gamma={prob.objective.gamma!r}" in text
-
-    def test_dump_deterministic(self, tmp_path):
-        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-        dump_instance(make_lasso(5, 6, Rng(44)), a)
-        dump_instance(make_lasso(5, 6, Rng(44)), b)
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_dump_scalar_entries(self, tmp_path):
-        path = tmp_path / "c.txt"
-        dump_instance(make_2d(), path)
-        assert "c=0.85" in path.read_text()

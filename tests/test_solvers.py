@@ -308,7 +308,7 @@ class TestRunDriver:
     def test_zero_iterations_single_record(self):
         prob = make_2d()
         trace = run(prob.objective, prob.x0, SolverConfig(method="alg1", max_iter=0))
-        assert len(trace) == 1
+        assert len(trace.f_values) == 1
         assert trace.f_values[0] == prob.objective.value(prob.x0)
 
     def test_record_count_and_gaps(self):
@@ -316,13 +316,17 @@ class TestRunDriver:
         trace = run(
             prob.objective, prob.x0, SolverConfig(method="ista", max_iter=37), f_ref=prob.f_ref
         )
-        assert len(trace) == 38
+        assert len(trace.f_values) == 38
         assert trace.gaps() is not None and len(trace.gaps()) == 38
 
     def test_auto_step_resolves_to_inverse_lipschitz(self):
         prob = make_2d()
-        trace = run(prob.objective, prob.x0, SolverConfig(method="alg1", max_iter=1))
-        assert trace.h == 1.0 / prob.objective.lipschitz_L
+        auto = run(prob.objective, prob.x0, SolverConfig(method="alg1", max_iter=20))
+        explicit = run(
+            prob.objective, prob.x0,
+            SolverConfig(method="alg1", max_iter=20, step_h=1.0 / prob.objective.lipschitz_L),
+        )
+        assert np.array_equal(auto.f_values, explicit.f_values)
 
     def test_alg1_trace_non_increasing(self):
         prob = make_quadratic(25, Rng(19))
@@ -341,7 +345,7 @@ class TestRunDriver:
         prob = make_quadratic(20, Rng(23))  # eigenvalues up to 100, scale-10 steps blow up
         cfg = SolverConfig(method="classic", max_iter=400)
         trace = run(prob.objective, prob.x0, cfg)
-        assert len(trace) == 401
+        assert len(trace.f_values) == 401
         assert not np.any(np.isnan(trace.f_values))
         assert trace.f_values[-1] == np.inf
 
