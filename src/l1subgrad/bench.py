@@ -48,6 +48,15 @@ _FAMILY_DEFAULTS = dict.fromkeys(
     ("toy2d", "toy2d-perturbed"), (("alg1", "ista", "classic"), 1.0, 1.0, 500)
 )
 _L1_DEFAULTS = (METHODS, SolverConfig.classic_step_scale, SolverConfig.classic_step_exponent, 2000)
+# the size and weight fields each family's generator reads; giving it another is an error
+_READS = {
+    "quadratic": ("n", "gamma"),
+    "lasso": ("m", "n", "gamma"),
+    "logistic": ("m", "n", "gamma"),
+    "logsumexp": ("k", "n", "gamma"),
+    "toy2d": ("gamma",),
+    "toy2d-perturbed": (),
+}
 
 # Reference optimum (`reference_optimum`): restarted-FISTA iteration budget, cap
 # on the crossing-subgradient polish, certificate tolerance on the minimal-norm
@@ -180,6 +189,9 @@ class ExperimentConfig:
             )
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        for name in ("n", "m", "k", "gamma"):
+            if getattr(self, name) is not None and name not in _READS[self.experiment]:
+                raise ValueError(f"{self.experiment} does not read --{name}")
         if self.solvers is not None:
             if not self.solvers:
                 raise ValueError(f"solvers must name at least one of {METHODS}")
@@ -249,6 +261,8 @@ def run_experiment(cfg: ExperimentConfig) -> GapCurve:
         )
         for name in cfg.solvers
     ]
+    if cfg.out is not None:
+        _check_writable(_experiment_paths(cfg.out))
     completed: list[TrialResult] = []
     aborted: list[tuple[int, str]] = []
     for t in range(cfg.trials):
@@ -303,6 +317,26 @@ def _write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _experiment_paths(out) -> tuple[Path, Path, Path]:
+    """The aggregated CSV, raw-row CSV and metadata sidecar that an experiment writes."""
+    out = Path(out)
+    return out, out.with_suffix(".raw.csv"), out.with_suffix(".meta.txt")
+
+
+def _check_writable(paths):
+    """Raise the OSError a later write to ``paths`` would meet, leaving no new file.
+
+    Each path is opened for appending, after its directory is created as
+    `_write_lines` does, and deleted again if this opening created it.
+    """
+    for path in paths:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        existed = path.exists()
+        path.open("a").close()
+        if not existed:
+            path.unlink()
+
+
 def write_trace_csv(path, trace: IterationTrace, experiment: str, trial: int, certified: bool):
     """Per-iteration rows: experiment,solver,trial,iter,f_value,gap,certified."""
     _write_lines(path, [_TRACE_HEADER, *_trace_rows(experiment, trace, trial, certified)])
@@ -310,18 +344,18 @@ def write_trace_csv(path, trace: IterationTrace, experiment: str, trial: int, ce
 
 def write_experiment_csv(cfg: ExperimentConfig, curve: GapCurve):
     """Write aggregated CSV to cfg.out, plus raw rows and a key=value sidecar."""
-    out = Path(cfg.out)
+    agg_path, raw_path, meta_path = _experiment_paths(cfg.out)
     agg = ["experiment,solver,iter,mean_gap,trials"]
     for name in sorted(curve.mean_gaps):
         for i, g in enumerate(_fmt_each(curve.mean_gaps[name])):
             agg.append(f"{curve.experiment},{name},{i},{g},{curve.trials}")
-    _write_lines(out, agg)
+    _write_lines(agg_path, agg)
 
     raw = [_TRACE_HEADER]
     for name in sorted(curve.mean_gaps):
         for res in curve.raw:
             raw.extend(_trace_rows(curve.experiment, res.traces[name], res.trial, res.certified))
-    _write_lines(out.with_suffix(".raw.csv"), raw)
+    _write_lines(raw_path, raw)
 
     meta = [f"library_version={__version__}", "seed_policy=base_seed+trial_index"]
     for f in fields(cfg):
@@ -330,4 +364,4 @@ def write_experiment_csv(cfg: ExperimentConfig, curve: GapCurve):
             value = ",".join(str(v) for v in value)
         meta.append(f"{f.name}={value}")
     meta.append(f"completed_trials={curve.trials}")
-    _write_lines(out.with_suffix(".meta.txt"), meta)
+    _write_lines(meta_path, meta)

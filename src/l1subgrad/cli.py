@@ -8,9 +8,7 @@ invocation can be repeated byte-for-byte.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -31,12 +29,9 @@ def _step_value(text: str):
     if text == "auto":
         return "auto"
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected 'auto' or a number, got {text!r}")
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"step must be finite and > 0, got {value}")
-    return value
 
 
 def _add_problem_flags(sub: argparse.ArgumentParser):
@@ -72,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem_flags(solve)
     _add_step_flags(solve)
     solve.add_argument("--out", default=None, help="write the per-iteration CSV here (default: none)")
-    solve.add_argument("--config", default=None, help="key=value file of flag defaults")
 
     bench = subs.add_parser("bench", help="run a multi-trial experiment and average gap curves")
     bench.add_argument("--experiment", required=True, choices=EXPERIMENTS)
@@ -85,60 +79,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_step_flags(bench)
     bench.add_argument("--out", default=None,
                        help="aggregated CSV path; raw rows and metadata are written alongside")
-    bench.add_argument("--config", default=None, help="key=value file of flag defaults")
 
     verify = subs.add_parser("verify", help="run the executable property suites")
     verify.add_argument("--suite", default="all", choices=sorted(SUITES) + ["all"],
                         help="which suite to run (default all)")
     verify.add_argument("--seed", type=int, default=0, help="seed offset (default 0)")
-    verify.add_argument("--config", default=None, help="key=value file of flag defaults")
     return parser
-
-
-def _expand_config(argv: list[str]) -> list[str]:
-    """Turn `--config file` into synthetic flags prepended after the subcommand.
-
-    The file holds one `key=value` per line (# comments allowed); explicit
-    command-line flags win because argparse keeps the last occurrence. At most
-    one `--config` may be given, and the file may not set `config` itself.
-    """
-    out: list[str] = []
-    paths: list[str] = []
-    tokens = iter(argv)
-    for tok in tokens:
-        if tok.startswith("--config="):
-            paths.append(tok.split("=", 1)[1])
-        elif tok == "--config" and (path := next(tokens, None)) is not None:
-            paths.append(path)
-        else:
-            out.append(tok)
-    if len(paths) > 1:
-        raise ValueError(f"--config given {len(paths)} times; pass one file")
-    if not paths:
-        return out
-    extra: list[str] = []
-    for line in Path(paths[0]).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"bad config line (expected key=value): {line!r}")
-        key, value = line.split("=", 1)
-        flag = key.strip().replace("_", "-")
-        if flag == "config":
-            raise ValueError(f"a config file cannot name another config file: {line!r}")
-        extra.extend([f"--{flag}", value.strip()])
-    # insert right after the subcommand token so explicit flags override
-    for i, tok in enumerate(out):
-        if not tok.startswith("-"):
-            return out[: i + 1] + extra + out[i + 1 :]
-    return out + extra
 
 
 def _cmd_solve(args) -> int:
     family = ExperimentConfig(
         args.problem, trials=1,
         classic_scale=args.classic_scale, classic_exponent=args.classic_exponent,
+        n=args.n, m=args.m, k=args.k, gamma=args.gamma,
     ).resolved()
     cfg = SolverConfig(
         method=args.solver,
@@ -210,14 +163,7 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    try:
-        argv = _expand_config(argv)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "solve":
             return _cmd_solve(args)

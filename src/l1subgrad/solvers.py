@@ -266,7 +266,7 @@ class SolverConfig:
                 and self.step_h > 0
             ):
                 raise ValueError(
-                    f"step_h must be 'auto' or a finite positive number, got {self.step_h!r}"
+                    f"step_h must be finite positive or 'auto', got {self.step_h!r}"
                 )
         if not (math.isfinite(self.classic_step_scale) and self.classic_step_scale > 0):
             raise ValueError(

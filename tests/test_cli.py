@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -14,11 +15,11 @@ from l1subgrad.solvers import SolverConfig, run
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def _invoke(*args, env=None):
+def _invoke(*args, env=None, program=("-m", "l1subgrad")):
     """Subprocess invocation, for end-to-end and byte-determinism checks."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "l1subgrad", *args], capture_output=True, text=True,
+        [sys.executable, *program, *args], capture_output=True, text=True,
         env={**os.environ, **(env or {}), "PYTHONPATH": path},
     )
 
@@ -53,10 +54,15 @@ class TestSolve:
         assert proc.returncode == 2
         assert "n must be >= 1" in proc.stderr
 
-    def test_unknown_flag_is_usage_error(self):
+    def test_unknown_flag_is_usage_error(self, tmp_path):
         for flag in (("--frobnicate", "3"), ("--dump-instance", "F")):
             proc = _invoke("solve", "--problem", "toy2d", "--solver", "alg1", *flag)
             assert proc.returncode == 2
+        config = tmp_path / "run.cfg"
+        config.write_text("iters=3\n")
+        proc = _invoke("solve", "--problem", "toy2d", "--solver", "alg1", "--config", str(config))
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --config" in proc.stderr
 
     def test_missing_required_flags(self):
         assert _invoke("solve", "--problem", "toy2d").returncode == 2
@@ -192,6 +198,28 @@ class TestBench:
         ]) == 2
         assert "solvers must name at least one" in capsys.readouterr().err
 
+    def test_unwritable_out_is_rejected_before_any_trial(self, tmp_path, monkeypatch, capsys):
+        import l1subgrad.bench as bench
+
+        calls = []
+        monkeypatch.setattr(bench, "_run_trial", lambda *args: calls.append(args))
+        assert main([
+            "bench", "--experiment", "toy2d-perturbed", "--trials", "20", "--iters", "500",
+            "--out", str(tmp_path),
+        ]) == 2
+        out, err = capsys.readouterr()
+        assert calls == []
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    def test_failed_out_check_leaves_no_file(self, tmp_path, capsys):
+        (tmp_path / "x.raw.csv").mkdir()
+        assert main([
+            "bench", "--experiment", "toy2d", "--trials", "1", "--iters", "5",
+            "--out", str(tmp_path / "x.csv"),
+        ]) == 2
+        capsys.readouterr()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.raw.csv"]
+
 
 _SOLVE_CLASSIC = ("solve", "--problem", "toy2d", "--solver", "classic", "--iters", "5")
 _BENCH_TOY = ("bench", "--experiment", "toy2d", "--trials", "1", "--iters", "5")
@@ -210,10 +238,15 @@ _SOLVE_LOGSUMEXP = ("solve", "--problem", "logsumexp", "--solver", "alg1", "--it
     (_BENCH_TOY + ("--solvers", "alg1,alg1"), "must not repeat a name"),
     (_SOLVE_LOGSUMEXP + ("--r", "nan"), "smoothing r must be finite and > 0"),
     (_SOLVE_LOGSUMEXP + ("--r", "inf"), "smoothing r must be finite and > 0"),
+    (("bench", "--experiment", "toy2d-perturbed", "--trials", "2", "--iters", "20",
+      "--gamma", "5"), "toy2d-perturbed does not read --gamma"),
+    (("solve", "--problem", "quadratic", "--solver", "alg1", "--iters", "3", "--m", "9"),
+     "quadratic does not read --m"),
+    (_SOLVE_CLASSIC + ("--n", "50"), "toy2d does not read --n"),
 ], ids=[
     "solve-scale-negative", "solve-scale-nan", "solve-scale-inf", "solve-exponent-nan",
     "solve-exponent-negative", "bench-scale-zero", "bench-exponent-inf", "bench-solvers-repeated",
-    "solve-r-nan", "solve-r-inf",
+    "solve-r-nan", "solve-r-inf", "bench-perturbed-gamma", "solve-quadratic-m", "solve-toy2d-n",
 ])
 def test_bad_schedule_or_budget_is_usage_error(args, message, capsys):
     assert main(list(args)) == 2
@@ -243,41 +276,21 @@ class TestVerify:
         assert "FAIL" in capsys.readouterr().out
 
 
-class TestConfigFile:
-    def test_flags_read_from_file(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("# toy solve\nproblem=toy2d\nsolver=alg1\niters=10\nseed=2\n")
-        assert main(["solve", "--config", str(cfg)]) == 0
-        fields = _stdout_fields(capsys.readouterr().out)
-        assert fields["problem"] == "toy2d" and fields["iters"] == "10"
+_TRACED = str(Path(__file__).resolve().parents[1] / "perfbench" / "traced.py")
 
-    def test_explicit_flag_overrides_config(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("problem=toy2d\nsolver=alg1\niters=10\n")
-        assert main(["solve", "--config", str(cfg), "--iters", "4"]) == 0
-        assert _stdout_fields(capsys.readouterr().out)["iters"] == "4"
 
-    def test_missing_config_file_is_usage_error(self):
-        assert main(["solve", "--config", "/nonexistent/x.cfg"]) == 2
-
-    def test_repeated_config_is_usage_error(self, tmp_path, capsys):
-        (tmp_path / "c1.txt").write_text("iters=7\n")
-        (tmp_path / "c2.txt").write_text("iters=9\n")
-        assert main([
-            "solve", "--problem", "toy2d", "--solver", "alg1",
-            "--config", str(tmp_path / "c1.txt"), "--config", str(tmp_path / "c2.txt"),
-        ]) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and "--config given 2 times" in err
-
-    def test_nested_config_is_usage_error(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("problem=toy2d\nsolver=alg1\nconfig=/nonexistent\n")
-        assert main(["solve", "--config", str(cfg)]) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and "cannot name another config file" in err
-
-    def test_malformed_config_line(self, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("problem toy2d\n")
-        assert main(["solve", "--config", str(cfg)]) == 2
+@pytest.mark.parametrize("args", [
+    ("solve", "--problem", "toy2d", "--solver", "alg1", "--iters", "5"),
+    ("bench", "--experiment", "toy2d", "--trials", "1", "--iters", "5", "--out", "{dir}/b.csv"),
+    ("verify", "--suite", "anti-oscillation"),
+], ids=["solve", "bench", "verify"])
+def test_benchmark_tracer_still_installs(args, tmp_path):
+    """perfbench/traced.py replaces names in cli, bench and verify; a rename must fail here."""
+    layers = tmp_path / "layers.json"
+    traced = _invoke(*(a.format(dir=tmp_path / "traced") for a in args),
+                     program=(_TRACED, "--layers", str(layers), "--"))
+    plain = _invoke(*(a.format(dir=tmp_path / "plain") for a in args))
+    assert traced.returncode == plain.returncode == 0, traced.stderr
+    assert traced.stderr == ""
+    assert traced.stdout == plain.stdout
+    assert isinstance(json.loads(layers.read_text())["metrics"], dict)
