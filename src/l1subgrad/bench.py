@@ -35,6 +35,7 @@ from .solvers import (
     SolverError,
     _crossing_phase,
     _fista_step,
+    _same_bits,
     run,
 )
 
@@ -43,17 +44,21 @@ log = logging.getLogger(__name__)
 EXPERIMENTS = ("quadratic", "lasso", "logistic", "logsumexp", "toy2d", "toy2d-perturbed")
 
 # family values of the ExperimentConfig fields that `resolved` fills when left None
-_DEFAULTED_FIELDS = ("solvers", "classic_scale", "classic_exponent", "max_iter")
+_DEFAULTED_FIELDS = ("solvers", "classic_scale", "classic_exponent", "max_iter", "r")
+# logsumexp smoothing; `resolved` gives every family this r, read or not
+_DEFAULT_R = 5.0
 _FAMILY_DEFAULTS = dict.fromkeys(
-    ("toy2d", "toy2d-perturbed"), (("alg1", "ista", "classic"), 1.0, 1.0, 500)
+    ("toy2d", "toy2d-perturbed"), (("alg1", "ista", "classic"), 1.0, 1.0, 500, _DEFAULT_R)
 )
-_L1_DEFAULTS = (METHODS, SolverConfig.classic_step_scale, SolverConfig.classic_step_exponent, 2000)
+_L1_DEFAULTS = (
+    METHODS, SolverConfig.classic_step_scale, SolverConfig.classic_step_exponent, 2000, _DEFAULT_R
+)
 # the size and weight fields each family's generator reads; giving it another is an error
 _READS = {
     "quadratic": ("n", "gamma"),
     "lasso": ("m", "n", "gamma"),
     "logistic": ("m", "n", "gamma"),
-    "logsumexp": ("k", "n", "gamma"),
+    "logsumexp": ("k", "n", "r", "gamma"),
     "toy2d": ("gamma",),
     "toy2d-perturbed": (),
 }
@@ -85,7 +90,7 @@ def build_problem(
     n: int | None = None,
     m: int | None = None,
     k: int | None = None,
-    r: float = 5.0,
+    r: float = _DEFAULT_R,
     gamma: float | None = None,
 ) -> ProblemInstance:
     """Instantiate one experiment problem from its seed and size overrides."""
@@ -113,14 +118,15 @@ def reference_optimum(problem: ProblemInstance) -> ReferenceOptimum:
     """Best available optimum value for a problem, with a quality certificate.
 
     Uses the analytic value when the instance carries one. Otherwise runs
-    restarted FISTA for at most ``REFERENCE_BUDGET`` iterations and hands over,
-    at the first check (every ``REFERENCE_CHECK_EVERY`` iterations) where the
-    best point's minimal-norm subgradient norm is below ``REFERENCE_TOL`` or the
-    best value has not moved since the previous check, to the crossing
-    subgradient polish. The polish runs until the norm drops below
-    ``REFERENCE_TOL``, the iterate stops moving, or ``REFERENCE_POLISH_CAP``
-    steps pass. The result is flagged uncertified when the tolerance was not
-    reached.
+    restarted FISTA for at most ``REFERENCE_BUDGET`` iterations and hands over
+    to the crossing subgradient polish as soon as a step leaves its ``x`` and
+    ``y`` unchanged bit for bit (an exact fixed point, as in `run`), or at the
+    first check (every ``REFERENCE_CHECK_EVERY`` iterations) where the best
+    point's minimal-norm subgradient norm is below ``REFERENCE_TOL`` or the
+    best value has not moved since the previous check. The polish runs until
+    the norm drops below ``REFERENCE_TOL``, the iterate stops moving, or
+    ``REFERENCE_POLISH_CAP`` steps pass. The result is flagged uncertified
+    when the tolerance was not reached.
     """
     if problem.f_ref is not None:
         return ReferenceOptimum(value=problem.f_ref, certified=True, subgrad_norm=0.0)
@@ -130,10 +136,13 @@ def reference_optimum(problem: ProblemInstance) -> ReferenceOptimum:
     best_f = checked_f = obj._value(state.x)
     best_x = state.x
     for k in range(1, REFERENCE_BUDGET + 1):
-        state = _fista_step(obj, state, h)
+        prev, state = state, _fista_step(obj, state, h)
         f_x = obj._value(state.x)
         if f_x < best_f:
             best_f, best_x = f_x, state.x
+        # an exact fixed point: no later step can change the best point
+        if _same_bits(prev.x, state.x) and _same_bits(prev.y, state.y):
+            break
         if k % REFERENCE_CHECK_EVERY == 0:
             if best_f == checked_f or (
                 np.linalg.norm(obj._sub(best_x)) < REFERENCE_TOL
@@ -178,7 +187,7 @@ class ExperimentConfig:
     n: int | None = None
     m: int | None = None
     k: int | None = None
-    r: float = 5.0
+    r: float | None = None
     gamma: float | None = None
     out: str | None = None
 
@@ -189,8 +198,10 @@ class ExperimentConfig:
             )
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        for name in ("n", "m", "k", "gamma"):
-            if getattr(self, name) is not None and name not in _READS[self.experiment]:
+        for name in ("n", "m", "k", "r", "gamma"):
+            # `resolved` fills r = _DEFAULT_R for every family, and that value must survive it
+            unset = (None, _DEFAULT_R) if name == "r" else (None,)
+            if getattr(self, name) not in unset and name not in _READS[self.experiment]:
                 raise ValueError(f"{self.experiment} does not read --{name}")
         if self.solvers is not None:
             if not self.solvers:
@@ -202,7 +213,7 @@ class ExperimentConfig:
                 raise ValueError(f"solvers must not repeat a name, got {','.join(self.solvers)}")
 
     def resolved(self) -> "ExperimentConfig":
-        """Fill family defaults for solvers, classic schedule and max_iter."""
+        """Fill family defaults for solvers, classic schedule, max_iter and r."""
         defaults = zip(_DEFAULTED_FIELDS, _FAMILY_DEFAULTS.get(self.experiment, _L1_DEFAULTS))
         return replace(self, **{k: v for k, v in defaults if getattr(self, k) is None})
 

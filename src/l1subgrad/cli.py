@@ -38,7 +38,7 @@ def _add_problem_flags(sub: argparse.ArgumentParser):
     sub.add_argument("--n", type=int, default=None, help="primary dimension (family default)")
     sub.add_argument("--m", type=int, default=None, help="row count for lasso/logistic (family default)")
     sub.add_argument("--k", type=int, default=None, help="row count for logsumexp (family default)")
-    sub.add_argument("--r", type=float, default=5.0, help="logsumexp smoothing (default 5)")
+    sub.add_argument("--r", type=float, default=None, help="logsumexp smoothing (default 5)")
     sub.add_argument("--gamma", type=float, default=None, help="override the l1 weight (family default)")
     sub.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
 
@@ -91,7 +91,7 @@ def _cmd_solve(args) -> int:
     family = ExperimentConfig(
         args.problem, trials=1,
         classic_scale=args.classic_scale, classic_exponent=args.classic_exponent,
-        n=args.n, m=args.m, k=args.k, gamma=args.gamma,
+        n=args.n, m=args.m, k=args.k, r=args.r, gamma=args.gamma,
     ).resolved()
     cfg = SolverConfig(
         method=args.solver,
@@ -101,7 +101,7 @@ def _cmd_solve(args) -> int:
         classic_step_exponent=family.classic_exponent,
     )
     problem = build_problem(
-        args.problem, args.seed, n=args.n, m=args.m, k=args.k, r=args.r, gamma=args.gamma
+        args.problem, args.seed, n=args.n, m=args.m, k=args.k, r=family.r, gamma=args.gamma
     )
     trace = run(problem.objective, problem.x0, cfg, f_ref=problem.f_ref)
     bad = np.flatnonzero(~np.isfinite(trace.f_values))

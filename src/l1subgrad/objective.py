@@ -41,16 +41,15 @@ def _directional_from_grad(
     # grad = grad_g(q'): grad_i + gamma where either point is positive,
     # grad_i - gamma where either is negative, plain grad_i where both are
     # exactly zero. The momentum phase guarantees q_i * q'_i >= 0, so a
-    # violation indicates a solver bug.
+    # violation indicates a solver bug. Given that, q_i + q'_i carries the
+    # sign of whichever point is nonzero (np.sign of either zero is +0.0).
     crossed = q * qp < 0.0
     if crossed.any():
         bad = int(np.argmax(crossed))
         raise ValueError(
             f"sign-inconsistent pair at component {bad}: q={q[bad]}, q'={qp[bad]}"
         )
-    pos = (q > 0.0) | (qp > 0.0)
-    neg = (q < 0.0) | (qp < 0.0)
-    return grad + gamma * (pos.astype(np.float64) - neg.astype(np.float64))
+    return grad + gamma * np.sign(q + qp)
 
 
 @dataclass(frozen=True)
@@ -58,8 +57,11 @@ class CompositeObjective:
     """f(x) = eval_g(x) + gamma * |x|_1 with metadata used by the solvers.
 
     eval_g / grad_g evaluate the smooth convex term and its (analytic)
-    gradient. lipschitz_L is a Lipschitz constant of grad_g, and mu an
-    optional strong-convexity constant of g when one is known.
+    gradient. Both must be deterministic functions of x: the same bytes in
+    give the same result, as for every built-in family. `run` relies on this
+    when it stops at an exact fixed point of a method's step. lipschitz_L is
+    a Lipschitz constant of grad_g, and mu an optional strong-convexity
+    constant of g when one is known.
     """
 
     eval_g: Callable[[np.ndarray], float]

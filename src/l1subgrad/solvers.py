@@ -16,12 +16,20 @@ and iterate on every call. Both then call the same private kernel per method
 the objective's length. Inside the kernels the objective is reached through
 its raw ``_value``/``_grad``/``_sub`` methods, which skip the coercion; only
 the result of the user's ``grad_g`` is still checked.
+
+`run` stops early once the iterate parks. The steps are deterministic
+functions of the state they read (the objective's ``eval_g`` and ``grad_g``
+are deterministic functions of x), so when a step leaves that state
+unchanged bit for bit, every later step recomputes the same state and the
+same objective value. `run` then fills the rest of the trace with that value
+and returns the same ``f_values`` and ``x_final`` bytes as stepping to the
+end would. ``classic`` never stops early: its step depends on k.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,6 +51,25 @@ class SolverError(RuntimeError):
 def _check_step(h: float):
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"step size must be finite and > 0, got {h}")
+
+
+def _check_schedule(scale: float, exponent: float):
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"classic_step_scale must be finite and > 0, got {scale}")
+    # exponent 0 gives a constant step, as in verify's anti-oscillation suite
+    if not (math.isfinite(exponent) and exponent >= 0):
+        raise ValueError(f"classic_step_exponent must be finite and >= 0, got {exponent}")
+
+
+def _same_bits(a: np.ndarray | None, b: np.ndarray | None) -> bool:
+    """Bit-for-bit equality, compared on bytes so that -0.0 differs from 0.0.
+
+    None equals only None. `run` and the reference optimum's FISTA phase use
+    it to detect a step that left its state unchanged.
+    """
+    if a is None or b is None:
+        return a is b
+    return a.tobytes() == b.tobytes()
 
 
 def _require_finite(v: np.ndarray, what: str):
@@ -174,7 +201,13 @@ def accelerated_step(obj: CompositeObjective, state: SolverState, h: float) -> S
     scheme is conservative: momentum is only ever reset, never damped.
     """
     _check_step(h)
-    state = replace(state, x=as_vector(state.x, dim=obj.dim))
+    state = SolverState(
+        x=as_vector(state.x, dim=obj.dim),
+        p=as_vector(state.p, dim=obj.dim),
+        f_x=state.f_x,
+        q=state.q,
+        grad_cache=state.grad_cache,
+    )
     return _accelerated_step(obj, state, h)
 
 
@@ -218,8 +251,8 @@ def fista_restart_step(obj: CompositeObjective, state: FistaState, h: float) -> 
     composite gradient at y points against the direction just travelled.
     """
     _check_step(h)
-    state = replace(
-        state, x=as_vector(state.x, dim=obj.dim), y=as_vector(state.y, dim=obj.dim)
+    state = FistaState(
+        x=as_vector(state.x, dim=obj.dim), y=as_vector(state.y, dim=obj.dim), t=state.t
     )
     return _fista_step(obj, state, h)
 
@@ -241,6 +274,7 @@ def classic_subgradient_step(
     """
     if k < 1:
         raise ValueError(f"iteration index must be >= 1, got {k}")
+    _check_schedule(scale, exponent)
     return _classic_step(obj, as_vector(x, dim=obj.dim), k, scale, exponent)
 
 
@@ -268,15 +302,7 @@ class SolverConfig:
                 raise ValueError(
                     f"step_h must be finite positive or 'auto', got {self.step_h!r}"
                 )
-        if not (math.isfinite(self.classic_step_scale) and self.classic_step_scale > 0):
-            raise ValueError(
-                f"classic_step_scale must be finite and > 0, got {self.classic_step_scale}"
-            )
-        # exponent 0 gives a constant step, as in verify's anti-oscillation suite
-        if not (math.isfinite(self.classic_step_exponent) and self.classic_step_exponent >= 0):
-            raise ValueError(
-                f"classic_step_exponent must be finite and >= 0, got {self.classic_step_exponent}"
-            )
+        _check_schedule(self.classic_step_scale, self.classic_step_exponent)
 
     def resolve_step(self, obj: CompositeObjective) -> float:
         if self.step_h == "auto":
@@ -313,6 +339,15 @@ def run(
     large early steps may overflow on steep problems), the remaining trace is
     filled with +inf and iteration stops; methods with crossing control raise
     instead.
+
+    Iteration also stops once the iterate parks: after each step, the state
+    the next step reads is compared bit for bit with the state this step
+    read (``x`` for alg1 and ista; ``x``, ``p`` and ``grad_cache`` for alg2;
+    ``x`` and ``y`` for fista, whose ``t`` only scales ``x_new - x``, then
+    exactly zero). On a repeat every later step would recompute the same
+    state and value, so the rest of the trace is filled with the current
+    value; the returned bytes are those of stepping to ``max_iter``.
+    ``classic`` never stops this way, since its step depends on k.
     """
     x0 = as_vector(x0, dim=obj.dim)
     if not np.isfinite(x0).all():
@@ -333,29 +368,47 @@ def run(
         for k in range(1, cfg.max_iter + 1):
             try:
                 if method == "alg1":
-                    x, f_k = _subgradient_step(obj, x, h)
+                    x_new, f_k = _subgradient_step(obj, x, h)
                     if f_k is None:
-                        f_k = obj._value(x)
+                        f_k = obj._value(x_new)
+                    parked = _same_bits(x, x_new)
+                    x = x_new
                 elif method == "alg2":
-                    acc_state = _accelerated_step(obj, acc_state, h)
-                    x = acc_state.x
-                    f_k = acc_state.f_x
+                    new = _accelerated_step(obj, acc_state, h)
+                    parked = (
+                        _same_bits(acc_state.x, new.x)
+                        and _same_bits(acc_state.p, new.p)
+                        and _same_bits(acc_state.grad_cache, new.grad_cache)
+                    )
+                    acc_state = new
+                    x = new.x
+                    f_k = new.f_x
                 elif method == "ista":
-                    x = _ista_step(obj, x, h)
-                    f_k = obj._value(x)
+                    x_new = _ista_step(obj, x, h)
+                    f_k = obj._value(x_new)
+                    parked = _same_bits(x, x_new)
+                    x = x_new
                 elif method == "fista":
-                    fista_state = _fista_step(obj, fista_state, h)
-                    x = fista_state.x
+                    new = _fista_step(obj, fista_state, h)
+                    parked = _same_bits(fista_state.x, new.x) and _same_bits(
+                        fista_state.y, new.y
+                    )
+                    fista_state = new
+                    x = new.x
                     f_k = obj._value(x)
                 else:
                     x = _classic_step(
                         obj, x, k, cfg.classic_step_scale, cfg.classic_step_exponent
                     )
                     f_k = obj._value(x) if np.isfinite(x).all() else math.inf
+                    parked = False
             except SolverError as exc:
                 raise SolverError(f"{method} failed at iteration {k}: {exc}") from exc
             if not math.isfinite(f_k):
                 f_values[k:] = np.inf
+                break
+            if parked:
+                f_values[k:] = f_k
                 break
             f_values[k] = f_k
 

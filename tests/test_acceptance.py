@@ -4,11 +4,7 @@ tolerance and prints a one-line PASS/FAIL verdict with the measured margin.
 Run with `pytest tests/test_acceptance.py -s` to see the verdict lines.
 """
 
-import os
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -154,23 +150,12 @@ def test_criterion_7_l1_family_ordering():
     )
 
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
-
-
-def _cli(*args):
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "l1subgrad", *args], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-
-
-def test_criterion_8_determinism(tmp_path):
+def test_criterion_8_determinism(tmp_path, cli):
     checks = []
 
     solve_args = ("solve", "--problem", "toy2d", "--solver", "alg2", "--iters", "50", "--seed", "4")
-    a = _cli(*solve_args, "--out", str(tmp_path / "s1.csv"))
-    b = _cli(*solve_args, "--out", str(tmp_path / "s2.csv"))
+    a = cli(*solve_args, "--out", str(tmp_path / "s1.csv"))
+    b = cli(*solve_args, "--out", str(tmp_path / "s2.csv"))
     checks.append(a.returncode == 0 and a.stdout == b.stdout)
     checks.append((tmp_path / "s1.csv").read_bytes() == (tmp_path / "s2.csv").read_bytes())
 
@@ -178,8 +163,8 @@ def test_criterion_8_determinism(tmp_path):
         "bench", "--experiment", "toy2d-perturbed", "--trials", "3", "--iters", "20",
         "--seed", "11",
     )
-    a = _cli(*bench_args, "--out", str(tmp_path / "b1.csv"))
-    b = _cli(*bench_args, "--out", str(tmp_path / "b2.csv"))
+    a = cli(*bench_args, "--out", str(tmp_path / "b1.csv"))
+    b = cli(*bench_args, "--out", str(tmp_path / "b2.csv"))
     checks.append(a.returncode == 0 and a.stdout == b.stdout)
     for suffix in (".csv", ".raw.csv"):
         checks.append(
@@ -187,8 +172,8 @@ def test_criterion_8_determinism(tmp_path):
             == (tmp_path / "b2.csv").with_suffix(suffix).read_bytes()
         )
 
-    a = _cli("verify", "--suite", "anti-oscillation")
-    b = _cli("verify", "--suite", "anti-oscillation")
+    a = cli("verify", "--suite", "anti-oscillation")
+    b = cli("verify", "--suite", "anti-oscillation")
     checks.append(a.returncode == 0 and a.stdout == b.stdout)
 
     _report(8, "byte determinism", all(checks), f"{sum(checks)}/{len(checks)} comparisons identical")

@@ -95,6 +95,7 @@ class TestExperimentConfig:
         assert quad.solvers == ("alg1", "alg2", "ista", "fista", "classic")
         assert quad.classic_scale == 10.0 and quad.classic_exponent == 0.25
         assert quad.max_iter == 2000
+        assert toy.r == quad.r == 5.0
 
     def test_explicit_values_survive_resolution(self):
         cfg = ExperimentConfig(
@@ -144,6 +145,7 @@ class TestRunExperiment:
         assert "experiment=toy2d" in meta
         assert "trials=2" in meta
         assert "library_version=" in meta
+        assert "\nr=5.0\n" in meta  # filled by resolved(), though toy2d does not read it
 
     def test_mean_curves_non_increasing_at_auto_step(self):
         cfg = ExperimentConfig(

@@ -1,7 +1,5 @@
 import json
 import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,18 +8,6 @@ import pytest
 from l1subgrad.bench import build_problem
 from l1subgrad.cli import main
 from l1subgrad.solvers import SolverConfig, run
-
-
-SRC = str(Path(__file__).resolve().parents[1] / "src")
-
-
-def _invoke(*args, env=None, program=("-m", "l1subgrad")):
-    """Subprocess invocation, for end-to-end and byte-determinism checks."""
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *program, *args], capture_output=True, text=True,
-        env={**os.environ, **(env or {}), "PYTHONPATH": path},
-    )
 
 
 def _stdout_fields(text):
@@ -35,9 +21,9 @@ def _stdout_fields(text):
 
 
 class TestSolve:
-    def test_toy2d_converges(self, tmp_path):
+    def test_toy2d_converges(self, tmp_path, cli):
         out = tmp_path / "trace.csv"
-        proc = _invoke(
+        proc = cli(
             "solve", "--problem", "toy2d", "--solver", "alg1",
             "--iters", "200", "--seed", "1", "--out", str(out),
         )
@@ -49,37 +35,37 @@ class TestSolve:
         assert lines[0] == "experiment,solver,trial,iter,f_value,gap,certified"
         assert len(lines) == 202
 
-    def test_invalid_dimension_is_usage_error(self):
-        proc = _invoke("solve", "--problem", "quadratic", "--solver", "alg1", "--n", "0")
+    def test_invalid_dimension_is_usage_error(self, cli):
+        proc = cli("solve", "--problem", "quadratic", "--solver", "alg1", "--n", "0")
         assert proc.returncode == 2
         assert "n must be >= 1" in proc.stderr
 
-    def test_unknown_flag_is_usage_error(self, tmp_path):
+    def test_unknown_flag_is_usage_error(self, tmp_path, cli):
         for flag in (("--frobnicate", "3"), ("--dump-instance", "F")):
-            proc = _invoke("solve", "--problem", "toy2d", "--solver", "alg1", *flag)
+            proc = cli("solve", "--problem", "toy2d", "--solver", "alg1", *flag)
             assert proc.returncode == 2
         config = tmp_path / "run.cfg"
         config.write_text("iters=3\n")
-        proc = _invoke("solve", "--problem", "toy2d", "--solver", "alg1", "--config", str(config))
+        proc = cli("solve", "--problem", "toy2d", "--solver", "alg1", "--config", str(config))
         assert proc.returncode == 2
         assert "unrecognized arguments: --config" in proc.stderr
 
-    def test_missing_required_flags(self):
-        assert _invoke("solve", "--problem", "toy2d").returncode == 2
+    def test_missing_required_flags(self, cli):
+        assert cli("solve", "--problem", "toy2d").returncode == 2
 
-    def test_repeat_invocation_is_byte_identical(self, tmp_path):
+    def test_repeat_invocation_is_byte_identical(self, tmp_path, cli):
         args = (
             "solve", "--problem", "quadratic", "--n", "15", "--solver", "alg2",
             "--iters", "50", "--seed", "3",
         )
-        a = _invoke(*args, "--out", str(tmp_path / "a.csv"))
-        b = _invoke(*args, "--out", str(tmp_path / "b.csv"))
+        a = cli(*args, "--out", str(tmp_path / "a.csv"))
+        b = cli(*args, "--out", str(tmp_path / "b.csv"))
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
-    def test_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+    def test_bytes_do_not_depend_on_blas_threads(self, tmp_path, cli):
         # n=300 is large enough for a threaded BLAS to split the products
         args = ("solve", "--problem", "quadratic", "--solver", "ista", "--n", "300",
                 "--iters", "1", "--seed", "0")
@@ -88,25 +74,25 @@ class TestSolve:
             out = tmp_path / f"threads{threads}.csv"
             env = {var: threads for var in
                    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-            proc = _invoke(*args, "--out", str(out), env=env)
+            proc = cli(*args, "--out", str(out), env=env)
             assert proc.returncode == 0, proc.stderr
             outputs.append((proc.stdout, out.read_bytes()))
         assert outputs[0] == outputs[1]
 
-    def test_explicit_step_accepted(self):
-        proc = _invoke(
+    def test_explicit_step_accepted(self, cli):
+        proc = cli(
             "solve", "--problem", "toy2d", "--solver", "ista", "--iters", "5", "--step", "0.1"
         )
         assert proc.returncode == 0
 
     @pytest.mark.parametrize("solver", ["ista", "fista"])
-    def test_divergence_is_a_numerical_failure(self, solver):
+    def test_divergence_is_a_numerical_failure(self, solver, cli):
         # step 0.05 is about 5/L on this instance
         problem = build_problem("quadratic", 0, n=50)
         trace = run(problem.objective, problem.x0,
                     SolverConfig(method=solver, max_iter=500, step_h=0.05))
         first_bad = int(np.flatnonzero(~np.isfinite(trace.f_values))[0])
-        proc = _invoke(
+        proc = cli(
             "solve", "--problem", "quadratic", "--n", "50", "--solver", solver, "--step", "0.05"
         )
         assert proc.returncode == 1
@@ -115,8 +101,8 @@ class TestSolve:
             f"error: {solver} diverged: first non-finite value at iteration {first_bad}\n"
         )
 
-    def test_bad_step_rejected(self):
-        proc = _invoke(
+    def test_bad_step_rejected(self, cli):
+        proc = cli(
             "solve", "--problem", "toy2d", "--solver", "ista", "--iters", "5", "--step", "-1"
         )
         assert proc.returncode == 2
@@ -124,8 +110,8 @@ class TestSolve:
     @pytest.mark.parametrize(
         "flag, value", [("--gamma", "nan"), ("--gamma", "inf"), ("--step", "inf"), ("--step", "nan")]
     )
-    def test_non_finite_input_is_usage_error(self, flag, value):
-        proc = _invoke(
+    def test_non_finite_input_is_usage_error(self, flag, value, cli):
+        proc = cli(
             "solve", "--problem", "quadratic", "--n", "5", "--solver", "alg1", "--iters", "3",
             flag, value,
         )
@@ -140,8 +126,8 @@ class TestSolve:
         capsys.readouterr()
         assert len(out.read_text().splitlines()) == 5
 
-    def test_unwritable_out_is_usage_error(self, tmp_path):
-        proc = _invoke(
+    def test_unwritable_out_is_usage_error(self, tmp_path, cli):
+        proc = cli(
             "solve", "--problem", "toy2d", "--solver", "alg1", "--iters", "3", "--out", str(tmp_path)
         )
         assert proc.returncode == 2
@@ -167,13 +153,13 @@ class TestBench:
         assert solve_lines[0] == bench_lines[0]
         assert solve_lines[1:] == [line for line in bench_lines if line.split(",")[1] == "alg1"]
 
-    def test_deterministic_aggregate(self, tmp_path):
+    def test_deterministic_aggregate(self, tmp_path, cli):
         args = (
             "bench", "--experiment", "toy2d-perturbed", "--trials", "5", "--iters", "25",
             "--seed", "7",
         )
-        a = _invoke(*args, "--out", str(tmp_path / "a.csv"))
-        b = _invoke(*args, "--out", str(tmp_path / "b.csv"))
+        a = cli(*args, "--out", str(tmp_path / "a.csv"))
+        b = cli(*args, "--out", str(tmp_path / "b.csv"))
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
@@ -188,8 +174,8 @@ class TestBench:
         assert any(line.startswith("alg1 ") for line in out.splitlines())
         assert any(line.startswith("classic ") for line in out.splitlines())
 
-    def test_unknown_solver_rejected(self):
-        proc = _invoke("bench", "--experiment", "toy2d", "--trials", "1", "--solvers", "sgd")
+    def test_unknown_solver_rejected(self, cli):
+        proc = cli("bench", "--experiment", "toy2d", "--trials", "1", "--solvers", "sgd")
         assert proc.returncode == 2
 
     def test_empty_solver_list_rejected(self, capsys):
@@ -243,10 +229,14 @@ _SOLVE_LOGSUMEXP = ("solve", "--problem", "logsumexp", "--solver", "alg1", "--it
     (("solve", "--problem", "quadratic", "--solver", "alg1", "--iters", "3", "--m", "9"),
      "quadratic does not read --m"),
     (_SOLVE_CLASSIC + ("--n", "50"), "toy2d does not read --n"),
+    (("solve", "--problem", "quadratic", "--solver", "alg1", "--iters", "3", "--n", "5",
+      "--r", "7"), "quadratic does not read --r"),
+    (_BENCH_TOY + ("--r", "7"), "toy2d does not read --r"),
 ], ids=[
     "solve-scale-negative", "solve-scale-nan", "solve-scale-inf", "solve-exponent-nan",
     "solve-exponent-negative", "bench-scale-zero", "bench-exponent-inf", "bench-solvers-repeated",
     "solve-r-nan", "solve-r-inf", "bench-perturbed-gamma", "solve-quadratic-m", "solve-toy2d-n",
+    "solve-quadratic-r", "bench-toy2d-r",
 ])
 def test_bad_schedule_or_budget_is_usage_error(args, message, capsys):
     assert main(list(args)) == 2
@@ -261,8 +251,8 @@ class TestVerify:
         assert "PASS anti-oscillation/crossing" in out
         assert "2/2 properties passed" in out
 
-    def test_unknown_suite_is_usage_error(self):
-        assert _invoke("verify", "--suite", "nonsense").returncode == 2
+    def test_unknown_suite_is_usage_error(self, cli):
+        assert cli("verify", "--suite", "nonsense").returncode == 2
 
     def test_failure_exits_one(self, capsys, monkeypatch):
         import l1subgrad.cli as cli
@@ -284,12 +274,12 @@ _TRACED = str(Path(__file__).resolve().parents[1] / "perfbench" / "traced.py")
     ("bench", "--experiment", "toy2d", "--trials", "1", "--iters", "5", "--out", "{dir}/b.csv"),
     ("verify", "--suite", "anti-oscillation"),
 ], ids=["solve", "bench", "verify"])
-def test_benchmark_tracer_still_installs(args, tmp_path):
+def test_benchmark_tracer_still_installs(args, tmp_path, cli):
     """perfbench/traced.py replaces names in cli, bench and verify; a rename must fail here."""
     layers = tmp_path / "layers.json"
-    traced = _invoke(*(a.format(dir=tmp_path / "traced") for a in args),
+    traced = cli(*(a.format(dir=tmp_path / "traced") for a in args),
                      program=(_TRACED, "--layers", str(layers), "--"))
-    plain = _invoke(*(a.format(dir=tmp_path / "plain") for a in args))
+    plain = cli(*(a.format(dir=tmp_path / "plain") for a in args))
     assert traced.returncode == plain.returncode == 0, traced.stderr
     assert traced.stderr == ""
     assert traced.stdout == plain.stdout

@@ -240,6 +240,29 @@ class TestDirectionalSubgradient:
             assert obj.value(q) >= fqp + float(d @ (q - qp)) - 1e-10 * (1.0 + abs(fqp))
 
 
+    def test_matches_two_mask_form_bitwise(self):
+        # the componentwise pos/neg form the sign of q + q' replaced, as reference
+        def two_masks(grad, q, qp, gamma):
+            pos = (q > 0.0) | (qp > 0.0)
+            neg = (q < 0.0) | (qp < 0.0)
+            return grad + gamma * (pos.astype(np.float64) - neg.astype(np.float64))
+
+        rng = Rng(59)
+        n = 4000
+        signed = [0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 1e150, -1e150]
+        q = np.concatenate([np.repeat(signed, len(signed)), rng.gaussians(n)])
+        qp = np.concatenate([np.tile(signed, len(signed)), rng.gaussians(n)])
+        # zero a third of each side at random and drop sign-crossing pairs
+        q = np.where(rng.uniforms(q.size) < 0.3, -0.0, q)
+        qp = np.where(rng.uniforms(qp.size) < 0.3, 0.0, qp)
+        keep = q * qp >= 0.0
+        q, qp = q[keep], qp[keep]
+        grad = np.where(rng.uniforms(q.size) < 0.2, -0.0, rng.gaussians(q.size))
+        for gamma in (0.0, 0.7):
+            got = _directional_from_grad(grad, q, qp, gamma)
+            assert got.tobytes() == two_masks(grad, q, qp, gamma).tobytes()
+
+
 class TestPLInequality:
     def test_gap_bounded_by_subgradient_norm(self):
         from l1subgrad.bench import reference_optimum

@@ -285,6 +285,27 @@ class TestClassicStep:
         with pytest.raises(ValueError):
             classic_subgradient_step(_quad_1d(), np.array([1.0]), 0, 1.0, 0.5)
 
+    @pytest.mark.parametrize("scale, exponent, message", [
+        (-1.0, 0.5, "classic_step_scale must be finite and > 0"),
+        (0.0, 0.5, "classic_step_scale must be finite and > 0"),
+        (np.nan, 0.5, "classic_step_scale must be finite and > 0"),
+        (np.inf, 0.5, "classic_step_scale must be finite and > 0"),
+        (1.0, -np.inf, "classic_step_exponent must be finite and >= 0"),
+        (1.0, np.nan, "classic_step_exponent must be finite and >= 0"),
+        (1.0, -1.0, "classic_step_exponent must be finite and >= 0"),
+    ], ids=[
+        "scale-negative", "scale-zero", "scale-nan", "scale-inf",
+        "exponent-minus-inf", "exponent-nan", "exponent-negative",
+    ])
+    def test_rejects_bad_schedule_as_the_config_does(self, scale, exponent, message):
+        with pytest.raises(ValueError, match=message):
+            classic_subgradient_step(_quad_1d(), np.array([1.0]), 1, scale, exponent)
+        with pytest.raises(ValueError, match=message):
+            SolverConfig(
+                method="classic", max_iter=1, classic_step_scale=scale,
+                classic_step_exponent=exponent,
+            )
+
     def test_constant_step_oscillation_stays_separated(self):
         # on |x| + eps*x^2/2 with a constant step, iterates started off the
         # step lattice never settle near the minimizer
@@ -352,9 +373,11 @@ class TestRunDriver:
     def test_error_carries_iteration_index(self):
         calls = {"n": 0}
 
+        # the fault comes at the second call (the pinned point x' of iteration
+        # 1), before the iterate parks at 0 and `run` stops calling grad_g
         def grad(x):
             calls["n"] += 1
-            if calls["n"] > 3:
+            if calls["n"] > 1:
                 return np.full_like(x, np.nan)
             return x.copy()
 
@@ -365,22 +388,8 @@ class TestRunDriver:
             run(obj, np.array([5.0, 4.0]), SolverConfig(method="alg1", max_iter=50))
 
     def test_no_value_is_evaluated_twice(self):
-        # eval_g and grad_g counted through dataclasses.replace, as perfbench's trace does
-        calls = {"eval": 0, "grad": 0}
-
-        def counted(fn, slot):
-            def call(x):
-                calls[slot] += 1
-                return fn(x)
-
-            return call
-
         prob = make_quadratic(30, Rng(7))
-        obj = dataclasses.replace(
-            prob.objective,
-            eval_g=counted(prob.objective.eval_g, "eval"),
-            grad_g=counted(prob.objective.grad_g, "grad"),
-        )
+        obj, calls = _counted_oracle(prob.objective)
         iters = 100
         h = 1.0 / obj.lipschitz_L
 
@@ -422,6 +431,23 @@ class TestRunDriver:
         trace = run(prob.objective, prob.x0, SolverConfig(method="alg1", max_iter=50))
         assert trace.x_final is not None
         assert prob.objective.value(trace.x_final) == trace.f_values[-1]
+
+
+def _counted_oracle(obj):
+    """``obj`` with eval_g/grad_g counted through dataclasses.replace, as perfbench counts them."""
+    calls = {"eval": 0, "grad": 0}
+
+    def counted(fn, slot):
+        def call(x):
+            calls[slot] += 1
+            return fn(x)
+
+        return call
+
+    counted_obj = dataclasses.replace(
+        obj, eval_g=counted(obj.eval_g, "eval"), grad_g=counted(obj.grad_g, "grad")
+    )
+    return counted_obj, calls
 
 
 def _hand_loop(obj, x0, cfg):
@@ -497,8 +523,44 @@ class TestLeanLoop:
         with pytest.raises(ValueError, match="dimension"):
             accelerated_step(obj, SolverState(x=x, p=np.zeros(3), f_x=0.0), 0.5)
         with pytest.raises(ValueError, match="dimension"):
+            accelerated_step(obj, SolverState(x=np.zeros(2), p=np.zeros(3), f_x=0.0), 0.5)
+        with pytest.raises(ValueError, match="dimension"):
             ista_step(obj, x, 0.5)
         with pytest.raises(ValueError, match="dimension"):
             fista_restart_step(obj, FistaState.initial(x), 0.5)
         with pytest.raises(ValueError, match="dimension"):
             classic_subgradient_step(obj, x, 1, 1.0, 1.0)
+
+
+class TestParking:
+    """`run` stops once a step leaves the state the next step reads unchanged."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_run_stops_calling_the_oracle_once_parked(self, method):
+        prob = build_problem("toy2d", 0)
+        family = ExperimentConfig("toy2d", trials=1).resolved()
+        counts = []
+        for iters in (500, 1000):
+            obj, calls = _counted_oracle(prob.objective)
+            cfg = SolverConfig(
+                method=method, max_iter=iters, classic_step_scale=family.classic_scale,
+                classic_step_exponent=family.classic_exponent,
+            )
+            trace = run(obj, prob.x0, cfg)
+            counts.append(dict(calls))
+            # stopping early records the bytes that stepping to the end records
+            hand = _hand_loop(prob.objective, prob.x0, cfg)
+            assert trace.f_values.tobytes() == hand.tobytes()
+        if method == "classic":
+            # its step depends on k, so it never parks: f at x0, then one of each per step
+            assert counts == [{"eval": 501, "grad": 500}, {"eval": 1001, "grad": 1000}]
+        else:
+            assert counts[0] == counts[1]
+            assert counts[0]["grad"] < 150, counts
+
+    def test_signed_zero_is_a_change(self):
+        # bytes, not values, are compared: -0.0 and 0.0 differ
+        assert solvers._same_bits(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+        assert not solvers._same_bits(np.array([-0.0, 1.0]), np.array([0.0, 1.0]))
+        assert solvers._same_bits(None, None)
+        assert not solvers._same_bits(None, np.zeros(2))
