@@ -41,27 +41,23 @@ from .solvers import (
 
 log = logging.getLogger(__name__)
 
-EXPERIMENTS = ("quadratic", "lasso", "logistic", "logsumexp", "toy2d", "toy2d-perturbed")
-
-# family values of the ExperimentConfig fields that `resolved` fills when left None
-_DEFAULTED_FIELDS = ("solvers", "classic_scale", "classic_exponent", "max_iter", "r")
-# logsumexp smoothing; `resolved` gives every family this r, read or not
-_DEFAULT_R = 5.0
-_FAMILY_DEFAULTS = dict.fromkeys(
-    ("toy2d", "toy2d-perturbed"), (("alg1", "ista", "classic"), 1.0, 1.0, 500, _DEFAULT_R)
-)
-_L1_DEFAULTS = (
-    METHODS, SolverConfig.classic_step_scale, SolverConfig.classic_step_exponent, 2000, _DEFAULT_R
-)
-# the size and weight fields each family's generator reads; giving it another is an error
-_READS = {
-    "quadratic": ("n", "gamma"),
-    "lasso": ("m", "n", "gamma"),
-    "logistic": ("m", "n", "gamma"),
-    "logsumexp": ("k", "n", "r", "gamma"),
-    "toy2d": ("gamma",),
-    "toy2d-perturbed": (),
+_L1_RUN = dict(solvers=METHODS, classic_scale=SolverConfig.classic_step_scale,
+               classic_exponent=SolverConfig.classic_step_exponent, max_iter=2000)
+_TOY_RUN = dict(solvers=("alg1", "ista", "classic"), classic_scale=1.0, classic_exponent=1.0,
+                max_iter=500)
+# One row per family: its generator, called as make(rng=..., **sizes); the size
+# and weight fields it reads, each with its default (None where the generator
+# derives the value); and its default solvers, classic schedule and max_iter.
+# Giving a family a size or weight field its row does not name is an error.
+_FAMILIES = {
+    "quadratic": (make_quadratic, {"n": 1000, "gamma": None}, _L1_RUN),
+    "lasso": (make_lasso, {"m": 500, "n": 1000, "gamma": None}, _L1_RUN),
+    "logistic": (make_logistic, {"m": 500, "n": 100, "gamma": None}, _L1_RUN),
+    "logsumexp": (make_logsumexp, {"k": 500, "n": 200, "r": 5.0, "gamma": None}, _L1_RUN),
+    "toy2d": (lambda rng, gamma: make_2d(gamma=gamma), {"gamma": 1.0}, _TOY_RUN),
+    "toy2d-perturbed": (perturb_2d, {}, _TOY_RUN),
 }
+EXPERIMENTS = tuple(_FAMILIES)
 
 # Reference optimum (`reference_optimum`): restarted-FISTA iteration budget, cap
 # on the crossing-subgradient polish, certificate tolerance on the minimal-norm
@@ -90,28 +86,21 @@ def build_problem(
     n: int | None = None,
     m: int | None = None,
     k: int | None = None,
-    r: float = _DEFAULT_R,
+    r: float | None = None,
     gamma: float | None = None,
 ) -> ProblemInstance:
-    """Instantiate one experiment problem from its seed and size overrides."""
+    """Instantiate one experiment problem from its seed and size overrides.
 
-    def pick(value, default):
-        return default if value is None else value
-
-    rng = Rng(seed)
-    if experiment == "quadratic":
-        return make_quadratic(pick(n, 1000), rng, gamma=gamma)
-    if experiment == "lasso":
-        return make_lasso(pick(m, 500), pick(n, 1000), rng, gamma=gamma)
-    if experiment == "logistic":
-        return make_logistic(pick(m, 500), pick(n, 100), rng, gamma=gamma)
-    if experiment == "logsumexp":
-        return make_logsumexp(pick(k, 500), pick(n, 200), rng, r=r, gamma=gamma)
-    if experiment == "toy2d":
-        return make_2d(gamma=1.0 if gamma is None else gamma)
-    if experiment == "toy2d-perturbed":
-        return perturb_2d(rng)
-    raise ValueError(f"unknown experiment {experiment!r}, expected one of {EXPERIMENTS}")
+    Each size or weight the family reads comes from its argument, or from the
+    family's default when the argument is None; the family ignores the others.
+    """
+    if experiment not in _FAMILIES:
+        raise ValueError(f"unknown experiment {experiment!r}, expected one of {EXPERIMENTS}")
+    make, sizes, _ = _FAMILIES[experiment]
+    given = {"n": n, "m": m, "k": k, "r": r, "gamma": gamma}
+    return make(rng=Rng(seed), **{
+        name: default if given[name] is None else given[name] for name, default in sizes.items()
+    })
 
 
 def reference_optimum(problem: ProblemInstance) -> ReferenceOptimum:
@@ -198,10 +187,9 @@ class ExperimentConfig:
             )
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        _, sizes, _ = _FAMILIES[self.experiment]
         for name in ("n", "m", "k", "r", "gamma"):
-            # `resolved` fills r = _DEFAULT_R for every family, and that value must survive it
-            unset = (None, _DEFAULT_R) if name == "r" else (None,)
-            if getattr(self, name) not in unset and name not in _READS[self.experiment]:
+            if getattr(self, name) is not None and name not in sizes:
                 raise ValueError(f"{self.experiment} does not read --{name}")
         if self.solvers is not None:
             if not self.solvers:
@@ -213,9 +201,11 @@ class ExperimentConfig:
                 raise ValueError(f"solvers must not repeat a name, got {','.join(self.solvers)}")
 
     def resolved(self) -> "ExperimentConfig":
-        """Fill family defaults for solvers, classic schedule, max_iter and r."""
-        defaults = zip(_DEFAULTED_FIELDS, _FAMILY_DEFAULTS.get(self.experiment, _L1_DEFAULTS))
-        return replace(self, **{k: v for k, v in defaults if getattr(self, k) is None})
+        """Fill the family defaults for the sizes and weights it reads, solvers,
+        classic schedule and max_iter; fields the family does not read stay None."""
+        _, sizes, run_defaults = _FAMILIES[self.experiment]
+        defaults = {**sizes, **run_defaults}
+        return replace(self, **{k: v for k, v in defaults.items() if getattr(self, k) is None})
 
 
 @dataclass

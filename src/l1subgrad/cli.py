@@ -101,7 +101,7 @@ def _cmd_solve(args) -> int:
         classic_step_exponent=family.classic_exponent,
     )
     problem = build_problem(
-        args.problem, args.seed, n=args.n, m=args.m, k=args.k, r=family.r, gamma=args.gamma
+        args.problem, args.seed, n=family.n, m=family.m, k=family.k, r=family.r, gamma=family.gamma
     )
     trace = run(problem.objective, problem.x0, cfg, f_ref=problem.f_ref)
     bad = np.flatnonzero(~np.isfinite(trace.f_values))

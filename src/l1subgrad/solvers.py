@@ -206,7 +206,7 @@ def accelerated_step(obj: CompositeObjective, state: SolverState, h: float) -> S
         p=as_vector(state.p, dim=obj.dim),
         f_x=state.f_x,
         q=state.q,
-        grad_cache=state.grad_cache,
+        grad_cache=None if state.grad_cache is None else as_vector(state.grad_cache, dim=obj.dim),
     )
     return _accelerated_step(obj, state, h)
 

@@ -5,6 +5,7 @@ import pytest
 
 import l1subgrad.bench as bench
 from l1subgrad.bench import (
+    EXPERIMENTS,
     ExperimentConfig,
     ExperimentError,
     build_problem,
@@ -15,6 +16,16 @@ from l1subgrad.bench import (
 from l1subgrad.numerics import Rng
 from l1subgrad.problems import make_lasso, make_quadratic
 from l1subgrad.solvers import SolverConfig, SolverError, run
+
+# the sizes and weights `resolved` fills for each family; the others stay None
+_DEFAULT_SIZES = {
+    "quadratic": {"n": 1000},
+    "lasso": {"m": 500, "n": 1000},
+    "logistic": {"m": 500, "n": 100},
+    "logsumexp": {"k": 500, "n": 200, "r": 5.0},
+    "toy2d": {"gamma": 1.0},
+    "toy2d-perturbed": {},
+}
 
 
 class TestReferenceOptimum:
@@ -86,16 +97,21 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(experiment="toy2d", trials=0)
 
-    def test_family_defaults(self):
-        toy = ExperimentConfig(experiment="toy2d", trials=1).resolved()
-        assert toy.solvers == ("alg1", "ista", "classic")
-        assert toy.classic_scale == 1.0 and toy.classic_exponent == 1.0
-        assert toy.max_iter == 500
-        quad = ExperimentConfig(experiment="quadratic", trials=1).resolved()
-        assert quad.solvers == ("alg1", "alg2", "ista", "fista", "classic")
-        assert quad.classic_scale == 10.0 and quad.classic_exponent == 0.25
-        assert quad.max_iter == 2000
-        assert toy.r == quad.r == 5.0
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_family_defaults(self, experiment):
+        cfg = ExperimentConfig(experiment=experiment, trials=1).resolved()
+        sizes = {name: getattr(cfg, name) for name in ("n", "m", "k", "r", "gamma")}
+        assert sizes == {**dict.fromkeys(sizes), **_DEFAULT_SIZES[experiment]}
+        if experiment.startswith("toy2d"):
+            run_defaults = (("alg1", "ista", "classic"), 1.0, 1.0, 500)
+        else:
+            run_defaults = (("alg1", "alg2", "ista", "fista", "classic"), 10.0, 0.25, 2000)
+        assert (cfg.solvers, cfg.classic_scale, cfg.classic_exponent, cfg.max_iter) == run_defaults
+        # build_problem's own defaults and the resolved sizes give the same instance
+        implicit, explicit = build_problem(experiment, 3), build_problem(experiment, 3, **sizes)
+        assert implicit.x0.tobytes() == explicit.x0.tobytes()
+        f_implicit = implicit.objective.value(implicit.x0)
+        assert f_implicit.hex() == explicit.objective.value(explicit.x0).hex()
 
     def test_explicit_values_survive_resolution(self):
         cfg = ExperimentConfig(
@@ -145,7 +161,7 @@ class TestRunExperiment:
         assert "experiment=toy2d" in meta
         assert "trials=2" in meta
         assert "library_version=" in meta
-        assert "\nr=5.0\n" in meta  # filled by resolved(), though toy2d does not read it
+        assert "\nr=None\n" in meta and "\ngamma=1.0\n" in meta  # the values the run used
 
     def test_mean_curves_non_increasing_at_auto_step(self):
         cfg = ExperimentConfig(

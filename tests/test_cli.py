@@ -232,11 +232,14 @@ _SOLVE_LOGSUMEXP = ("solve", "--problem", "logsumexp", "--solver", "alg1", "--it
     (("solve", "--problem", "quadratic", "--solver", "alg1", "--iters", "3", "--n", "5",
       "--r", "7"), "quadratic does not read --r"),
     (_BENCH_TOY + ("--r", "7"), "toy2d does not read --r"),
+    (("solve", "--problem", "quadratic", "--solver", "alg1", "--iters", "3", "--n", "5",
+      "--r", "5"), "quadratic does not read --r"),
+    (_BENCH_TOY + ("--r", "5"), "toy2d does not read --r"),
 ], ids=[
     "solve-scale-negative", "solve-scale-nan", "solve-scale-inf", "solve-exponent-nan",
     "solve-exponent-negative", "bench-scale-zero", "bench-exponent-inf", "bench-solvers-repeated",
     "solve-r-nan", "solve-r-inf", "bench-perturbed-gamma", "solve-quadratic-m", "solve-toy2d-n",
-    "solve-quadratic-r", "bench-toy2d-r",
+    "solve-quadratic-r", "bench-toy2d-r", "solve-quadratic-r-default", "bench-toy2d-r-default",
 ])
 def test_bad_schedule_or_budget_is_usage_error(args, message, capsys):
     assert main(list(args)) == 2

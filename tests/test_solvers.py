@@ -525,6 +525,10 @@ class TestLeanLoop:
         with pytest.raises(ValueError, match="dimension"):
             accelerated_step(obj, SolverState(x=np.zeros(2), p=np.zeros(3), f_x=0.0), 0.5)
         with pytest.raises(ValueError, match="dimension"):
+            accelerated_step(
+                obj, SolverState(x=np.ones(2), p=np.zeros(2), f_x=0.0, grad_cache=x), 0.5
+            )
+        with pytest.raises(ValueError, match="dimension"):
             ista_step(obj, x, 0.5)
         with pytest.raises(ValueError, match="dimension"):
             fista_restart_step(obj, FistaState.initial(x), 0.5)
