@@ -34,8 +34,9 @@ from .solvers import (
     SolverConfig,
     SolverError,
     _crossing_phase,
+    _Cycle,
     _fista_step,
-    _same_bits,
+    _key,
     run,
 )
 
@@ -109,13 +110,13 @@ def reference_optimum(problem: ProblemInstance) -> ReferenceOptimum:
     Uses the analytic value when the instance carries one. Otherwise runs
     restarted FISTA for at most ``REFERENCE_BUDGET`` iterations and hands over
     to the crossing subgradient polish as soon as a step leaves its ``x`` and
-    ``y`` unchanged bit for bit (an exact fixed point, as in `run`), or at the
-    first check (every ``REFERENCE_CHECK_EVERY`` iterations) where the best
-    point's minimal-norm subgradient norm is below ``REFERENCE_TOL`` or the
-    best value has not moved since the previous check. The polish runs until
-    the norm drops below ``REFERENCE_TOL``, the iterate stops moving, or
-    ``REFERENCE_POLISH_CAP`` steps pass. The result is flagged uncertified
-    when the tolerance was not reached.
+    ``y`` unchanged bit for bit (an exact fixed point, found by `run`'s
+    period-1 test), or at the first check (every ``REFERENCE_CHECK_EVERY``
+    iterations) where the best point's minimal-norm subgradient norm is below
+    ``REFERENCE_TOL`` or the best value has not moved since the previous
+    check. The polish runs until the norm drops below ``REFERENCE_TOL``, the
+    iterate stops moving bit for bit, or ``REFERENCE_POLISH_CAP`` steps pass.
+    The result is flagged uncertified when the tolerance was not reached.
     """
     if problem.f_ref is not None:
         return ReferenceOptimum(value=problem.f_ref, certified=True, subgrad_norm=0.0)
@@ -124,13 +125,15 @@ def reference_optimum(problem: ProblemInstance) -> ReferenceOptimum:
     state = FistaState.initial(as_vector(problem.x0, dim=obj.dim))
     best_f = checked_f = obj._value(state.x)
     best_x = state.x
+    # period 1 only, as in `run`'s fista: t is not part of the state compared
+    fixed = _Cycle(_key(state.x, state.y), brent=False)
     for k in range(1, REFERENCE_BUDGET + 1):
-        prev, state = state, _fista_step(obj, state, h)
+        state = _fista_step(obj, state, h)
         f_x = obj._value(state.x)
         if f_x < best_f:
             best_f, best_x = f_x, state.x
         # an exact fixed point: no later step can change the best point
-        if _same_bits(prev.x, state.x) and _same_bits(prev.y, state.y):
+        if fixed.period(_key(state.x, state.y)):
             break
         if k % REFERENCE_CHECK_EVERY == 0:
             if best_f == checked_f or (
@@ -140,6 +143,7 @@ def reference_optimum(problem: ProblemInstance) -> ReferenceOptimum:
             checked_f = best_f
 
     x = best_x
+    parked = _Cycle(x.tobytes(), brent=False)
     for step in range(REFERENCE_POLISH_CAP + 1):
         sub = obj._sub(x)
         sub_norm = float(np.linalg.norm(sub))
@@ -147,7 +151,7 @@ def reference_optimum(problem: ProblemInstance) -> ReferenceOptimum:
             break
         x_next, _, _, f_next = _crossing_phase(obj, x, sub, h)
         best_f = min(best_f, obj._value(x_next) if f_next is None else f_next)
-        if np.array_equal(x_next, x):
+        if parked.period(x_next.tobytes()):
             break
         x = x_next
     certified = sub_norm < REFERENCE_TOL

@@ -17,13 +17,18 @@ the objective's length. Inside the kernels the objective is reached through
 its raw ``_value``/``_grad``/``_sub`` methods, which skip the coercion; only
 the result of the user's ``grad_g`` is still checked.
 
-`run` stops early once the iterate parks. The steps are deterministic
-functions of the state they read (the objective's ``eval_g`` and ``grad_g``
-are deterministic functions of x), so when a step leaves that state
-unchanged bit for bit, every later step recomputes the same state and the
-same objective value. `run` then fills the rest of the trace with that value
-and returns the same ``f_values`` and ``x_final`` bytes as stepping to the
-end would. ``classic`` never stops early: its step depends on k.
+`run` stops early once the state closes a cycle. The steps are
+deterministic functions of the state they read (the objective's ``eval_g``
+and ``grad_g`` are deterministic functions of x), and float64 states form a
+finite set, so a converged run ends at a fixed point or in a cycle. When the
+state after step k repeats the state after step k - P, every later step
+repeats one already taken; `run` fills the rest of the trace by repeating the
+last P values, takes ``(max_iter - k) % P`` more steps for ``x_final``, and
+returns the same ``f_values`` and ``x_final`` bytes as stepping to the end
+would. One detector, `_Cycle` (Brent's algorithm on the states' bytes), finds
+the cycles here, in the reference optimum and in `verify`. fista stops only
+at P = 1, since its ``t`` is not part of the state compared; ``classic``
+never stops early: its step depends on k.
 """
 
 from __future__ import annotations
@@ -61,15 +66,47 @@ def _check_schedule(scale: float, exponent: float):
         raise ValueError(f"classic_step_exponent must be finite and >= 0, got {exponent}")
 
 
-def _same_bits(a: np.ndarray | None, b: np.ndarray | None) -> bool:
-    """Bit-for-bit equality, compared on bytes so that -0.0 differs from 0.0.
+class _Cycle:
+    """Brent's cycle detection on the states of a deterministic map.
 
-    None equals only None. `run` and the reference optimum's FISTA phase use
-    it to detect a step that left its state unchanged.
+    Build it from the start state's bytes, then feed `period` the bytes of
+    each later state in order (``x.tobytes()``, or `_key` for a state of
+    several arrays), so -0.0 differs from 0.0. It returns 0 until a state
+    repeats an earlier one, then the period P of the repeat: every later
+    state, and everything computed from it, repeats with period P. Each state
+    is compared first with the previous one (P = 1) and then with a saved
+    state, which jumps to the current one whenever the steps since the last
+    jump reach the next power of two. The first state to equal the saved one
+    closes the cycle, and the steps since the jump are its least period. With
+    ``brent=False`` only the P = 1 test runs.
     """
-    if a is None or b is None:
-        return a is b
-    return a.tobytes() == b.tobytes()
+
+    def __init__(self, key: bytes, brent: bool = True):
+        self._prev = self._saved = key
+        self._brent = brent
+        self._power = self._since = 1
+
+    def period(self, key: bytes) -> int:
+        if key == self._prev:
+            return 1
+        self._prev = key
+        if self._brent:
+            if key == self._saved:
+                return self._since
+            if self._since == self._power:
+                self._saved, self._power, self._since = key, 2 * self._power, 0
+            self._since += 1
+        return 0
+
+
+def _key(*arrays: np.ndarray | None) -> bytes:
+    """The bytes of a state of several arrays, for `_Cycle`.
+
+    None adds no bytes. Callers pass the same arrays in the same order, each
+    of a fixed length, and at most one of them may be None, so the key's
+    length tells whether that one is present: None equals only None.
+    """
+    return b"".join([b"" if a is None else a.tobytes() for a in arrays])
 
 
 def _require_finite(v: np.ndarray, what: str):
@@ -329,6 +366,42 @@ class IterationTrace:
         return self.f_values - self.f_ref
 
 
+def _driver(method: str, obj: CompositeObjective, x0: np.ndarray, h: float, cfg: SolverConfig):
+    """What `run` needs of one method: its start state and f there, a step
+    ``(state, k) -> (next state, f at its iterate)``, and a function giving
+    the `_Cycle` key of the arrays of a state that the next step reads. The
+    state of alg1, ista and classic is their iterate."""
+    if method == "alg2":
+        def step(s, k):
+            s = _accelerated_step(obj, s, h)
+            return s, s.f_x
+
+        start = SolverState.initial(obj, x0)
+        return start, start.f_x, step, lambda s: _key(s.x, s.p, s.grad_cache)
+    if method == "fista":
+        def step(s, k):
+            s = _fista_step(obj, s, h)
+            return s, obj._value(s.x)
+
+        # t only scales x_new - x at a fixed point, so it is left out of the key
+        return FistaState.initial(x0), obj._value(x0), step, lambda s: _key(s.x, s.y)
+    if method == "alg1":
+        def step(x, k):
+            x, f = _subgradient_step(obj, x, h)
+            return x, obj._value(x) if f is None else f
+    elif method == "ista":
+        def step(x, k):
+            x = _ista_step(obj, x, h)
+            return x, obj._value(x)
+    else:
+        scale, exponent = cfg.classic_step_scale, cfg.classic_step_exponent
+
+        def step(x, k):
+            x = _classic_step(obj, x, k, scale, exponent)
+            return x, obj._value(x) if np.isfinite(x).all() else math.inf
+    return x0.copy(), obj._value(x0), step, np.ndarray.tobytes
+
+
 def run(
     obj: CompositeObjective, x0, cfg: SolverConfig, f_ref: float | None = None
 ) -> IterationTrace:
@@ -340,14 +413,18 @@ def run(
     filled with +inf and iteration stops; methods with crossing control raise
     instead.
 
-    Iteration also stops once the iterate parks: after each step, the state
-    the next step reads is compared bit for bit with the state this step
-    read (``x`` for alg1 and ista; ``x``, ``p`` and ``grad_cache`` for alg2;
-    ``x`` and ``y`` for fista, whose ``t`` only scales ``x_new - x``, then
-    exactly zero). On a repeat every later step would recompute the same
-    state and value, so the rest of the trace is filled with the current
-    value; the returned bytes are those of stepping to ``max_iter``.
-    ``classic`` never stops this way, since its step depends on k.
+    Iteration also stops once the state the next step reads closes a cycle
+    (`_Cycle`: ``x`` for alg1 and ista; ``x``, ``p`` and ``grad_cache`` for
+    alg2; ``x`` and ``y`` for fista). If the state after step k repeats the
+    state after step k - P, every later step repeats one already taken, so
+    ``f_values[k+1:]`` is filled by repeating the last P values, and
+    ``x_final`` is reached by ``(max_iter - k) % P`` more steps; the cycle
+    itself is not stored. The returned bytes are those of stepping to
+    ``max_iter``. fista stops only at P = 1: its ``t`` grows between restarts
+    and changes the step, so an ``(x, y)`` repeat of period 2 or more need
+    not be a cycle, while at P = 1 ``t`` only scales ``x_new - x``, then
+    exactly zero. ``classic`` never stops this way, since its step depends on
+    k.
     """
     x0 = as_vector(x0, dim=obj.dim)
     if not np.isfinite(x0).all():
@@ -356,60 +433,28 @@ def run(
     h = cfg.resolve_step(obj)
     _check_step(h)
     f_values = np.empty(cfg.max_iter + 1)
-    acc_state = SolverState.initial(obj, x0) if method == "alg2" else None
-    f_values[0] = acc_state.f_x if acc_state is not None else obj._value(x0)
-
-    x = x0.copy()
-    fista_state = FistaState.initial(x0) if method == "fista" else None
+    state, f_values[0], step, key = _driver(method, obj, x0, h, cfg)
+    cycle = None if method == "classic" else _Cycle(key(state), brent=method != "fista")
 
     # divergence of the unguarded methods is detected through inf propagation,
     # so the overflow it causes is expected, not an error condition
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, cfg.max_iter + 1):
             try:
-                if method == "alg1":
-                    x_new, f_k = _subgradient_step(obj, x, h)
-                    if f_k is None:
-                        f_k = obj._value(x_new)
-                    parked = _same_bits(x, x_new)
-                    x = x_new
-                elif method == "alg2":
-                    new = _accelerated_step(obj, acc_state, h)
-                    parked = (
-                        _same_bits(acc_state.x, new.x)
-                        and _same_bits(acc_state.p, new.p)
-                        and _same_bits(acc_state.grad_cache, new.grad_cache)
-                    )
-                    acc_state = new
-                    x = new.x
-                    f_k = new.f_x
-                elif method == "ista":
-                    x_new = _ista_step(obj, x, h)
-                    f_k = obj._value(x_new)
-                    parked = _same_bits(x, x_new)
-                    x = x_new
-                elif method == "fista":
-                    new = _fista_step(obj, fista_state, h)
-                    parked = _same_bits(fista_state.x, new.x) and _same_bits(
-                        fista_state.y, new.y
-                    )
-                    fista_state = new
-                    x = new.x
-                    f_k = obj._value(x)
-                else:
-                    x = _classic_step(
-                        obj, x, k, cfg.classic_step_scale, cfg.classic_step_exponent
-                    )
-                    f_k = obj._value(x) if np.isfinite(x).all() else math.inf
-                    parked = False
+                state, f_k = step(state, k)
             except SolverError as exc:
                 raise SolverError(f"{method} failed at iteration {k}: {exc}") from exc
+            f_values[k] = f_k
             if not math.isfinite(f_k):
                 f_values[k:] = np.inf
                 break
-            if parked:
-                f_values[k:] = f_k
+            period = cycle is not None and cycle.period(key(state))
+            if period:
+                rest = f_values[k + 1:]
+                rest[:] = np.resize(f_values[k + 1 - period:k + 1], rest.size)
+                for j in range(k + 1, k + 1 + rest.size % period):
+                    state, _ = step(state, j)
                 break
-            f_values[k] = f_k
 
-    return IterationTrace(method=method, f_values=f_values, f_ref=f_ref, x_final=x)
+    x_final = state if isinstance(state, np.ndarray) else state.x
+    return IterationTrace(method=method, f_values=f_values, f_ref=f_ref, x_final=x_final)

@@ -23,7 +23,14 @@ from .problems import (
     make_quadratic,
     perturb_2d,
 )
-from .solvers import SolverState, accelerated_step, classic_subgradient_step, subgradient_step
+from .solvers import (
+    SolverState,
+    _Cycle,
+    _key,
+    accelerated_step,
+    classic_subgradient_step,
+    subgradient_step,
+)
 
 
 @dataclass(frozen=True)
@@ -153,30 +160,26 @@ def _limit_point(obj: CompositeObjective, x: np.ndarray, h: float, cap: int = 20
     """Continue the subgradient iteration to its floating-point limit.
 
     In float64 the map is deterministic on a finite set, so it reaches an
-    exact fixed point or a cycle of some period. Brent's algorithm finds the
-    cycle in O(1) memory: a saved point jumps to the running iterate whenever
-    the step count since the last jump reaches the next power of two, and the
-    cycle is closed when the iterate returns to the saved point. The steps
-    since that jump then cover the cycle exactly once, and its least-valued
-    point is returned. If no cycle closes within ``cap`` steps, the
-    least-valued point since the last jump is returned.
+    exact fixed point or a cycle of some period P. `solvers._Cycle` finds the
+    cycle in O(1) memory with Brent's algorithm. The P points of the cycle,
+    from the one that closed it (Brent's saved point), are walked once more,
+    and the first least-valued one is returned. If no cycle closes within
+    ``cap`` steps, the last point reached is returned.
     """
-    saved = x
-    best, best_f = x, obj.value(x)
-    power = steps = 1
-    curr = subgradient_step(obj, x, h)
+    cycle = _Cycle(x.tobytes())
     for _ in range(cap):
-        if np.array_equal(curr, saved):
+        x = subgradient_step(obj, x, h)
+        period = cycle.period(x.tobytes())
+        if period:
             break
-        f_curr = obj.value(curr)
-        if steps == power:
-            saved, best, best_f = curr, curr, f_curr
-            power *= 2
-            steps = 0
-        elif f_curr < best_f:
-            best, best_f = curr, f_curr
-        curr = subgradient_step(obj, curr, h)
-        steps += 1
+    else:
+        return x
+    best, best_f = x, obj.value(x)
+    for _ in range(period - 1):
+        x = subgradient_step(obj, x, h)
+        f = obj.value(x)
+        if f < best_f:
+            best, best_f = x, f
     return best
 
 
@@ -223,11 +226,18 @@ def suite_rate(
         h = 1.0 / obj.lipschitz_L
         kappa = 1.0 / (1.0 + obj.mu / obj.lipschitz_L)
         x = prob.x0.copy()
-        iterates = [x.copy()]
+        iterates = [x]
+        cycle = _Cycle(x.tobytes())
         for _ in range(iters):
             x = subgradient_step(obj, x, h)
             iterates.append(x)
-        x_star = _limit_point(obj, x, h)
+            period = cycle.period(x.tobytes())
+            if period:
+                break
+        # after a cycle of period P, each iterate repeats the one P steps before it
+        while len(iterates) <= iters:
+            iterates.append(iterates[-period])
+        x_star = _limit_point(obj, iterates[iters], h)
         gaps = _quadratic_gaps(prob, iterates, x_star)
         bound = gaps[0] * kappa ** np.arange(iters + 1) * (1.0 + 1e-9)
         worst = min(worst, float(np.min(bound - gaps)))
@@ -257,25 +267,32 @@ def _dominance_instances(seed: int, count: int):
 
 
 def suite_dominance(seed: int = 0, instances: int = 100, iters: int = 300) -> list[PropertyResult]:
-    """Each accelerated iteration must match or beat its own plain-subgradient candidate."""
+    """Each accelerated iteration must match or beat its own plain-subgradient candidate.
+
+    An instance stops once the state its next step reads closes a cycle:
+    every later step repeats one already checked, so its margin is one
+    already seen, and all ``instances * iters`` iterations count as checked.
+    """
     worst = np.inf
-    checked = 0
     for prob in _dominance_instances(seed, instances):
         obj = prob.objective
         h = 1.0 / obj.lipschitz_L
         state = SolverState.initial(obj, prob.x0)
+        cycle = _Cycle(_key(state.x, state.p, state.grad_cache))
         for _ in range(iters):
             state = accelerated_step(obj, state, h)
             f_q = obj.value(state.q)
             slack = 1e-12 * (1.0 + abs(f_q))
             worst = min(worst, f_q + slack - state.f_x)
-            checked += 1
+            if cycle.period(_key(state.x, state.p, state.grad_cache)):
+                break
     return [
         PropertyResult(
             "dominance",
             worst >= 0.0,
             worst,
-            f"{instances} instances x {iters} iterations ({checked} checks), slack 1e-12*(1+|f|)",
+            f"{instances} instances x {iters} iterations ({instances * iters} checks), "
+            "slack 1e-12*(1+|f|)",
         )
     ]
 
@@ -315,9 +332,14 @@ def suite_anti_oscillation() -> list[PropertyResult]:
 
     x = np.array([0.37])
     closest = np.inf
+    # exponent 0 makes the step independent of k, so once x closes a cycle
+    # every later |x_k| is one already seen
+    cycle = _Cycle(x.tobytes())
     for k in range(1, 10_001):
         x = classic_subgradient_step(obj, x, k, scale=h, exponent=0.0)
         closest = min(closest, abs(float(x[0])))
+        if cycle.period(x.tobytes()):
+            break
     res2 = PropertyResult(
         "anti-oscillation/classic",
         closest > h / 4.0,

@@ -564,7 +564,65 @@ class TestParking:
 
     def test_signed_zero_is_a_change(self):
         # bytes, not values, are compared: -0.0 and 0.0 differ
-        assert solvers._same_bits(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
-        assert not solvers._same_bits(np.array([-0.0, 1.0]), np.array([0.0, 1.0]))
-        assert solvers._same_bits(None, None)
-        assert not solvers._same_bits(None, np.zeros(2))
+        key = solvers._key
+        assert solvers._Cycle(key(np.array([0.0, 1.0]))).period(key(np.array([0.0, 1.0]))) == 1
+        assert solvers._Cycle(key(np.array([-0.0, 1.0]))).period(key(np.array([0.0, 1.0]))) == 0
+        assert solvers._Cycle(key(np.ones(2), None)).period(key(np.ones(2), None)) == 1
+        assert solvers._Cycle(key(np.ones(2), None)).period(key(np.ones(2), np.zeros(2))) == 0
+
+
+class TestCycles:
+    """`run` stops once the state closes a cycle of any period, with the bytes of stepping on."""
+
+    def test_period_is_the_least_period_after_any_tail(self):
+        # states 0..6 lead into the cycle 7, 8, 9, 10, 11, 7, ...
+        def state(k):
+            return np.array([float(k if k < 7 else 7 + (k - 7) % 5)])
+
+        cycle = solvers._Cycle(state(0).tobytes())
+        periods = [cycle.period(state(k).tobytes()) for k in range(1, 40)]
+        closed = next(k for k, p in enumerate(periods, 1) if p)
+        assert periods[closed - 1] == 5
+        assert closed >= 12 and np.array_equal(state(closed), state(closed - 5))
+        assert not any(periods[: closed - 1])
+
+    @staticmethod
+    def _period_two_instance():
+        # alg1 on this instance repeats its iterate with period 2 from step 193
+        return make_quadratic(50, Rng(302), eig_range=(1.0, 10.0), pin_extremes=True)
+
+    @pytest.mark.parametrize("iters", [1000, 1001])
+    def test_period_two_cycle_matches_public_steps_bitwise(self, iters):
+        prob = self._period_two_instance()
+        obj = prob.objective
+        cfg = SolverConfig(method="alg1", max_iter=iters)
+        trace = run(obj, prob.x0, cfg)
+        assert trace.f_values.tobytes() == _hand_loop(obj, prob.x0, cfg).tobytes()
+        x = prob.x0
+        for _ in range(iters):
+            x = subgradient_step(obj, x, cfg.resolve_step(obj))
+        assert trace.x_final.tobytes() == x.tobytes()
+
+    def test_oracle_not_called_once_cycling(self):
+        prob = self._period_two_instance()
+        counts = {}
+        for iters in (1000, 1001, 2000):
+            obj, calls = _counted_oracle(prob.objective)
+            run(obj, prob.x0, SolverConfig(method="alg1", max_iter=iters))
+            counts[iters] = dict(calls)
+        # the cycle closes at the same step k in every run; after it, x_final
+        # costs (max_iter - k) % 2 more steps, so 1000 and 1001 differ by one
+        assert counts[1000] == counts[2000]
+        assert counts[1000]["grad"] < 600, counts
+        step = {slot: abs(counts[1001][slot] - counts[1000][slot]) for slot in ("eval", "grad")}
+        assert 1 <= step["grad"] <= 2 and step["eval"] <= 2, counts
+
+    def test_fista_false_repeat_does_not_stop_it(self):
+        # fista's (x, y) repeats with period 4 at step 131 on this instance, but
+        # its t keeps growing, so only a period-1 repeat may stop it
+        prob = build_problem("logistic", 2)
+        obj, calls = _counted_oracle(prob.objective)
+        cfg = SolverConfig(method="fista", max_iter=300)
+        trace = run(obj, prob.x0, cfg)
+        assert calls["grad"] == 300
+        assert trace.f_values.tobytes() == _hand_loop(prob.objective, prob.x0, cfg).tobytes()

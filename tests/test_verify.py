@@ -3,7 +3,12 @@ import numpy as np
 import l1subgrad.verify as verify
 from l1subgrad.numerics import Rng
 from l1subgrad.problems import make_quadratic
-from l1subgrad.solvers import subgradient_step
+from l1subgrad.solvers import (
+    SolverState,
+    accelerated_step,
+    classic_subgradient_step,
+    subgradient_step,
+)
 
 
 def _rate_instance_after(steps: int):
@@ -54,3 +59,108 @@ class TestLimitPoint:
     def test_rate_instance_still_passes(self):
         (result,) = verify.suite_rate(instances=1)
         assert result.passed, result.margin
+
+
+def _brent_limit_point(obj, x, h, cap=20_000):
+    """Reference: the limit point found with its own Brent loop, evaluating f every step."""
+    saved = x
+    best, best_f = x, obj.value(x)
+    power = steps = 1
+    curr = subgradient_step(obj, x, h)
+    for _ in range(cap):
+        if np.array_equal(curr, saved):
+            break
+        f_curr = obj.value(curr)
+        if steps == power:
+            saved, best, best_f = curr, curr, f_curr
+            power *= 2
+            steps = 0
+        elif f_curr < best_f:
+            best, best_f = curr, f_curr
+        curr = subgradient_step(obj, curr, h)
+        steps += 1
+    return best
+
+
+def _full_rate(seed, instances, n=50, iters=500):
+    worst = np.inf
+    for i in range(instances):
+        prob = make_quadratic(n, Rng(seed + 301 + i), eig_range=(1.0, 10.0), pin_extremes=True)
+        obj = prob.objective
+        h = 1.0 / obj.lipschitz_L
+        kappa = 1.0 / (1.0 + obj.mu / obj.lipschitz_L)
+        x = prob.x0.copy()
+        iterates = [x.copy()]
+        for _ in range(iters):
+            x = subgradient_step(obj, x, h)
+            iterates.append(x)
+        gaps = verify._quadratic_gaps(prob, iterates, _brent_limit_point(obj, x, h))
+        bound = gaps[0] * kappa ** np.arange(iters + 1) * (1.0 + 1e-9)
+        worst = min(worst, float(np.min(bound - gaps)))
+    detail = f"{instances} quadratics n={n}, mu=1, L=10, k <= {iters}, relative slack 1e-9"
+    return verify.PropertyResult("rate", worst >= 0.0, worst, detail)
+
+
+def _full_dominance(seed, instances, iters=300):
+    worst = np.inf
+    checked = 0
+    for prob in verify._dominance_instances(seed, instances):
+        obj = prob.objective
+        h = 1.0 / obj.lipschitz_L
+        state = SolverState.initial(obj, prob.x0)
+        for _ in range(iters):
+            state = accelerated_step(obj, state, h)
+            f_q = obj.value(state.q)
+            worst = min(worst, f_q + 1e-12 * (1.0 + abs(f_q)) - state.f_x)
+            checked += 1
+    detail = (f"{instances} instances x {iters} iterations ({checked} checks), "
+              "slack 1e-12*(1+|f|)")
+    return verify.PropertyResult("dominance", worst >= 0.0, worst, detail)
+
+
+def _full_anti_oscillation():
+    obj = verify._oscillation_objective()
+    h = 1.0 / obj.lipschitz_L
+    x = np.array([0.37])
+    hit = None
+    stayed = True
+    for k in range(1, 21):
+        x = subgradient_step(obj, x, h)
+        if x[0] == 0.0 and hit is None:
+            hit = k
+        elif hit is not None and x[0] != 0.0:
+            stayed = False
+    crossing = verify.PropertyResult(
+        "anti-oscillation/crossing", hit is not None and hit <= 5 and stayed,
+        float(5 - (hit if hit is not None else 999)),
+        f"exact zero reached at iteration {hit}, stayed: {stayed}",
+    )
+    x = np.array([0.37])
+    closest = np.inf
+    for k in range(1, 10_001):
+        x = classic_subgradient_step(obj, x, k, scale=h, exponent=0.0)
+        closest = min(closest, abs(float(x[0])))
+    classic = verify.PropertyResult(
+        "anti-oscillation/classic", closest > h / 4.0, float(closest - h / 4.0),
+        f"min |x_k| = {closest:.6g} over 10^4 iterations vs h/4 = {h / 4.0}",
+    )
+    return [crossing, classic]
+
+
+class TestSuitesStopOnCycles:
+    """Suites that stop stepping on a cycle report what stepping to the end reports."""
+
+    def test_rate_matches_full_loop(self):
+        assert verify.suite_rate(instances=2) == [_full_rate(0, 2)]
+
+    def test_dominance_matches_full_loop(self):
+        assert verify.suite_dominance(instances=8) == [_full_dominance(0, 8)]
+
+    def test_anti_oscillation_matches_full_loop(self):
+        assert verify.suite_anti_oscillation() == _full_anti_oscillation()
+
+    def test_limit_point_matches_reference_loop(self):
+        for steps in (0, 20, 500):
+            obj, x, h = _rate_instance_after(steps)
+            limit = verify._limit_point(obj, x, h)
+            assert limit.tobytes() == _brent_limit_point(obj, x, h).tobytes()
