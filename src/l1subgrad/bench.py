@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, fields, replace
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -298,8 +298,21 @@ def _fmt(v) -> str:
 
 
 def _fmt_each(values: np.ndarray):
-    """`_fmt` of every entry: ``tolist`` gives Python floats, whose repr is that text."""
-    return map(repr, values.tolist())
+    """`_fmt` of every entry of a 1-D array.
+
+    A run that parks repeats its last value to the end of its trace, so on a
+    non-empty float64 array that repeated tail is formatted once. The tail is
+    found on the bits, so -0.0 and 0.0, and nan payloads, keep their own
+    text; ``tolist`` gives Python floats, whose repr is that text.
+    """
+    if values.dtype != np.float64 or values.ndim != 1 or values.size == 0:
+        return map(repr, values.tolist())
+    bits = values.view(np.int64).tolist()
+    head = len(bits)
+    while head > 1 and bits[head - 2] == bits[-1]:
+        head -= 1
+    text = list(map(repr, values[:head].tolist()))
+    return chain(text, repeat(text[-1], len(bits) - head))
 
 
 _TRACE_HEADER = "experiment,solver,trial,iter,f_value,gap,certified"

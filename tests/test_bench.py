@@ -264,3 +264,36 @@ class TestTraceCsv:
         write_trace_csv(path, trace, "lasso", trial=0, certified=False)
         row = path.read_text().splitlines()[1].split(",")
         assert row[5] == "" and row[6] == "false"
+
+    def test_float_text_is_repr_of_each_value(self):
+        nan_payload = np.array([0x7FF8000000000123], dtype=np.int64).view(np.float64)[0]
+        values = [0.0, -0.0, 1.5, 1.5, -0.0, np.nan, nan_payload, np.inf, -np.inf, 5e-324,
+                  0.0, -5e-324, 0.1, 0.1 + 2e-17, np.inf, 1.5]
+        # repeated tails; some follow a value equal to them, but not bit for bit
+        tails = [[0.0, -0.0, -0.0], [-0.0, 0.0, 0.0], [np.nan, nan_payload, nan_payload],
+                 [1.5, 1.5, 1.5], [5e-324], [-np.inf, np.inf, np.inf, np.inf]]
+        for case in [values, values[:-1], *tails, *(values + tail for tail in tails)]:
+            case = np.array(case)
+            assert list(bench._fmt_each(case)) == list(map(repr, case.tolist()))
+
+    def test_float_text_of_other_arrays_is_repr_of_each_value(self):
+        # a hand-built trace may hold an empty or a non-float64 array
+        for case in [np.array([]), np.array([0.5, 0.1, 0.1], dtype=np.float32),
+                     np.array([2, 2, 3]), np.array([[0.5, 0.5]])]:
+            assert list(bench._fmt_each(case)) == list(map(repr, case.tolist()))
+
+    def test_parked_trace_rows_are_repr_of_each_value(self, tmp_path):
+        prob = build_problem("toy2d", 0)
+        trace = run(
+            prob.objective, prob.x0, SolverConfig(method="alg1", max_iter=500), f_ref=prob.f_ref
+        )
+        # the run parks, so most rows repeat the last value
+        assert np.unique(trace.f_values).size < 100
+        path = tmp_path / "parked.csv"
+        write_trace_csv(path, trace, "toy2d", trial=3, certified=True)
+        rows = [
+            f"toy2d,alg1,3,{i},{f!r},{g!r},true"
+            for i, (f, g) in enumerate(zip(trace.f_values.tolist(), trace.gaps().tolist()))
+        ]
+        header = "experiment,solver,trial,iter,f_value,gap,certified"
+        assert path.read_text() == "\n".join([header, *rows]) + "\n"

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from l1subgrad.numerics import Rng, random_orthogonal
-from l1subgrad.objective import CompositeObjective, _directional_from_grad, soft_threshold
+from l1subgrad.objective import (
+    CompositeObjective,
+    _directional_from_grad,
+    _min_norm_from_grad,
+    soft_threshold,
+)
 from l1subgrad.problems import make_2d, make_quadratic
 
 
@@ -151,6 +156,40 @@ class TestMinNormSubgradient:
             moved[1] *= scale
             out = obj.min_norm_subgradient(moved)
             assert out[0] == base[0] and out[2] == base[2]
+
+    def test_matches_where_form_bitwise(self):
+        # the form that selected between both branches on every call, as reference
+        def where_form(grad, x, gamma):
+            shrunk = np.sign(grad) * np.maximum(np.abs(grad) - gamma, 0.0)
+            return np.where(x != 0.0, grad + gamma * np.sign(x), shrunk)
+
+        rng = Rng(67)
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300, -5e-324]
+        cases = []
+        for gamma in (0.0, 0.7):
+            for _ in range(300):
+                n = int(rng.uniform(1, 7))
+                x = rng.gaussians(n)
+                # a third of the vectors keep no zero component
+                if rng.uniform() < 2 / 3:
+                    zeros = np.where(rng.uniforms(n) < 0.5, 0.0, -0.0)
+                    x = np.where(rng.uniforms(n) < 0.4, zeros, x)
+                grad = rng.gaussians(n)
+                # dead-zone gradients |g| <= gamma
+                grad = np.where(rng.uniforms(n) < 0.3, rng.uniforms(n, -gamma, gamma), grad)
+                cases.append((grad, x, gamma))
+            for a in special:
+                for b in special:
+                    cases.append((np.array([a, b, 0.3]), np.array([b, a, -0.0]), gamma))
+                    cases.append((np.array([a, b]), np.array([1.0, -2.0]), gamma))
+                    cases.append((np.array([0.5, -0.5]), np.array([a, b]), gamma))
+        hits = {True: 0, False: 0}
+        with np.errstate(invalid="ignore"):
+            for grad, x, gamma in cases:
+                hits[bool(x.all())] += 1
+                got = _min_norm_from_grad(grad, x, gamma)
+                assert got.tobytes() == where_form(grad, x, gamma).tobytes(), (grad, x, gamma)
+        assert min(hits.values()) > 100
 
     def test_optimality_certificate_zero_implies_minimum(self):
         prob = make_2d()

@@ -1,0 +1,93 @@
+#!/usr/bin/env python3
+"""Check that two source trees of l1subgrad give the same bytes on a fixed set of flag vectors.
+
+    python3 tools/same_bytes.py PARENT_SRC
+
+PARENT_SRC is the ``src`` directory of another checkout (for example the
+parent commit, extracted with ``git archive``); the other tree is this
+checkout's ``src``. Each flag vector in ``VECTORS`` runs as ``python -m
+l1subgrad ...`` once against each tree, both at the same time, each in an
+empty directory of its own with one BLAS/OpenMP thread. Any difference in
+exit code, stdout, stderr or the bytes of a written file is reported. Exit
+status is 0 when every vector matches, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# the size flags of a small instance of each family (toy2d reads none)
+_SMALL = {
+    "quadratic": ("--n", "30"),
+    "lasso": ("--m", "20", "--n", "40"),
+    "logistic": ("--m", "30", "--n", "20"),
+    "logsumexp": ("--k", "30", "--n", "20"),
+    "toy2d": (),
+    "toy2d-perturbed": (),
+}
+_METHODS = ("alg1", "alg2", "ista", "fista", "classic")
+
+VECTORS = [
+    *(("bench", "--experiment", "toy2d-perturbed", "--trials", "20", "--iters", "500",
+       "--seed", str(s), "--out", "out.csv") for s in range(4)),
+    *(("solve", "--problem", "quadratic", "--solver", "alg2", "--n", "1000", "--iters", "3000",
+       "--seed", str(s), "--out", "out.csv") for s in range(4)),
+    *(("verify", "--suite", "all", "--seed", str(s)) for s in range(8)),
+    *(("bench", "--experiment", family, "--trials", "3", "--iters", "300", *sizes,
+       "--out", "out.csv") for family, sizes in _SMALL.items()),
+    *(("solve", "--problem", family, "--solver", method, "--iters", "300", *sizes,
+       "--out", "out.csv") for family, sizes in _SMALL.items() for method in _METHODS),
+]
+
+
+def _start(src: Path, argv: tuple[str, ...], cwd: Path) -> subprocess.Popen:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    cwd.mkdir()
+    return subprocess.Popen(
+        [sys.executable, "-m", "l1subgrad", *argv],
+        cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+
+
+def _outcome(proc: subprocess.Popen, cwd: Path) -> dict:
+    stdout, stderr = proc.communicate()
+    files = {str(p.relative_to(cwd)): p.read_bytes() for p in sorted(cwd.rglob("*")) if p.is_file()}
+    return {"exit code": proc.returncode, "stdout": stdout, "stderr": stderr, "files": files}
+
+
+def _differences(a: dict, b: dict) -> list[str]:
+    out = [what for what in ("exit code", "stdout", "stderr") if a[what] != b[what]]
+    for name in sorted(set(a["files"]) | set(b["files"])):
+        if a["files"].get(name) != b["files"].get(name):
+            out.append(f"file {name}")
+    return out
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1 or not (Path(argv[0]) / "l1subgrad").is_dir():
+        print("usage: python3 tools/same_bytes.py PARENT_SRC (a src directory holding "
+              "the l1subgrad package)", file=sys.stderr)
+        return 2
+    parent = Path(argv[0]).resolve()
+    failed = 0
+    with tempfile.TemporaryDirectory(prefix="same-bytes-") as tmp:
+        for i, vector in enumerate(VECTORS):
+            dirs = [Path(tmp) / f"{i}-parent", Path(tmp) / f"{i}-this"]
+            procs = [_start(parent, vector, dirs[0]), _start(SRC, vector, dirs[1])]
+            diff = _differences(*(_outcome(p, d) for p, d in zip(procs, dirs)))
+            failed += bool(diff)
+            print(f"{'DIFF ' + ', '.join(diff) if diff else 'same'}: {' '.join(vector)}", flush=True)
+    print(f"{len(VECTORS) - failed}/{len(VECTORS)} flag vectors give the same bytes")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
