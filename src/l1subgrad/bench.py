@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, fields, replace
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -328,11 +328,23 @@ def _trace_rows(experiment: str, trace: IterationTrace, trial: int, certified: b
         yield f"{prefix},{i},{f_v},{gap},{flag}"
 
 
+# lines joined per write in `_write_lines`: bounds the text held at once
+_LINES_PER_WRITE = 1024
+
+
 def _write_lines(path, lines):
-    """Write ``lines`` to ``path``, each ending in a newline, creating its directory."""
+    """Write ``lines`` to ``path``, each ending in a newline, creating its directory.
+
+    The file is opened once and the lines are written as they are iterated,
+    ``_LINES_PER_WRITE`` at a time, so an iterator of lines is never held
+    whole. A failure partway leaves a partial file, as ``write_text`` does.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    lines = iter(lines)
+    with path.open("w") as f:
+        while piece := list(islice(lines, _LINES_PER_WRITE)):
+            f.write("\n".join(piece) + "\n")
 
 
 def _experiment_paths(out) -> tuple[Path, Path, Path]:
@@ -347,7 +359,7 @@ def _check_writable(paths):
     Each path is opened for appending, after its directory is created as
     `_write_lines` does, and deleted again if this opening created it.
     """
-    for path in paths:
+    for path in map(Path, paths):
         path.parent.mkdir(parents=True, exist_ok=True)
         existed = path.exists()
         path.open("a").close()
@@ -357,23 +369,21 @@ def _check_writable(paths):
 
 def write_trace_csv(path, trace: IterationTrace, experiment: str, trial: int, certified: bool):
     """Per-iteration rows: experiment,solver,trial,iter,f_value,gap,certified."""
-    _write_lines(path, [_TRACE_HEADER, *_trace_rows(experiment, trace, trial, certified)])
+    _write_lines(path, chain([_TRACE_HEADER], _trace_rows(experiment, trace, trial, certified)))
 
 
 def write_experiment_csv(cfg: ExperimentConfig, curve: GapCurve):
     """Write aggregated CSV to cfg.out, plus raw rows and a key=value sidecar."""
     agg_path, raw_path, meta_path = _experiment_paths(cfg.out)
-    agg = ["experiment,solver,iter,mean_gap,trials"]
-    for name in sorted(curve.mean_gaps):
-        for i, g in enumerate(_fmt_each(curve.mean_gaps[name])):
-            agg.append(f"{curve.experiment},{name},{i},{g},{curve.trials}")
-    _write_lines(agg_path, agg)
-
-    raw = [_TRACE_HEADER]
-    for name in sorted(curve.mean_gaps):
-        for res in curve.raw:
-            raw.extend(_trace_rows(curve.experiment, res.traces[name], res.trial, res.certified))
-    _write_lines(raw_path, raw)
+    names = sorted(curve.mean_gaps)
+    _write_lines(agg_path, chain(["experiment,solver,iter,mean_gap,trials"], (
+        f"{curve.experiment},{name},{i},{g},{curve.trials}"
+        for name in names for i, g in enumerate(_fmt_each(curve.mean_gaps[name]))
+    )))
+    _write_lines(raw_path, chain([_TRACE_HEADER], chain.from_iterable(
+        _trace_rows(curve.experiment, res.traces[name], res.trial, res.certified)
+        for name in names for res in curve.raw
+    )))
 
     meta = [f"library_version={__version__}", "seed_policy=base_seed+trial_index"]
     for f in fields(cfg):

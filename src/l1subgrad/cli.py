@@ -16,6 +16,7 @@ from .bench import (
     EXPERIMENTS,
     ExperimentConfig,
     ExperimentError,
+    _check_writable,
     _fmt,
     build_problem,
     run_experiment,
@@ -100,6 +101,8 @@ def _cmd_solve(args) -> int:
         classic_step_scale=family.classic_scale,
         classic_step_exponent=family.classic_exponent,
     )
+    if args.out:
+        _check_writable([args.out])
     problem = build_problem(
         args.problem, args.seed, n=family.n, m=family.m, k=family.k, r=family.r, gamma=family.gamma
     )

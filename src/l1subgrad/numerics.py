@@ -3,8 +3,9 @@
 The random stream is fully specified here (splitmix64 + Box-Muller with a fixed
 draw order) instead of delegating to ``numpy.random``, so that problem
 instances and benchmark traces can be regenerated bit-for-bit from a 64-bit
-seed on one platform and numpy/BLAS build. Dense factorizations go to LAPACK
-through numpy.
+seed on one platform and numpy/BLAS build. Bulk draws are generated in
+fixed-size chunks, so their scratch memory does not grow with the count; the
+stream contract is unchanged. Dense factorizations go to LAPACK through numpy.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+# values generated per piece of a bulk draw: bounds its scratch arrays
+_CHUNK = 2**15
 
 
 class Rng:
@@ -22,8 +25,9 @@ class Rng:
 
     The k-th raw output of the stream (k = 1, 2, ...) is
     ``mix(seed + k * 0x9E3779B97F4A7C15 mod 2**64)`` with the standard
-    splitmix64 finalizer, so bulk draws vectorize and the stream depends only
-    on the seed and on how many values have been consumed.
+    splitmix64 finalizer, so the stream depends only on the seed and on how
+    many values have been consumed. Bulk draws are generated in fixed-size
+    chunks; the stream contract is unchanged.
 
     Draw-order contract (what higher layers may rely on):
 
@@ -41,18 +45,41 @@ class Rng:
         self._count = 0
 
     def _raw(self, count: int) -> np.ndarray:
-        idx = np.arange(self._count + 1, self._count + count + 1, dtype=np.uint64)
+        z = np.arange(self._count + 1, self._count + count + 1, dtype=np.uint64)
         self._count += count
-        z = (np.uint64(self.seed) + idx * np.uint64(_GOLDEN)) & np.uint64(_MASK64)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
+        z *= np.uint64(_GOLDEN)
+        z += np.uint64(self.seed)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        return z
+
+    def _fill(self, count: int, raws_per_value: int, finish) -> np.ndarray:
+        """``count`` values, each from ``raws_per_value`` raw values, made
+        ``_CHUNK`` at a time: ``finish(raw >> 11, out)`` writes one piece."""
+        if count < 0:
+            raise ValueError(f"draw count must be >= 0, got {count}")
+        out = np.empty(count)
+        for start in range(0, count, _CHUNK):
+            piece = out[start:start + _CHUNK]
+            raw = self._raw(raws_per_value * piece.size)
+            raw >>= np.uint64(11)
+            finish(raw, piece)
+        return out
 
     def uniforms(self, count: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
         if not lo <= hi:
             raise ValueError(f"uniform bounds must satisfy lo <= hi, got ({lo}, {hi})")
-        u = (self._raw(count) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        return lo + (hi - lo) * u
+
+        def finish(raw, u):
+            u[:] = raw  # exact: below 2**53
+            u *= 2.0**-53
+            u *= hi - lo
+            u += lo
+
+        return self._fill(count, 1, finish)
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
         return float(self.uniforms(1, lo, hi)[0])
@@ -60,11 +87,23 @@ class Rng:
     def gaussians(self, count: int, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
         if std < 0:
             raise ValueError(f"gaussian std must be >= 0, got {std}")
-        raw = self._raw(2 * count)
-        u1 = ((raw[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-        u2 = (raw[1::2] >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-        return mean + std * z
+
+        def finish(raw, z):
+            u2 = raw[1::2].astype(np.float64)
+            z[:] = raw[0::2]
+            z += 1.0
+            z *= 2.0**-53
+            np.log(z, out=z)
+            z *= -2.0
+            np.sqrt(z, out=z)
+            u2 *= 2.0**-53
+            u2 *= 2.0 * np.pi
+            np.cos(u2, out=u2)
+            z *= u2
+            z *= std
+            z += mean
+
+        return self._fill(count, 2, finish)
 
     def gaussian(self, mean: float = 0.0, std: float = 1.0) -> float:
         return float(self.gaussians(1, mean, std)[0])

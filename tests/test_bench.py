@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from l1subgrad.bench import (
     build_problem,
     reference_optimum,
     run_experiment,
+    write_experiment_csv,
     write_trace_csv,
 )
 from l1subgrad.numerics import Rng
@@ -297,3 +299,24 @@ class TestTraceCsv:
         ]
         header = "experiment,solver,trial,iter,f_value,gap,certified"
         assert path.read_text() == "\n".join([header, *rows]) + "\n"
+
+    def test_lines_stream_in_pieces_with_the_joined_bytes(self, tmp_path):
+        n = 2 * bench._LINES_PER_WRITE + 1
+        lines = [f"row {i}" for i in range(n)]
+        path = tmp_path / "a" / "lines.txt"
+        bench._write_lines(path, (line for line in lines))
+        assert path.read_text() == "\n".join(lines) + "\n"
+
+    def test_experiment_csv_memory_does_not_grow_with_trials(self, tmp_path):
+        peaks = []
+        for trials in (1, 8):
+            cfg = ExperimentConfig("toy2d", trials=trials, out=str(tmp_path / f"t{trials}.csv"))
+            curve = run_experiment(replace(cfg, out=None))
+            tracemalloc.start()
+            try:
+                write_experiment_csv(cfg, curve)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert len((tmp_path / "t8.raw.csv").read_text().splitlines()) == 1 + 8 * 3 * 501
+        assert peaks[1] <= 1.5 * peaks[0]

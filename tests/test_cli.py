@@ -134,6 +134,21 @@ class TestSolve:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
+    def test_unwritable_out_is_rejected_before_the_problem_is_built(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import l1subgrad.cli as cli_module
+
+        calls = []
+        monkeypatch.setattr(cli_module, "build_problem", lambda *a, **kw: calls.append(a))
+        assert main([
+            "solve", "--problem", "quadratic", "--solver", "alg2", "--n", "1000",
+            "--iters", "3000", "--out", str(tmp_path),
+        ]) == 2
+        out, err = capsys.readouterr()
+        assert calls == []
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestBench:
     def test_single_trial_matches_solve(self, tmp_path, capsys):

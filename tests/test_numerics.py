@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from l1subgrad.numerics import (
+    _CHUNK,
     Rng,
     logsumexp,
     random_orthogonal,
@@ -52,10 +55,75 @@ class TestRng:
         b = Rng(21).gaussians(12).reshape(3, 4)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("draw", ["uniforms", "gaussians"])
+    def test_negative_count_rejected_before_the_stream_moves(self, draw):
+        rng = Rng(3)
+        rng.uniforms(2)
+        with pytest.raises(ValueError, match="draw count"):
+            getattr(rng, draw)(-3)
+        assert rng._count == 2
+        ref = Rng(3)
+        ref.uniforms(2)
+        assert rng.gaussian() == ref.gaussian()
+
     def test_all_draws_finite(self):
         rng = Rng(5)
         assert np.all(np.isfinite(rng.uniforms(50_000)))
         assert np.all(np.isfinite(rng.gaussians(50_000)))
+
+
+def _bulk_raw(seed, start, count):
+    """Raw values start+1 .. start+count of the stream, built in one piece."""
+    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z = (np.uint64(seed) + idx * np.uint64(0x9E3779B97F4A7C15)) & np.uint64(2**64 - 1)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _bulk_uniforms(seed, start, count, lo, hi):
+    u = (_bulk_raw(seed, start, count) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return lo + (hi - lo) * u
+
+
+def _bulk_gaussians(seed, start, count, mean, std):
+    raw = _bulk_raw(seed, start, 2 * count)
+    u1 = ((raw[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+    u2 = (raw[1::2] >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    return mean + std * z
+
+
+class TestChunkedDraws:
+    """Draws made in chunks give the bytes of the one-piece formula above."""
+
+    @pytest.mark.parametrize("count", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
+    def test_same_bytes_across_chunk_boundaries(self, count):
+        for seed, (lo, hi), (mean, std) in [
+            (0, (0.0, 1.0), (0.0, 1.0)),
+            (2**64 - 5, (-2.0, 3.0), (1.5, 0.0)),
+            (987654321, (4.0, 4.0), (-3.25, 2.0)),
+        ]:
+            rng = Rng(seed)
+            first = rng.uniforms(7)  # an odd offset into the stream
+            assert first.tobytes() == _bulk_uniforms(seed, 0, 7, 0.0, 1.0).tobytes()
+            g = rng.gaussians(count, mean, std)
+            assert g.tobytes() == _bulk_gaussians(seed, 7, count, mean, std).tobytes()
+            assert rng._count == 7 + 2 * count
+            u = rng.uniforms(count, lo, hi)
+            assert u.tobytes() == _bulk_uniforms(seed, 7 + 2 * count, count, lo, hi).tobytes()
+            assert rng._count == 7 + 3 * count
+
+    @pytest.mark.parametrize("draw", ["uniforms", "gaussians"])
+    def test_scratch_memory_does_not_grow_with_the_count(self, draw):
+        count = 10**6
+        tracemalloc.start()
+        try:
+            getattr(Rng(0), draw)(count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * count + 4 * 2**20
 
 
 class TestRandomOrthogonal:

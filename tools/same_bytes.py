@@ -43,6 +43,9 @@ VECTORS = [
        "--out", "out.csv") for family, sizes in _SMALL.items()),
     *(("solve", "--problem", family, "--solver", method, "--iters", "300", *sizes,
        "--out", "out.csv") for family, sizes in _SMALL.items() for method in _METHODS),
+    # default sizes: draws of 500**2 and 1000**2 values, and several traces in one raw CSV
+    ("solve", "--problem", "lasso", "--solver", "ista", "--iters", "50", "--out", "out.csv"),
+    ("bench", "--experiment", "logistic", "--trials", "2", "--out", "out.csv"),
 ]
 
 
