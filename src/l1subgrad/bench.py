@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .numerics import Rng, as_vector
+from .numerics import Rng
+from .objective import _min_norm_from_grad
 from .problems import (
     ProblemInstance,
     make_2d,
@@ -29,13 +30,12 @@ from .problems import (
 )
 from .solvers import (
     METHODS,
-    FistaState,
     IterationTrace,
     SolverConfig,
     SolverError,
-    _crossing_phase,
+    SolverState,
+    _accelerated_step,
     _Cycle,
-    _fista_step,
     _key,
     run,
 )
@@ -60,14 +60,10 @@ _FAMILIES = {
 }
 EXPERIMENTS = tuple(_FAMILIES)
 
-# Reference optimum (`reference_optimum`): restarted-FISTA iteration budget, cap
-# on the crossing-subgradient polish, certificate tolerance on the minimal-norm
-# subgradient norm, and how many FISTA iterations pass between the checks for a
-# certificate or a stalled best value.
+# Reference optimum (`reference_optimum`): the budget of alg2 steps, and the
+# certificate tolerance on the minimal-norm subgradient norm at the iterate.
 REFERENCE_BUDGET = 50_000
-REFERENCE_POLISH_CAP = 20_000
 REFERENCE_TOL = 1e-10
-REFERENCE_CHECK_EVERY = 50
 
 
 class ExperimentError(RuntimeError):
@@ -107,57 +103,36 @@ def build_problem(
 def reference_optimum(problem: ProblemInstance) -> ReferenceOptimum:
     """Best available optimum value for a problem, with a quality certificate.
 
-    Uses the analytic value when the instance carries one. Otherwise runs
-    restarted FISTA for at most ``REFERENCE_BUDGET`` iterations and hands over
-    to the crossing subgradient polish as soon as a step leaves its ``x`` and
-    ``y`` unchanged bit for bit (an exact fixed point, found by `run`'s
-    period-1 test), or at the first check (every ``REFERENCE_CHECK_EVERY``
-    iterations) where the best point's minimal-norm subgradient norm is below
-    ``REFERENCE_TOL`` or the best value has not moved since the previous
-    check. The polish runs until the norm drops below ``REFERENCE_TOL``, the
-    iterate stops moving bit for bit, or ``REFERENCE_POLISH_CAP`` steps pass.
-    The result is flagged uncertified when the tolerance was not reached.
+    Uses the exact value when the instance carries one. Otherwise runs alg2
+    at h = 1/L from ``x0``, keeping the least f seen, until the minimal-norm
+    subgradient s at the iterate has a norm below ``REFERENCE_TOL``, the state
+    the next step reads (``x``, ``p``, the gradient at ``x``) closes a cycle,
+    or ``REFERENCE_BUDGET`` steps pass. Reaching the tolerance certifies the
+    value: for g strongly convex with constant mu, the gap is at most
+    |s|^2 / (2 mu) (the PL inequality), whatever method found the point.
     """
     if problem.f_ref is not None:
         return ReferenceOptimum(value=problem.f_ref, certified=True, subgrad_norm=0.0)
     obj = problem.objective
     h = 1.0 / obj.lipschitz_L
-    state = FistaState.initial(as_vector(problem.x0, dim=obj.dim))
-    best_f = checked_f = obj._value(state.x)
-    best_x = state.x
-    # period 1 only, as in `run`'s fista: t is not part of the state compared
-    fixed = _Cycle(_key(state.x, state.y), brent=False)
-    for k in range(1, REFERENCE_BUDGET + 1):
-        state = _fista_step(obj, state, h)
-        f_x = obj._value(state.x)
-        if f_x < best_f:
-            best_f, best_x = f_x, state.x
-        # an exact fixed point: no later step can change the best point
-        if fixed.period(_key(state.x, state.y)):
+    state = SolverState.initial(obj, problem.x0)
+    best_f = state.f_x
+    # the empty key equals no state, so the start state is compared too
+    cycle = _Cycle(b"")
+    for step in range(REFERENCE_BUDGET + 1):
+        # the step reads grad_cache in place of a fresh gradient at x
+        if state.grad_cache is None:
+            state.grad_cache = obj._grad(state.x)
+        sub_norm = float(np.linalg.norm(_min_norm_from_grad(state.grad_cache, state.x, obj.gamma)))
+        key = _key(state.x, state.p, state.grad_cache)
+        if sub_norm < REFERENCE_TOL or step == REFERENCE_BUDGET or cycle.period(key):
             break
-        if k % REFERENCE_CHECK_EVERY == 0:
-            if best_f == checked_f or (
-                np.linalg.norm(obj._sub(best_x)) < REFERENCE_TOL
-            ):
-                break
-            checked_f = best_f
-
-    x = best_x
-    parked = _Cycle(x.tobytes(), brent=False)
-    for step in range(REFERENCE_POLISH_CAP + 1):
-        sub = obj._sub(x)
-        sub_norm = float(np.linalg.norm(sub))
-        if sub_norm < REFERENCE_TOL or step == REFERENCE_POLISH_CAP:
-            break
-        x_next, _, _, f_next = _crossing_phase(obj, x, sub, h)
-        best_f = min(best_f, obj._value(x_next) if f_next is None else f_next)
-        if parked.period(x_next.tobytes()):
-            break
-        x = x_next
+        state = _accelerated_step(obj, state, h)
+        best_f = min(best_f, state.f_x)
     certified = sub_norm < REFERENCE_TOL
     if not certified:
         log.warning(
-            "reference for %s is uncertified: |subgradient| = %.3e after %d polish steps",
+            "reference for %s is uncertified: |subgradient| = %.3e after %d alg2 steps",
             problem.label,
             sub_norm,
             step,
@@ -335,11 +310,11 @@ _LINES_PER_WRITE = 1024
 def _write_lines(path, lines):
     """Write ``lines`` to ``path``, each ending in a newline, creating its directory.
 
-    The file is opened once and the lines are written as they are iterated,
-    ``_LINES_PER_WRITE`` at a time, so an iterator of lines is never held
-    whole. A failure partway leaves a partial file, as ``write_text`` does.
+    The directories are those of the resolved path. The file is opened once
+    and the lines are written as they are iterated, ``_LINES_PER_WRITE`` at a
+    time, so an iterator of lines is never held whole. A failure partway leaves a partial file, as ``write_text`` does.
     """
-    path = Path(path)
+    path = Path(path).resolve()
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = iter(lines)
     with path.open("w") as f:
@@ -354,17 +329,26 @@ def _experiment_paths(out) -> tuple[Path, Path, Path]:
 
 
 def _check_writable(paths):
-    """Raise the OSError a later write to ``paths`` would meet, leaving no new file.
+    """Raise the OSError a later write to ``paths`` would meet, leaving nothing new.
 
-    Each path is opened for appending, after its directory is created as
-    `_write_lines` does, and deleted again if this opening created it.
+    Each path is opened for appending, after its missing directories are
+    created as `_write_lines` does. The file, if this opening created it, and
+    the directories are removed again, deepest first. The directories are
+    those of the resolved path: for ``q/r/../d.csv`` they are ``q`` alone.
     """
     for path in map(Path, paths):
-        path.parent.mkdir(parents=True, exist_ok=True)
-        existed = path.exists()
-        path.open("a").close()
-        if not existed:
-            path.unlink()
+        path = path.resolve()
+        made = [d for d in path.parents if not d.exists()]
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            existed = path.exists()
+            path.open("a").close()
+            if not existed:
+                path.unlink()
+        finally:
+            for d in made:
+                if d.is_dir():
+                    d.rmdir()
 
 
 def write_trace_csv(path, trace: IterationTrace, experiment: str, trial: int, certified: bool):

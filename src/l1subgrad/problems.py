@@ -17,7 +17,8 @@ either call. The 2-D example has no product to share and keeps plain closures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import product
 
 import numpy as np
 
@@ -255,6 +256,26 @@ def make_logsumexp(
     )
 
 
+def _2d_optimum(c: float, gamma: float) -> float:
+    """f* of the 2-D example, exactly. f is strongly convex, so its minimizer
+    is among the points that, for a sign pattern s with support S, solve
+    H_SS x_S = r_S, r = -(b + gamma*s), with sign(x_S) = s_S (H and b are g's
+    Hessian and offset); f there is -r'x / 2. Each system is 2x2 or 1x1,
+    solved by Cramer's rule in Python floats.
+    """
+    best = 0.0  # f(0), the value of the zero pattern's point
+    for s1, s2 in product((-1, 0, 1), repeat=2):
+        r1, r2 = 2.0 - gamma * s1, c - 1.0 - gamma * s2
+        if s1 and s2:
+            det = 1.5 - c * c
+            x1, x2 = (1.5 * r1 - c * r2) / det, (r2 - c * r1) / det
+        else:
+            x1, x2 = (r1 if s1 else 0.0), (r2 / 1.5 if s2 else 0.0)
+        if (x1 > 0) - (x1 < 0) == s1 and (x2 > 0) - (x2 < 0) == s2:
+            best = min(best, -0.5 * (r1 * x1 + r2 * x2))
+    return best
+
+
 def make_2d(
     c: float = 0.85, gamma: float = 1.0, x0: tuple[float, float] = (0.95, 0.5)
 ) -> ProblemInstance:
@@ -263,7 +284,8 @@ def make_2d(
     g(x) = (x1^2 + 2c*x1*x2 + 1.5*x2^2)/2 - 2*x1 + (1-c)*x2, convex for
     c^2 < 1.5. For gamma = 1 the minimizer is exactly (1, 0) with value -0.5
     (the zero vector is a boundary point of the subdifferential there, which
-    is what makes the axis decision hard for thresholding methods).
+    is what makes the axis decision hard for thresholding methods). Every
+    (c, gamma) carries its exact optimum value as ``f_ref`` (`_2d_optimum`).
     """
     if c * c >= 1.5:
         raise ValueError(f"need c^2 < 1.5 for a convex quadratic, got c={c}")
@@ -282,7 +304,6 @@ def make_2d(
     half_gap = math.sqrt(0.0625 + c * c)
     mu = 1.25 - half_gap
     lip = 1.25 + half_gap
-    f_ref = -0.5 if gamma == 1.0 else None
     obj = CompositeObjective(
         eval_g=eval_g, grad_g=grad_g, gamma=gamma, lipschitz_L=lip, dim=2, mu=mu
     )
@@ -290,7 +311,7 @@ def make_2d(
         objective=obj,
         x0=np.asarray(x0, dtype=np.float64),
         label="toy2d",
-        f_ref=f_ref,
+        f_ref=_2d_optimum(c, gamma),
         data={
             "hessian": np.array([[1.0, c], [c, 1.5]]),
             "offset": np.array([-2.0, 1.0 - c]),
@@ -304,7 +325,8 @@ def perturb_2d(rng: Rng) -> ProblemInstance:
 
     Draw order: c ~ N(0.85, 0.1) (redrawn while c^2 >= 1.5), gamma ~ N(1, 0.1)
     (redrawn while gamma <= 0), then the two start coordinates
-    N(0.95, 0.05) and N(0.5, 0.05). No analytic optimum is attached.
+    N(0.95, 0.05) and N(0.5, 0.05). The instance carries the exact optimum
+    value of its (c, gamma), as `make_2d` does.
     """
     c = rng.gaussian(0.85, 0.1)
     while c * c >= 1.5:
@@ -313,11 +335,4 @@ def perturb_2d(rng: Rng) -> ProblemInstance:
     while gamma <= 0.0:
         gamma = rng.gaussian(1.0, 0.1)
     x0 = (rng.gaussian(0.95, 0.05), rng.gaussian(0.5, 0.05))
-    base = make_2d(c=c, gamma=gamma, x0=x0)
-    return ProblemInstance(
-        objective=base.objective,
-        x0=base.x0,
-        label="toy2d-perturbed",
-        f_ref=None,
-        data=base.data,
-    )
+    return replace(make_2d(c=c, gamma=gamma, x0=x0), label="toy2d-perturbed")

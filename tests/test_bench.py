@@ -17,7 +17,7 @@ from l1subgrad.bench import (
 )
 from l1subgrad.numerics import Rng
 from l1subgrad.problems import make_lasso, make_quadratic
-from l1subgrad.solvers import SolverConfig, SolverError, run
+from l1subgrad.solvers import SolverConfig, SolverError, SolverState, _accelerated_step, run
 
 # the sizes and weights `resolved` fills for each family; the others stay None
 _DEFAULT_SIZES = {
@@ -49,7 +49,6 @@ class TestReferenceOptimum:
 
     def test_tiny_budget_reports_uncertified(self, monkeypatch, caplog):
         monkeypatch.setattr(bench, "REFERENCE_BUDGET", 3)
-        monkeypatch.setattr(bench, "REFERENCE_POLISH_CAP", 3)
         with caplog.at_level("WARNING"):
             ref = reference_optimum(make_lasso(20, 40, Rng(3)))
         assert not ref.certified
@@ -61,20 +60,57 @@ class TestReferenceOptimum:
         assert ref.certified
         assert ref.value == pytest.approx(-0.5, abs=1e-12)
 
-    def test_fista_hands_over_once_its_best_value_stalls(self, monkeypatch):
+    @staticmethod
+    def _count_steps(monkeypatch):
         calls = []
-        real_step = bench._fista_step
+        real_step = bench._accelerated_step
 
         def counted(*args):
             calls.append(None)
             return real_step(*args)
 
-        monkeypatch.setattr(bench, "_fista_step", counted)
-        # seed 2: restarted FISTA cycles at rounding level without reaching an
-        # exact fixed point, so only the stall check ends it before its budget
+        monkeypatch.setattr(bench, "_accelerated_step", counted)
+        return calls
+
+    def test_quadratic_certifies_within_a_few_hundred_alg2_steps(self, monkeypatch):
+        calls = self._count_steps(monkeypatch)
         ref = reference_optimum(build_problem("quadratic", 2, n=200))
         assert ref.certified
-        assert len(calls) <= 1000
+        assert len(calls) <= 200
+
+    def test_exact_cycle_stops_the_loop(self, monkeypatch, caplog):
+        # no norm passes a zero tolerance, so only the cycle ends the loop
+        # before its budget of 50000 steps
+        monkeypatch.setattr(bench, "REFERENCE_TOL", 0.0)
+        calls = self._count_steps(monkeypatch)
+        with caplog.at_level("WARNING"):
+            ref = reference_optimum(make_lasso(20, 40, Rng(3)))
+        assert len(calls) < 1000
+        assert not ref.certified
+        assert any("uncertified" in rec.message for rec in caplog.records)
+
+    def test_grad_calls_match_a_plain_alg2_loop(self, monkeypatch):
+        def counting(prob):
+            calls = []
+            grad_g = prob.objective.grad_g
+
+            def counted(x):
+                calls.append(None)
+                return grad_g(x)
+
+            obj = replace(prob.objective, grad_g=counted)
+            return replace(prob, objective=obj), calls
+
+        prob, ref_calls = counting(make_lasso(20, 40, Rng(4)))
+        steps = self._count_steps(monkeypatch)
+        assert reference_optimum(prob).certified
+        prob, loop_calls = counting(make_lasso(20, 40, Rng(4)))
+        obj = prob.objective
+        state = SolverState.initial(obj, prob.x0)
+        for _ in steps:
+            state = _accelerated_step(obj, state, 1.0 / obj.lipschitz_L)
+        # the reference fills grad_cache before its check, and the step reads it
+        assert len(loop_calls) <= len(ref_calls) <= len(loop_calls) + 1
 
 
 class TestBuildProblem:

@@ -126,6 +126,28 @@ class TestSolve:
         capsys.readouterr()
         assert len(out.read_text().splitlines()) == 5
 
+    # step 0.05 makes ista diverge on this instance, after the --out check
+    _DIVERGING = ("solve", "--problem", "quadratic", "--n", "50", "--solver", "ista",
+                  "--step", "0.05")
+
+    def test_failed_run_leaves_no_directories(self, tmp_path, capsys):
+        assert main([*self._DIVERGING, "--out", str(tmp_path / "t2" / "x" / "y" / "t.csv")]) == 1
+        capsys.readouterr()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_parent_step_in_out_leaves_nothing_behind(self, tmp_path, capsys):
+        out = tmp_path / "q" / "r" / ".." / "d.csv"
+        assert main([*self._DIVERGING, "--out", str(out)]) == 1
+        assert list(tmp_path.iterdir()) == []
+        # a run that writes creates the resolved path's directory alone
+        assert main([
+            "solve", "--problem", "toy2d", "--solver", "alg1", "--iters", "3", "--out", str(out),
+        ]) == 0
+        capsys.readouterr()
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+            "q", "q/d.csv"
+        ]
+
     def test_unwritable_out_is_usage_error(self, tmp_path, cli):
         proc = cli(
             "solve", "--problem", "toy2d", "--solver", "alg1", "--iters", "3", "--out", str(tmp_path)

@@ -1,4 +1,6 @@
+import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -356,14 +358,22 @@ class TestToy2d:
         with pytest.raises(ValueError):
             make_2d(c=1.3)
 
-    def test_non_unit_gamma_drops_reference(self):
-        assert make_2d(gamma=1.2).f_ref is None
+    @pytest.mark.parametrize("gamma", [0.3, 0.9, 1.2, 2.5])
+    def test_exact_optimum_matches_the_iterative_reference(self, gamma):
+        from l1subgrad.bench import reference_optimum
+
+        prob = make_2d(gamma=gamma)
+        ref = reference_optimum(replace(prob, f_ref=None))
+        assert ref.certified
+        assert prob.f_ref == pytest.approx(ref.value, rel=2e-15, abs=0.0)
+        # x = 0 is optimal once gamma >= |grad g(0)|_inf = 2
+        assert (prob.f_ref == 0.0) == (gamma == 2.5)
 
     def test_perturbed_statistics_and_fields(self):
         cs, gammas = [], []
         for i in range(300):
             prob = perturb_2d(Rng(500 + i))
-            assert prob.f_ref is None
+            assert math.isfinite(prob.f_ref)
             assert prob.label == "toy2d-perturbed"
             cs.append(prob.data["c"])
             gammas.append(prob.objective.gamma)

@@ -46,6 +46,9 @@ VECTORS = [
     # default sizes: draws of 500**2 and 1000**2 values, and several traces in one raw CSV
     ("solve", "--problem", "lasso", "--solver", "ista", "--iters", "50", "--out", "out.csv"),
     ("bench", "--experiment", "logistic", "--trials", "2", "--out", "out.csv"),
+    # a size where the reference optimum does real work
+    ("bench", "--experiment", "lasso", "--trials", "2", "--m", "100", "--n", "200", "--iters", "50",
+     "--out", "out.csv"),
 ]
 
 
