@@ -31,16 +31,24 @@ def _min_norm_from_grad(grad: np.ndarray, x: np.ndarray, gamma: float) -> np.nda
     # On the support the l1 term is differentiable (grad + gamma*sign(x)); on
     # zero components the least-|.| choice over [-gamma, gamma] is the
     # soft-threshold of the smooth partial derivative. Without zero components
-    # the where would pick its first branch everywhere, so it is skipped
-    # (count_nonzero costs a third of x.all() on short vectors).
+    # the support's form holds everywhere, so the threshold is skipped
+    # (count_nonzero costs a third of x.all() on short vectors). Otherwise
+    # `_shrink(grad, gamma)` is built in one buffer, by the same operations in
+    # the same order, and the support's entries are copied over it.
     on_support = grad + gamma * np.sign(x)
     if np.count_nonzero(x) == x.size:
         return on_support
-    return np.where(x != 0.0, on_support, _shrink(grad, gamma))
+    out = np.abs(grad)
+    out -= gamma
+    np.maximum(out, 0.0, out=out)
+    np.multiply(np.sign(grad), out, out=out)
+    np.copyto(out, on_support, where=x != 0.0)
+    return out
 
 
 def _directional_from_grad(
-    grad: np.ndarray, q: np.ndarray, qp: np.ndarray, gamma: float
+    grad: np.ndarray, q: np.ndarray, qp: np.ndarray, gamma: float,
+    prod: np.ndarray | None = None,
 ) -> np.ndarray:
     # Subgradient of f at q' consistent with the sign region of (q, q'), from
     # grad = grad_g(q'): grad_i + gamma where either point is positive,
@@ -48,8 +56,10 @@ def _directional_from_grad(
     # exactly zero. The momentum phase guarantees q_i * q'_i >= 0, so a
     # violation indicates a solver bug. Given that, q_i + q'_i carries the
     # sign of whichever point is nonzero (np.sign of either zero is +0.0).
-    crossed = q * qp < 0.0
-    if crossed.any():
+    # A caller that has just computed q' * q passes it as ``prod``; the
+    # product is the same either way round.
+    crossed = (q * qp if prod is None else prod) < 0.0
+    if np.count_nonzero(crossed):
         bad = int(np.argmax(crossed))
         raise ValueError(
             f"sign-inconsistent pair at component {bad}: q={q[bad]}, q'={qp[bad]}"

@@ -174,7 +174,8 @@ def make_lasso(
 def _sigmoid(t: np.ndarray) -> np.ndarray:
     # exp(-|t|) never overflows; it is exp(-t) where t >= 0 and exp(t) elsewhere
     e = np.exp(-np.abs(t))
-    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(t >= 0, 1.0 / d, e / d)
 
 
 def make_logistic(m: int, n: int, rng: Rng, gamma: float | None = None) -> ProblemInstance:
@@ -199,9 +200,10 @@ def make_logistic(m: int, n: int, rng: Rng, gamma: float | None = None) -> Probl
 
     mx = _shared_product(mat)
 
-    def eval_g(x, _b=labels):
+    def eval_g(x, _nb=1.0 - labels):
+        # np.add.reduce is the reduction np.sum runs, without its Python wrapper
         t = mx(x)
-        return float(np.sum((1.0 - _b) * t + np.logaddexp(0.0, -t)))
+        return float(np.add.reduce(_nb * t + np.logaddexp(0.0, -t)))
 
     def grad_g(x, _m=mat, _b=labels):
         return _m.T @ (_sigmoid(mx(x)) - _b)
@@ -290,15 +292,22 @@ def make_2d(
     if c * c >= 1.5:
         raise ValueError(f"need c^2 < 1.5 for a convex quadratic, got c={c}")
 
-    def eval_g(x, _c=c):
-        return 0.5 * (x[0] ** 2 + 2.0 * _c * x[0] * x[1] + 1.5 * x[1] ** 2) - 2.0 * x[0] + (
-            1.0 - _c
-        ) * x[1]
+    # The oracles read x as two Python floats: their arithmetic is the IEEE
+    # arithmetic of numpy's float64 scalars, bit for bit, at a fraction of the
+    # cost. Only ``**`` differs, raising OverflowError where numpy returns inf,
+    # so an overflowing square is computed again on numpy scalars.
+    def g(x1, x2, _c=c):
+        return 0.5 * (x1 ** 2 + 2.0 * _c * x1 * x2 + 1.5 * x2 ** 2) - 2.0 * x1 + (1.0 - _c) * x2
+
+    def eval_g(x):
+        try:
+            return g(*x.tolist())
+        except OverflowError:
+            return g(x[0], x[1])
 
     def grad_g(x, _c=c):
-        return np.array(
-            [x[0] + _c * x[1] - 2.0, _c * x[0] + 1.5 * x[1] + (1.0 - _c)]
-        )
+        x1, x2 = x.tolist()
+        return np.array([x1 + _c * x2 - 2.0, _c * x1 + 1.5 * x2 + (1.0 - _c)])
 
     # eigenvalues of [[1, c], [c, 1.5]]
     half_gap = math.sqrt(0.0625 + c * c)

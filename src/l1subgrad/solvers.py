@@ -110,7 +110,8 @@ def _key(*arrays: np.ndarray | None) -> bytes:
 
 
 def _require_finite(v: np.ndarray, what: str):
-    if not np.isfinite(v).all():
+    # count_nonzero has the truth value of .all() without its Python wrapper
+    if np.count_nonzero(np.isfinite(v)) != v.size:
         raise SolverError(f"non-finite values in {what}")
 
 
@@ -124,12 +125,14 @@ def _crossing_phase(obj, x, sub, h):
     point x'' is taken (x'' on ties).
 
     Returns (x_next, crossing_mask, prime_selected, f_next) where
-    crossing_mask is None and f_next unknown (None) in the plain branch.
+    crossing_mask is None and f_next unknown (None) in the plain branch. The
+    sign test counts the components with ``x_temp * x >= 0``, so a NaN
+    product takes the crossing branch, as a negative one does.
     """
     x_temp = x - h * sub
     _require_finite(x_temp, "the forward point x - h*d")
     prod = x_temp * x
-    if (prod >= 0.0).all():
+    if np.count_nonzero(prod >= 0.0) == prod.size:
         return x_temp, None, False, None
     mask = prod <= 0.0
     x_prime = np.where(mask, 0.0, x)
@@ -202,13 +205,17 @@ def _accelerated_step(obj: CompositeObjective, state: SolverState, h: float) -> 
 
     sqrt_h = math.sqrt(h)
     q_prime = q + sqrt_h * p
-    flip = q_prime * q < 0.0
-    if flip.any():
+    # the sign test reads this product again when nothing flipped; after a
+    # flip q' has changed, so the test computes its own
+    prod = q_prime * q
+    flip = prod < 0.0
+    if np.count_nonzero(flip):
         q_prime = np.where(flip, 0.0, q_prime)
         p = (q_prime - q) / sqrt_h
+        prod = None
 
     grad_qp = obj._grad(q_prime)
-    r = float(_directional_from_grad(grad_qp, q, q_prime, obj.gamma) @ p)
+    r = float(_directional_from_grad(grad_qp, q, q_prime, obj.gamma, prod) @ p)
     if r <= 0.0:
         p = p + (q - q_old) / sqrt_h
         x_new = q_prime
@@ -398,7 +405,8 @@ def _driver(method: str, obj: CompositeObjective, x0: np.ndarray, h: float, cfg:
 
         def step(x, k):
             x = _classic_step(obj, x, k, scale, exponent)
-            return x, obj._value(x) if np.isfinite(x).all() else math.inf
+            finite = np.count_nonzero(np.isfinite(x)) == x.size
+            return x, obj._value(x) if finite else math.inf
     return x0.copy(), obj._value(x0), step, np.ndarray.tobytes
 
 

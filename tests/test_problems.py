@@ -369,6 +369,31 @@ class TestToy2d:
         # x = 0 is optimal once gamma >= |grad g(0)|_inf = 2
         assert (prob.f_ref == 0.0) == (gamma == 2.5)
 
+    def test_oracles_match_numpy_scalar_forms_bitwise(self):
+        # the oracles compute on Python floats; these are the same formulas on
+        # the numpy float64 scalars x[0] and x[1]
+        def eval_np(x, c):
+            return 0.5 * (x[0] ** 2 + 2.0 * c * x[0] * x[1] + 1.5 * x[1] ** 2) - 2.0 * x[0] + (
+                1.0 - c
+            ) * x[1]
+
+        def grad_np(x, c):
+            return np.array([x[0] + c * x[1] - 2.0, c * x[0] + 1.5 * x[1] + (1.0 - c)])
+
+        rng = Rng(61)
+        special = [0.0, -0.0, 1.0, -1e-300, 1e150, -1e154, 2e154, 1e200, -1e300, 1.7e308]
+        points = [np.array([a, b]) for a in special for b in special]
+        for _ in range(2000):
+            points.append(rng.gaussians(2) * 10.0 ** rng.uniforms(2, -200.0, 200.0))
+        probs = [make_2d()] + [perturb_2d(rng) for _ in range(9)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, x in enumerate(points):
+                prob = probs[j % len(probs)]
+                obj, c = prob.objective, prob.data["c"]
+                got, want = np.float64(obj.eval_g(x)), np.float64(eval_np(x, c))
+                assert got.tobytes() == want.tobytes(), (x, got, want)
+                assert obj.grad_g(x).tobytes() == grad_np(x, c).tobytes(), x
+
     def test_perturbed_statistics_and_fields(self):
         cs, gammas = [], []
         for i in range(300):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -626,3 +627,121 @@ class TestCycles:
         trace = run(obj, prob.x0, cfg)
         assert calls["grad"] == 300
         assert trace.f_values.tobytes() == _hand_loop(prob.objective, prob.x0, cfg).tobytes()
+
+
+# The alg1/alg2 kernels as they were before their numpy calls were cut, kept
+# here as the reference the current kernels must match bit for bit. Each
+# records the branches it takes in ``seen``.
+
+
+def _reference_min_norm(grad, x, gamma):
+    on_support = grad + gamma * np.sign(x)
+    if np.count_nonzero(x) == x.size:
+        return on_support
+    shrunk = np.sign(grad) * np.maximum(np.abs(grad) - gamma, 0.0)
+    return np.where(x != 0.0, on_support, shrunk)
+
+
+def _reference_crossing(obj, x, sub, h, seen):
+    x_temp = x - h * sub
+    if not np.isfinite(x_temp).all():
+        raise SolverError("non-finite values in the forward point x - h*d")
+    prod = x_temp * x
+    if (prod >= 0.0).all():
+        seen["plain"] += 1
+        return x_temp, None, False, None
+    mask = prod <= 0.0
+    x_prime = np.where(mask, 0.0, x)
+    sub_prime = _reference_min_norm(obj._grad(x_prime), x_prime, obj.gamma)
+    v = np.where(mask, -h * sub_prime, -h * sub)
+    x_second = x_prime + v
+    if not np.isfinite(x_second).all():
+        raise SolverError("non-finite values in the completed point x''")
+    f_prime = obj._value(x_prime)
+    f_second = obj._value(x_second)
+    if f_prime < f_second:
+        seen["x' wins"] += 1
+        return x_prime, mask, True, f_prime
+    seen["x'' wins"] += 1
+    return x_second, mask, False, f_second
+
+
+def _reference_subgradient_step(obj, x, h, seen):
+    sub = _reference_min_norm(obj._grad(x), x, obj.gamma)
+    x_next, _, _, f_next = _reference_crossing(obj, x, sub, h, seen)
+    return x_next, f_next
+
+
+def _reference_accelerated_step(obj, state, h, seen):
+    x, p = state.x, state.p
+    grad = state.grad_cache if state.grad_cache is not None else obj._grad(x)
+    sub = _reference_min_norm(grad, x, obj.gamma)
+    q, mask, prime_selected, f_q = _reference_crossing(obj, x, sub, h, seen)
+    if mask is None:
+        q_old = x
+        p = np.where(q == 0.0, 0.0, p)
+    else:
+        p = np.where(mask, 0.0, p)
+        q_old = np.where(mask, 0.0, x)
+        if prime_selected:
+            p = np.zeros(obj.dim)
+    sqrt_h = math.sqrt(h)
+    q_prime = q + sqrt_h * p
+    flip = q_prime * q < 0.0
+    if flip.any():
+        seen["flip"] += 1
+        q_prime = np.where(flip, 0.0, q_prime)
+        p = (q_prime - q) / sqrt_h
+    grad_qp = obj._grad(q_prime)
+    crossed = q * q_prime < 0.0
+    if crossed.any():
+        raise ValueError("sign-inconsistent pair")
+    r = float((grad_qp + obj.gamma * np.sign(q + q_prime)) @ p)
+    if r <= 0.0:
+        seen["accept"] += 1
+        return SolverState(x=q_prime, p=p + (q - q_old) / sqrt_h, f_x=obj._value(q_prime),
+                           q=q, grad_cache=grad_qp)
+    seen["reject"] += 1
+    f_new = f_q if f_q is not None else obj._value(q)
+    return SolverState(x=q, p=(q - q_old) / sqrt_h, f_x=f_new, q=q, grad_cache=None)
+
+
+def _kernel_states():
+    """Seeded (objective, alg2 state, h): random states with zeros and momentum
+    of every scale on small quadratics and lasso, then the states along alg2
+    runs on the 2-D example and two larger instances."""
+    rng = Rng(71)
+    for i in range(300):
+        n = 2 + i % 5
+        prob = make_quadratic(n, rng) if i % 2 else build_problem("lasso", i, m=n + 2, n=n)
+        obj = prob.objective
+        x = np.where(rng.uniforms(n) < 0.3, 0.0, rng.gaussians(n, 0.0, 2.0))
+        p = rng.gaussians(n, 0.0, 10.0 ** rng.uniform(-3.0, 1.0))
+        grad = obj.smooth_grad(x) if i % 3 == 0 else None
+        h = rng.uniform(0.1, 2.0) / obj.lipschitz_L
+        yield obj, SolverState(x=x, p=p, f_x=obj.value(x), grad_cache=grad), h
+    for prob in (make_2d(), make_quadratic(40, Rng(7)), build_problem("lasso", 0, m=30, n=40)):
+        obj = prob.objective
+        h = 1.0 / obj.lipschitz_L
+        state = SolverState.initial(obj, prob.x0)
+        for _ in range(150):
+            yield obj, state, h
+            state = solvers._accelerated_step(obj, state, h)
+
+
+class TestKernelsMatchReference:
+    def test_steps_match_reference_kernels_bitwise(self):
+        seen = dict.fromkeys(("plain", "x' wins", "x'' wins", "flip", "accept", "reject"), 0)
+        for obj, state, h in _kernel_states():
+            x_next, f_next = solvers._subgradient_step(obj, state.x, h)
+            ref_x, ref_f = _reference_subgradient_step(obj, state.x, h, seen)
+            assert x_next.tobytes() == ref_x.tobytes()
+            assert f_next == ref_f or (f_next is None and ref_f is None)
+
+            got = solvers._accelerated_step(obj, state, h)
+            ref = _reference_accelerated_step(obj, state, h, seen)
+            for name in ("x", "p", "q", "grad_cache"):
+                a, b = getattr(got, name), getattr(ref, name)
+                assert (a is None and b is None) or a.tobytes() == b.tobytes(), name
+            assert np.float64(got.f_x).tobytes() == np.float64(ref.f_x).tobytes()
+        assert all(seen.values()), seen

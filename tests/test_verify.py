@@ -82,19 +82,29 @@ def _brent_limit_point(obj, x, h, cap=20_000):
     return best
 
 
+def _full_gaps(prob, iters):
+    """Every iterate's gap, stepping to ``iters`` with no cycle test."""
+    obj = prob.objective
+    h = 1.0 / obj.lipschitz_L
+    x = prob.x0.copy()
+    iterates = [x.copy()]
+    for _ in range(iters):
+        x = subgradient_step(obj, x, h)
+        iterates.append(x)
+    return verify._quadratic_gaps(prob, iterates, _brent_limit_point(obj, x, h))
+
+
+def _rate_instance(seed, i, n=50):
+    return make_quadratic(n, Rng(seed + 301 + i), eig_range=(1.0, 10.0), pin_extremes=True)
+
+
 def _full_rate(seed, instances, n=50, iters=500):
     worst = np.inf
     for i in range(instances):
-        prob = make_quadratic(n, Rng(seed + 301 + i), eig_range=(1.0, 10.0), pin_extremes=True)
+        prob = _rate_instance(seed, i, n)
         obj = prob.objective
-        h = 1.0 / obj.lipschitz_L
         kappa = 1.0 / (1.0 + obj.mu / obj.lipschitz_L)
-        x = prob.x0.copy()
-        iterates = [x.copy()]
-        for _ in range(iters):
-            x = subgradient_step(obj, x, h)
-            iterates.append(x)
-        gaps = verify._quadratic_gaps(prob, iterates, _brent_limit_point(obj, x, h))
+        gaps = _full_gaps(prob, iters)
         bound = gaps[0] * kappa ** np.arange(iters + 1) * (1.0 + 1e-9)
         worst = min(worst, float(np.min(bound - gaps)))
     detail = f"{instances} quadratics n={n}, mu=1, L=10, k <= {iters}, relative slack 1e-9"
@@ -151,7 +161,22 @@ class TestSuitesStopOnCycles:
     """Suites that stop stepping on a cycle report what stepping to the end reports."""
 
     def test_rate_matches_full_loop(self):
-        assert verify.suite_rate(instances=2) == [_full_rate(0, 2)]
+        assert verify.suite_rate(instances=4) == [_full_rate(0, 4)]
+
+    def test_rate_gaps_tiled_over_the_cycle_match_every_gap(self, monkeypatch):
+        measured = []
+        gaps = verify._quadratic_gaps
+
+        def counted(prob, iterates, x_star):
+            measured.append(len(iterates))
+            return gaps(prob, iterates, x_star)
+
+        full = [_full_gaps(_rate_instance(0, i), 500) for i in range(4)]
+        monkeypatch.setattr(verify, "_quadratic_gaps", counted)
+        for i in range(4):
+            assert verify._rate_gaps(_rate_instance(0, i), 500).tobytes() == full[i].tobytes()
+        # some instance closed its cycle before step 500 and had its gaps tiled
+        assert len(measured) == 4 and min(measured) < 501, measured
 
     def test_dominance_matches_full_loop(self):
         assert verify.suite_dominance(instances=8) == [_full_dominance(0, 8)]

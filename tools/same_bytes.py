@@ -49,6 +49,11 @@ VECTORS = [
     # a size where the reference optimum does real work
     ("bench", "--experiment", "lasso", "--trials", "2", "--m", "100", "--n", "200", "--iters", "50",
      "--out", "out.csv"),
+    # mid-size alg2 runs that pass through momentum flips and crossings
+    *(("solve", "--problem", "quadratic", "--solver", "alg2", "--n", "200", "--iters", "2000",
+       "--seed", str(s), "--out", "out.csv") for s in range(4)),
+    ("solve", "--problem", "lasso", "--solver", "alg2", "--m", "80", "--n", "100", "--iters", "300",
+     "--out", "out.csv"),
 ]
 
 
