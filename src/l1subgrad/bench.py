@@ -106,9 +106,12 @@ def reference_optimum(problem: ProblemInstance) -> ReferenceOptimum:
     Uses the exact value when the instance carries one. Otherwise runs alg2
     at h = 1/L from ``x0``, keeping the least f seen, until the minimal-norm
     subgradient s at the iterate has a norm below ``REFERENCE_TOL``, the state
-    the next step reads (``x``, ``p``, the gradient at ``x``) closes a cycle,
-    or ``REFERENCE_BUDGET`` steps pass. Reaching the tolerance certifies the
-    value: for g strongly convex with constant mu, the gap is at most
+    the next step reads (``x``, ``p``, the gradient at ``x``) closes a cycle
+    (`_Cycle`, by step T + 2P for a cycle of period P entered after T steps;
+    every point of the cycle has been seen by then, so the least f kept does
+    not depend on the point it closes on), or ``REFERENCE_BUDGET`` steps
+    pass. Reaching the tolerance certifies the value: for g strongly convex
+    with constant mu, the gap is at most
     |s|^2 / (2 mu) (the PL inequality), whatever method found the point.
     """
     if problem.f_ref is not None:

@@ -53,6 +53,18 @@ def _add_step_flags(sub: argparse.ArgumentParser):
                      help="classic schedule exponent (default 0.25; 1 for toy2d experiments)")
 
 
+def _check_step_flags(args, solvers):
+    """Reject a step flag given away from its default that no selected solver
+    reads: classic reads only --classic-scale and --classic-exponent, the
+    other solvers only --step."""
+    for flag, read in (("step", set(solvers) != {"classic"}),
+                       ("classic_scale", "classic" in solvers),
+                       ("classic_exponent", "classic" in solvers)):
+        if getattr(args, flag) not in (None, "auto") and not read:
+            raise ValueError(f"no selected solver ({','.join(solvers)}) reads "
+                             f"--{flag.replace('_', '-')}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="l1subgrad",
@@ -94,6 +106,7 @@ def _cmd_solve(args) -> int:
         classic_scale=args.classic_scale, classic_exponent=args.classic_exponent,
         n=args.n, m=args.m, k=args.k, r=args.r, gamma=args.gamma,
     ).resolved()
+    _check_step_flags(args, (args.solver,))
     cfg = SolverConfig(
         method=args.solver,
         max_iter=args.iters,
@@ -145,6 +158,7 @@ def _cmd_bench(args) -> int:
         gamma=args.gamma,
         out=args.out,
     )
+    _check_step_flags(args, cfg.resolved().solvers)
     curve = run_experiment(cfg)
     print(f"experiment={curve.experiment} trials={curve.trials} iters={len(next(iter(curve.mean_gaps.values()))) - 1}")
     print("solver final_mean_gap")

@@ -156,15 +156,24 @@ def suite_pl(seed: int = 0, instances: int = 5, samples_per: int = 200) -> list[
     ]
 
 
+def _first_least(obj: CompositeObjective, walk: list[np.ndarray]) -> np.ndarray:
+    """The first point of ``walk`` with the least f."""
+    values = [obj.value(x) for x in walk]
+    return walk[values.index(min(values))]
+
+
 def _limit_point(obj: CompositeObjective, x: np.ndarray, h: float, cap: int = 20_000):
     """Continue the subgradient iteration to its floating-point limit.
 
     In float64 the map is deterministic on a finite set, so it reaches an
     exact fixed point or a cycle of some period P. `solvers._Cycle` finds the
-    cycle in O(1) memory with Brent's algorithm. The P points of the cycle,
-    from the one that closed it (Brent's saved point), are walked once more,
-    and the first least-valued one is returned. If no cycle closes within
-    ``cap`` steps, the last point reached is returned.
+    cycle within T + 2P steps for a tail of T steps, and closes it on the
+    cycle's least-bytes point. The P points of the cycle are walked from
+    there, and the first least-valued one is returned. Cycles at the
+    rounding floor often hold several points of exactly equal f; starting
+    the walk at the least-bytes point makes the choice among them a function
+    of the cycle alone. If no cycle closes within ``cap`` steps, the last
+    point reached is returned.
     """
     cycle = _Cycle(x.tobytes())
     for _ in range(cap):
@@ -174,13 +183,10 @@ def _limit_point(obj: CompositeObjective, x: np.ndarray, h: float, cap: int = 20
             break
     else:
         return x
-    best, best_f = x, obj.value(x)
+    walk = [x]
     for _ in range(period - 1):
-        x = subgradient_step(obj, x, h)
-        f = obj.value(x)
-        if f < best_f:
-            best, best_f = x, f
-    return best
+        walk.append(subgradient_step(obj, walk[-1], h))
+    return _first_least(obj, walk)
 
 
 def _quadratic_gaps(prob, iterates: list[np.ndarray], x_star: np.ndarray) -> np.ndarray:
@@ -216,7 +222,10 @@ def _rate_gaps(prob, iters: int) -> np.ndarray:
     iterate repeats the one P steps before it, and a gap is a function of the
     iterate alone, so each distinct iterate's gap is measured once: up to the
     step that closed the cycle, after which the last P gaps repeat to
-    ``iters``, as `solvers.run` fills ``f_values``.
+    ``iters``, as `solvers.run` fills ``f_values``. x* is then taken from
+    those last P iterates by the rule of `_limit_point`, walking from the
+    closing (least-bytes) iterate, without stepping again; a trajectory that
+    closes no cycle within ``iters`` continues in `_limit_point`.
     """
     obj = prob.objective
     h = 1.0 / obj.lipschitz_L
@@ -228,15 +237,10 @@ def _rate_gaps(prob, iters: int) -> np.ndarray:
         iterates.append(x)
         period = cycle.period(x.tobytes())
         if period:
-            break
-    closed = len(iterates)
-    while len(iterates) <= iters:
-        iterates.append(iterates[-period])
-    x_star = _limit_point(obj, iterates[iters], h)
-    gaps = _quadratic_gaps(prob, iterates[:closed], x_star)
-    if closed <= iters:
-        gaps = np.concatenate([gaps, np.resize(gaps[-period:], iters + 1 - closed)])
-    return gaps
+            x_star = _first_least(obj, iterates[-1:] + iterates[-period:-1])
+            gaps = _quadratic_gaps(prob, iterates, x_star)
+            return np.concatenate([gaps, np.resize(gaps[-period:], iters + 1 - len(gaps))])
+    return _quadratic_gaps(prob, iterates, _limit_point(obj, x, h))
 
 
 def suite_rate(
@@ -288,9 +292,11 @@ def _dominance_instances(seed: int, count: int):
 def suite_dominance(seed: int = 0, instances: int = 100, iters: int = 300) -> list[PropertyResult]:
     """Each accelerated iteration must match or beat its own plain-subgradient candidate.
 
-    An instance stops once the state its next step reads closes a cycle:
-    every later step repeats one already checked, so its margin is one
-    already seen, and all ``instances * iters`` iterations count as checked.
+    An instance stops once the state its next step reads closes a cycle
+    (`solvers._Cycle`, by step T + 2P for a cycle of period P entered after
+    T steps): every later step repeats one already checked, so its margin is
+    one already seen, and all ``instances * iters`` iterations count as
+    checked.
     When the step kept ``x = q`` (``state.x is state.q``), f(q) is the
     ``state.f_x`` the step computed, the same `_value` of the same array, so
     it is read from there rather than computed again.
@@ -308,6 +314,8 @@ def suite_dominance(seed: int = 0, instances: int = 100, iters: int = 300) -> li
             worst = min(worst, f_q + slack - state.f_x)
             if cycle.period(_key(state.x, state.p, state.grad_cache)):
                 break
+        # free the stack now, or it adds to the memory peak of the next build
+        del cycle
     return [
         PropertyResult(
             "dominance",

@@ -284,6 +284,41 @@ def test_bad_schedule_or_budget_is_usage_error(args, message, capsys):
     assert out == "" and message in err
 
 
+@pytest.mark.parametrize("args, flag, chosen", [
+    (_SOLVE_CLASSIC + ("--step", "7"), "--step", "classic"),
+    (("solve", "--problem", "toy2d", "--solver", "alg1", "--iters", "5", "--classic-scale", "3"),
+     "--classic-scale", "alg1"),
+    (("solve", "--problem", "quadratic", "--n", "5", "--solver", "fista", "--iters", "5",
+      "--classic-exponent", "2"), "--classic-exponent", "fista"),
+    (_BENCH_TOY + ("--solvers", "alg1", "--classic-scale", "3"), "--classic-scale", "alg1"),
+    (_BENCH_TOY + ("--solvers", "ista,alg1", "--classic-exponent", "3"),
+     "--classic-exponent", "ista,alg1"),
+    (_BENCH_TOY + ("--solvers", "classic", "--step", "0.1"), "--step", "classic"),
+], ids=[
+    "solve-classic-step", "solve-alg1-scale", "solve-fista-exponent",
+    "bench-alg1-scale", "bench-ista-alg1-exponent", "bench-classic-step",
+])
+def test_step_flag_no_selected_solver_reads_is_usage_error(args, flag, chosen, capsys):
+    assert main(list(args)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: no selected solver ({chosen}) reads {flag}\n"
+
+
+@pytest.mark.parametrize("args", [
+    _SOLVE_CLASSIC + ("--classic-scale", "2", "--classic-exponent", "0.5"),
+    ("solve", "--problem", "toy2d", "--solver", "fista", "--iters", "5", "--step", "0.1"),
+    _BENCH_TOY + ("--solvers", "alg1,classic", "--step", "0.1", "--classic-scale", "2"),
+    # toy2d's default solvers (alg1, ista, classic) read all three
+    _BENCH_TOY + ("--step", "0.1", "--classic-scale", "2", "--classic-exponent", "0.5"),
+    # auto is the default step, so giving it changes nothing
+    _SOLVE_CLASSIC + ("--step", "auto"),
+], ids=["solve-classic-schedule", "solve-fista-step", "bench-mixed", "bench-default-solvers",
+        "solve-classic-step-auto"])
+def test_step_flag_read_by_a_selected_solver_is_accepted(args, capsys):
+    assert main(list(args)) == 0
+    assert capsys.readouterr().err == ""
+
+
 class TestVerify:
     def test_single_suite_passes(self, capsys):
         assert main(["verify", "--suite", "anti-oscillation"]) == 0

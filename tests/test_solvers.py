@@ -587,6 +587,76 @@ class TestCycles:
         assert closed >= 12 and np.array_equal(state(closed), state(closed - 5))
         assert not any(periods[: closed - 1])
 
+    @pytest.mark.parametrize("least_last", [False, True])
+    @pytest.mark.parametrize("tail, period", [
+        (0, 1), (0, 2), (0, 95), (4, 1), (3, 95), (1000, 7), (2000, 2), (700, 95),
+    ])
+    def test_least_period_found_by_tail_plus_twice_the_period(self, tail, period, least_last):
+        # distinct keys in a seeded order: the tail, then the cycle repeated;
+        # with least_last the cycle's least key comes last, the latest case
+        keys = [np.array([v]).tobytes() for v in Rng(tail + period).gaussians(tail + period)]
+        assert len(set(keys)) == len(keys)
+        ring = keys[tail:]
+        if least_last:
+            at = ring.index(min(ring))
+            ring = ring[at + 1:] + ring[:at + 1]
+
+        def key(k):
+            return keys[k] if k < tail else ring[(k - tail) % period]
+
+        cycle = solvers._Cycle(key(0))
+        for k in range(1, tail + 2 * period + 1):
+            found = cycle.period(key(k))
+            if found:
+                break
+        assert found == period and k >= tail + period and key(k) == key(k - period)
+
+    @staticmethod
+    def _states(method, obj, x0, h):
+        """The states alg1 or alg2 reads, from the start, by the public steps."""
+        state = SolverState.initial(obj, x0) if method == "alg2" else x0
+        while True:
+            yield state
+            if method == "alg2":
+                state = accelerated_step(obj, state, h)
+            else:
+                state = subgradient_step(obj, state, h)
+
+    @pytest.mark.parametrize("method, repeat, period", [("alg2", 578, 2), ("alg1", 472, 8)])
+    def test_run_stops_by_tail_plus_twice_the_period(self, method, repeat, period):
+        prob = build_problem("quadratic", 0, n=200)
+        cfg = SolverConfig(method=method, max_iter=2000)
+        h = cfg.resolve_step(prob.objective)
+        obj, calls = _counted_oracle(prob.objective)
+        if method == "alg2":
+            def key(s):
+                return solvers._key(s.x, s.p, s.grad_cache)
+        else:
+            key = np.ndarray.tobytes
+        seen = {}
+        for k, state in enumerate(self._states(method, obj, prob.x0, h)):
+            if key(state) in seen:
+                break
+            seen[key(state)] = k
+        assert (k, k - seen[key(state)]) == (repeat, period)
+
+        # the detector closes by step tail + 2 periods = repeat + period, and
+        # the steps it then takes for x_final are fewer than one period, so
+        # run calls grad_g no more often than repeat + 2 periods of steps do
+        calls["grad"] = 0
+        for _ in zip(range(repeat + 2 * period + 1), self._states(method, obj, prob.x0, h)):
+            pass
+        by_hand = calls["grad"]
+        calls["grad"] = 0
+        trace = run(obj, prob.x0, cfg)
+        assert calls["grad"] <= by_hand, (calls["grad"], by_hand)
+
+        assert trace.f_values.tobytes() == _hand_loop(prob.objective, prob.x0, cfg).tobytes()
+        for _, state in zip(range(cfg.max_iter + 1), self._states(method, obj, prob.x0, h)):
+            pass
+        x = state.x if method == "alg2" else state
+        assert trace.x_final.tobytes() == x.tobytes()
+
     @staticmethod
     def _period_two_instance():
         # alg1 on this instance repeats its iterate with period 2 from step 193

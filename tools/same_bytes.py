@@ -54,6 +54,9 @@ VECTORS = [
        "--seed", str(s), "--out", "out.csv") for s in range(4)),
     ("solve", "--problem", "lasso", "--solver", "alg2", "--m", "80", "--n", "100", "--iters", "300",
      "--out", "out.csv"),
+    # alg1 runs that stop on cycles of period above 2 (period 8 at seed 0)
+    *(("solve", "--problem", "quadratic", "--solver", "alg1", "--n", "200", "--iters", "2000",
+       "--seed", str(s), "--out", "out.csv") for s in range(4)),
 ]
 
 
