@@ -19,17 +19,19 @@ the result of the user's ``grad_g`` is still checked.
 
 `run` stops early once the state closes a cycle. The steps are
 deterministic functions of the state they read (the objective's ``eval_g``
-and ``grad_g`` are deterministic functions of x), and float64 states form a
-finite set, so a converged run ends at a fixed point or in a cycle. When the
-state after step k repeats the state after step k - P, every later step
-repeats one already taken; `run` fills the rest of the trace by repeating the
-last P values, takes ``(max_iter - k) % P`` more steps for ``x_final``, and
-returns the same ``f_values`` and ``x_final`` bytes as stepping to the end
-would. One detector, `_Cycle` (Nivasch's stack algorithm on the states'
-bytes), finds the cycles here, in the reference optimum and in `verify`; it
-closes a cycle of period P entered after T steps by step T + 2P. fista
-stops only at P = 1, since its ``t`` is not part of the state compared;
-``classic`` never stops early: its step depends on k.
+and ``grad_g`` are deterministic functions of x, so the gradient alg2's
+state carries is one too, and its ``key`` leaves it out), and float64
+states form a finite set, so a converged run ends at a fixed point or in a
+cycle. When the state after step k repeats the state after step k - P,
+every later step repeats one already taken; `run` fills the rest of the
+trace by repeating the last P values, takes ``(max_iter - k) % P`` more
+steps for ``x_final``, and returns the same ``f_values`` and ``x_final``
+bytes as stepping to the end would. One detector, `_Cycle` (Nivasch's stack
+algorithm on the states' bytes), finds the cycles here, in the reference
+optimum and in `verify`; it closes a cycle of period P entered after T
+steps by step T + 2P. fista stops only at P = 1, since its ``t`` is not
+part of the state compared; ``classic`` never stops early: its step
+depends on k.
 """
 
 from __future__ import annotations
@@ -71,10 +73,10 @@ class _Cycle:
     """Nivasch's stack cycle detection on the states of a deterministic map.
 
     Build it from the start state's bytes, then feed `period` the bytes of
-    each later state in order (``x.tobytes()``, or `_key` for a state of
-    several arrays), so -0.0 differs from 0.0. It returns 0 until a state
-    repeats an earlier one, then the least period P of the repeat: every
-    later state, and everything computed from it, repeats with period P.
+    each later state in order (``x.tobytes()``, or the state's ``key()``),
+    so -0.0 differs from 0.0. It returns 0 until a state repeats an earlier
+    one, then the least period P of the repeat: every later state, and
+    everything computed from it, repeats with period P.
 
     Each state is compared first with the previous one (P = 1). Then a stack
     of ``(key, step)`` pairs, increasing from the bottom in plain byte order,
@@ -109,16 +111,6 @@ class _Cycle:
                 return self._step - stack[-1][1]
             stack.append((key, self._step))
         return 0
-
-
-def _key(*arrays: np.ndarray | None) -> bytes:
-    """The bytes of a state of several arrays, for `_Cycle`.
-
-    None adds no bytes. Callers pass the same arrays in the same order, each
-    of a fixed length, and at most one of them may be None, so the key's
-    length tells whether that one is present: None equals only None.
-    """
-    return b"".join([b"" if a is None else a.tobytes() for a in arrays])
 
 
 def _require_finite(v: np.ndarray, what: str):
@@ -179,31 +171,33 @@ def subgradient_step(obj: CompositeObjective, x, h: float) -> np.ndarray:
 class SolverState:
     """Iterate, momentum and bookkeeping carried across accelerated steps.
 
-    ``q`` is the candidate the plain subgradient phase produced during the
-    most recent step (the point the momentum phase must not fall behind);
-    ``grad_cache`` holds grad_g at ``x`` when the previous step already
-    evaluated it there.
+    ``grad`` is grad_g at ``x``, as ``obj._grad`` computes it; ``q`` is the
+    candidate the plain subgradient phase produced during the most recent
+    step (the point the momentum phase must not fall behind).
     """
 
     x: np.ndarray
     p: np.ndarray
     f_x: float
+    grad: np.ndarray
     q: np.ndarray | None = None
-    grad_cache: np.ndarray | None = None
 
     @classmethod
     def initial(cls, obj: CompositeObjective, x0) -> "SolverState":
         x0 = as_vector(x0, dim=obj.dim)
-        return cls(x=x0.copy(), p=np.zeros(obj.dim), f_x=obj._value(x0))
+        return cls(x=x0.copy(), p=np.zeros(obj.dim), f_x=obj._value(x0), grad=obj._grad(x0))
+
+    def key(self) -> bytes:
+        """The `_Cycle` key: the bytes of ``x`` and ``p``. ``grad`` is a
+        deterministic function of ``x``, and ``f_x`` and ``q`` are not read
+        by the next step."""
+        return self.x.tobytes() + self.p.tobytes()
 
 
 def _accelerated_step(obj: CompositeObjective, state: SolverState, h: float) -> SolverState:
     x = state.x
     p = state.p
-    if state.grad_cache is not None:
-        sub = _min_norm_from_grad(state.grad_cache, x, obj.gamma)
-    else:
-        sub = obj._sub(x)
+    sub = _min_norm_from_grad(state.grad, x, obj.gamma)
 
     q, mask, prime_selected, f_q = _crossing_phase(obj, x, sub, h)
     if mask is None:
@@ -231,15 +225,17 @@ def _accelerated_step(obj: CompositeObjective, state: SolverState, h: float) -> 
     if r <= 0.0:
         p = p + (q - q_old) / sqrt_h
         x_new = q_prime
-        grad_cache = grad_qp
+        grad = grad_qp
         f_new = obj._value(x_new)
     else:
         x_new = q
         p = (q - q_old) / sqrt_h
-        grad_cache = None
         f_new = f_q if f_q is not None else obj._value(x_new)
+        # after f(q): where f(q) was evaluated just above, the matrix
+        # families reuse its product
+        grad = obj._grad(x_new)
 
-    return SolverState(x=x_new, p=p, f_x=f_new, q=q, grad_cache=grad_cache)
+    return SolverState(x=x_new, p=p, f_x=f_new, grad=grad, q=q)
 
 
 def accelerated_step(obj: CompositeObjective, state: SolverState, h: float) -> SolverState:
@@ -261,8 +257,8 @@ def accelerated_step(obj: CompositeObjective, state: SolverState, h: float) -> S
         x=as_vector(state.x, dim=obj.dim),
         p=as_vector(state.p, dim=obj.dim),
         f_x=state.f_x,
+        grad=as_vector(state.grad, dim=obj.dim),
         q=state.q,
-        grad_cache=None if state.grad_cache is None else as_vector(state.grad_cache, dim=obj.dim),
     )
     return _accelerated_step(obj, state, h)
 
@@ -287,6 +283,11 @@ class FistaState:
     def initial(cls, x0) -> "FistaState":
         x0 = np.asarray(x0, dtype=np.float64)
         return cls(x=x0.copy(), y=x0.copy(), t=1.0)
+
+    def key(self) -> bytes:
+        """The `_Cycle` key: the bytes of ``x`` and ``y``. ``t`` is left out:
+        it only scales ``x_new - x`` at a fixed point."""
+        return self.x.tobytes() + self.y.tobytes()
 
 
 def _fista_step(obj: CompositeObjective, state: FistaState, h: float) -> FistaState:
@@ -388,22 +389,21 @@ class IterationTrace:
 def _driver(method: str, obj: CompositeObjective, x0: np.ndarray, h: float, cfg: SolverConfig):
     """What `run` needs of one method: its start state and f there, a step
     ``(state, k) -> (next state, f at its iterate)``, and a function giving
-    the `_Cycle` key of the arrays of a state that the next step reads. The
-    state of alg1, ista and classic is their iterate."""
+    the `_Cycle` key of a state. The state of alg1, ista and classic is
+    their iterate, keyed by its bytes."""
     if method == "alg2":
         def step(s, k):
             s = _accelerated_step(obj, s, h)
             return s, s.f_x
 
         start = SolverState.initial(obj, x0)
-        return start, start.f_x, step, lambda s: _key(s.x, s.p, s.grad_cache)
+        return start, start.f_x, step, SolverState.key
     if method == "fista":
         def step(s, k):
             s = _fista_step(obj, s, h)
             return s, obj._value(s.x)
 
-        # t only scales x_new - x at a fixed point, so it is left out of the key
-        return FistaState.initial(x0), obj._value(x0), step, lambda s: _key(s.x, s.y)
+        return FistaState.initial(x0), obj._value(x0), step, FistaState.key
     if method == "alg1":
         def step(x, k):
             x, f = _subgradient_step(obj, x, h)
@@ -434,14 +434,14 @@ def run(
     instead.
 
     Iteration also stops once the state the next step reads closes a cycle
-    (`_Cycle`: ``x`` for alg1 and ista; ``x``, ``p`` and ``grad_cache`` for
-    alg2; ``x`` and ``y`` for fista), by step T + 2P for a cycle of period P
-    entered after T steps. If the state after step k repeats the
-    state after step k - P, every later step repeats one already taken, so
-    ``f_values[k+1:]`` is filled by repeating the last P values, and
-    ``x_final`` is reached by ``(max_iter - k) % P`` more steps; the cycle
-    itself is not stored. The returned bytes are those of stepping to
-    ``max_iter``. fista stops only at P = 1: its ``t`` grows between restarts
+    (`_Cycle`: ``x`` for alg1 and ista; ``x`` and ``p`` for alg2, whose
+    ``grad`` is a function of ``x``; ``x`` and ``y`` for fista), by step
+    T + 2P for a cycle of period P entered after T steps. If the state after
+    step k repeats the state after step k - P, every later step repeats one
+    already taken, so ``f_values[k+1:]`` is filled by repeating the last P
+    values, and ``x_final`` is reached by ``(max_iter - k) % P`` more steps;
+    the cycle itself is not stored. The returned bytes are those of stepping
+    to ``max_iter``. fista stops only at P = 1: its ``t`` grows between restarts
     and changes the step, so an ``(x, y)`` repeat of period 2 or more need
     not be a cycle, while at P = 1 ``t`` only scales ``x_new - x``, then
     exactly zero. ``classic`` never stops this way, since its step depends on

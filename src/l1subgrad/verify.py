@@ -26,7 +26,6 @@ from .problems import (
 from .solvers import (
     SolverState,
     _Cycle,
-    _key,
     accelerated_step,
     classic_subgradient_step,
     subgradient_step,
@@ -293,10 +292,10 @@ def suite_dominance(seed: int = 0, instances: int = 100, iters: int = 300) -> li
     """Each accelerated iteration must match or beat its own plain-subgradient candidate.
 
     An instance stops once the state its next step reads closes a cycle
-    (`solvers._Cycle`, by step T + 2P for a cycle of period P entered after
-    T steps): every later step repeats one already checked, so its margin is
-    one already seen, and all ``instances * iters`` iterations count as
-    checked.
+    (`solvers._Cycle` on `SolverState.key`, by step T + 2P for a cycle of
+    period P entered after T steps): every later step repeats one already
+    checked, so its margin is one already seen, and all ``instances * iters``
+    iterations count as checked.
     When the step kept ``x = q`` (``state.x is state.q``), f(q) is the
     ``state.f_x`` the step computed, the same `_value` of the same array, so
     it is read from there rather than computed again.
@@ -306,13 +305,13 @@ def suite_dominance(seed: int = 0, instances: int = 100, iters: int = 300) -> li
         obj = prob.objective
         h = 1.0 / obj.lipschitz_L
         state = SolverState.initial(obj, prob.x0)
-        cycle = _Cycle(_key(state.x, state.p, state.grad_cache))
+        cycle = _Cycle(state.key())
         for _ in range(iters):
             state = accelerated_step(obj, state, h)
             f_q = state.f_x if state.x is state.q else obj.value(state.q)
             slack = 1e-12 * (1.0 + abs(f_q))
             worst = min(worst, f_q + slack - state.f_x)
-            if cycle.period(_key(state.x, state.p, state.grad_cache)):
+            if cycle.period(state.key()):
                 break
         # free the stack now, or it adds to the memory peak of the next build
         del cycle

@@ -243,6 +243,32 @@ class TestBench:
         capsys.readouterr()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["x.raw.csv"]
 
+    def test_failing_trial_exits_one_with_one_error_line(self, tmp_path, cli):
+        # trial 5's solver raises; in a fresh interpreter, so that a logged
+        # warning would reach stderr as it does for a user
+        program = ("-c", """if True:
+            import sys
+            import l1subgrad.bench as bench
+            from l1subgrad.cli import main
+            from l1subgrad.solvers import SolverError
+            real_run, calls = bench.run, []
+
+            def flaky(obj, x0, cfg, f_ref=None):
+                calls.append(cfg.method)
+                if len(calls) == 6:
+                    raise SolverError("alg1 failed at iteration 2: synthetic failure")
+                return real_run(obj, x0, cfg, f_ref=f_ref)
+
+            bench.run = flaky
+            sys.exit(main(sys.argv[1:]))
+        """)
+        proc = cli("bench", "--experiment", "toy2d", "--trials", "40", "--iters", "3",
+                   "--solvers", "alg1", "--out", str(tmp_path / "b.csv"), program=program)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: trial 5: alg1 failed at iteration 2: synthetic failure\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 _SOLVE_CLASSIC = ("solve", "--problem", "toy2d", "--solver", "classic", "--iters", "5")
 _BENCH_TOY = ("bench", "--experiment", "toy2d", "--trials", "1", "--iters", "5")

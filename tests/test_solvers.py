@@ -163,7 +163,8 @@ class TestAcceleratedStep:
     def test_fixed_point(self):
         obj = make_2d().objective
         x_star = np.array([1.0, 0.0])
-        state = SolverState(x=x_star.copy(), p=np.zeros(2), f_x=obj.value(x_star))
+        state = SolverState(x=x_star.copy(), p=np.zeros(2), f_x=obj.value(x_star),
+                            grad=obj.smooth_grad(x_star))
         out = accelerated_step(obj, state, 1.0 / obj.lipschitz_L)
         assert np.array_equal(out.x, x_star)
         assert np.all(out.p == 0.0)
@@ -188,15 +189,18 @@ class TestAcceleratedStep:
                 f_q = obj.value(state.q)
                 assert state.f_x <= f_q + 1e-12 * (1.0 + abs(f_q))
 
-    def test_cached_gradient_matches_fresh_evaluation(self):
-        prob = make_quadratic(10, Rng(3))
+    @pytest.mark.parametrize("family", ["quadratic", "lasso", "logistic", "logsumexp", "toy2d"])
+    @pytest.mark.parametrize("public", [False, True], ids=["kernel", "public"])
+    def test_state_gradient_is_the_gradient_at_x(self, family, public):
+        prob = build_problem(family, 3, **({} if family == "toy2d" else {"n": 12}))
         obj = prob.objective
         h = 1.0 / obj.lipschitz_L
+        step = accelerated_step if public else solvers._accelerated_step
         state = SolverState.initial(obj, prob.x0)
-        for _ in range(30):
-            state = accelerated_step(obj, state, h)
-            if state.grad_cache is not None:
-                assert np.array_equal(state.grad_cache, obj.smooth_grad(state.x))
+        for k in range(51):
+            if k:
+                state = step(obj, state, h)
+            assert state.grad.tobytes() == obj.smooth_grad(state.x).tobytes(), k
 
     def test_state_value_invariant(self):
         prob = make_quadratic(10, Rng(4))
@@ -522,13 +526,13 @@ class TestLeanLoop:
         with pytest.raises(ValueError, match="dimension"):
             subgradient_step(obj, x, 0.5)
         with pytest.raises(ValueError, match="dimension"):
-            accelerated_step(obj, SolverState(x=x, p=np.zeros(3), f_x=0.0), 0.5)
-        with pytest.raises(ValueError, match="dimension"):
-            accelerated_step(obj, SolverState(x=np.zeros(2), p=np.zeros(3), f_x=0.0), 0.5)
+            accelerated_step(obj, SolverState(x=x, p=np.zeros(3), f_x=0.0, grad=x), 0.5)
         with pytest.raises(ValueError, match="dimension"):
             accelerated_step(
-                obj, SolverState(x=np.ones(2), p=np.zeros(2), f_x=0.0, grad_cache=x), 0.5
+                obj, SolverState(x=np.zeros(2), p=np.zeros(3), f_x=0.0, grad=np.zeros(2)), 0.5
             )
+        with pytest.raises(ValueError, match="dimension"):
+            accelerated_step(obj, SolverState(x=np.ones(2), p=np.zeros(2), f_x=0.0, grad=x), 0.5)
         with pytest.raises(ValueError, match="dimension"):
             ista_step(obj, x, 0.5)
         with pytest.raises(ValueError, match="dimension"):
@@ -565,11 +569,16 @@ class TestParking:
 
     def test_signed_zero_is_a_change(self):
         # bytes, not values, are compared: -0.0 and 0.0 differ
-        key = solvers._key
-        assert solvers._Cycle(key(np.array([0.0, 1.0]))).period(key(np.array([0.0, 1.0]))) == 1
-        assert solvers._Cycle(key(np.array([-0.0, 1.0]))).period(key(np.array([0.0, 1.0]))) == 0
-        assert solvers._Cycle(key(np.ones(2), None)).period(key(np.ones(2), None)) == 1
-        assert solvers._Cycle(key(np.ones(2), None)).period(key(np.ones(2), np.zeros(2))) == 0
+        def key(x, p):
+            return SolverState(x=x, p=p, f_x=0.0, grad=np.zeros(2)).key()
+
+        ones = np.ones(2)
+        assert solvers._Cycle(key(np.array([0.0, 1.0]), ones)).period(
+            key(np.array([0.0, 1.0]), ones)) == 1
+        assert solvers._Cycle(key(np.array([-0.0, 1.0]), ones)).period(
+            key(np.array([0.0, 1.0]), ones)) == 0
+        assert solvers._Cycle(key(ones, np.zeros(2))).period(key(ones, np.zeros(2))) == 1
+        assert solvers._Cycle(key(ones, np.zeros(2))).period(key(ones, -np.zeros(2))) == 0
 
 
 class TestCycles:
@@ -628,11 +637,7 @@ class TestCycles:
         cfg = SolverConfig(method=method, max_iter=2000)
         h = cfg.resolve_step(prob.objective)
         obj, calls = _counted_oracle(prob.objective)
-        if method == "alg2":
-            def key(s):
-                return solvers._key(s.x, s.p, s.grad_cache)
-        else:
-            key = np.ndarray.tobytes
+        key = SolverState.key if method == "alg2" else np.ndarray.tobytes
         seen = {}
         for k, state in enumerate(self._states(method, obj, prob.x0, h)):
             if key(state) in seen:
@@ -744,8 +749,7 @@ def _reference_subgradient_step(obj, x, h, seen):
 
 def _reference_accelerated_step(obj, state, h, seen):
     x, p = state.x, state.p
-    grad = state.grad_cache if state.grad_cache is not None else obj._grad(x)
-    sub = _reference_min_norm(grad, x, obj.gamma)
+    sub = _reference_min_norm(state.grad, x, obj.gamma)
     q, mask, prime_selected, f_q = _reference_crossing(obj, x, sub, h, seen)
     if mask is None:
         q_old = x
@@ -770,10 +774,10 @@ def _reference_accelerated_step(obj, state, h, seen):
     if r <= 0.0:
         seen["accept"] += 1
         return SolverState(x=q_prime, p=p + (q - q_old) / sqrt_h, f_x=obj._value(q_prime),
-                           q=q, grad_cache=grad_qp)
+                           grad=grad_qp, q=q)
     seen["reject"] += 1
     f_new = f_q if f_q is not None else obj._value(q)
-    return SolverState(x=q, p=(q - q_old) / sqrt_h, f_x=f_new, q=q, grad_cache=None)
+    return SolverState(x=q, p=(q - q_old) / sqrt_h, f_x=f_new, grad=obj._grad(q), q=q)
 
 
 def _kernel_states():
@@ -787,9 +791,8 @@ def _kernel_states():
         obj = prob.objective
         x = np.where(rng.uniforms(n) < 0.3, 0.0, rng.gaussians(n, 0.0, 2.0))
         p = rng.gaussians(n, 0.0, 10.0 ** rng.uniform(-3.0, 1.0))
-        grad = obj.smooth_grad(x) if i % 3 == 0 else None
         h = rng.uniform(0.1, 2.0) / obj.lipschitz_L
-        yield obj, SolverState(x=x, p=p, f_x=obj.value(x), grad_cache=grad), h
+        yield obj, SolverState(x=x, p=p, f_x=obj.value(x), grad=obj.smooth_grad(x)), h
     for prob in (make_2d(), make_quadratic(40, Rng(7)), build_problem("lasso", 0, m=30, n=40)):
         obj = prob.objective
         h = 1.0 / obj.lipschitz_L
@@ -810,8 +813,7 @@ class TestKernelsMatchReference:
 
             got = solvers._accelerated_step(obj, state, h)
             ref = _reference_accelerated_step(obj, state, h, seen)
-            for name in ("x", "p", "q", "grad_cache"):
-                a, b = getattr(got, name), getattr(ref, name)
-                assert (a is None and b is None) or a.tobytes() == b.tobytes(), name
+            for name in ("x", "p", "q", "grad"):
+                assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
             assert np.float64(got.f_x).tobytes() == np.float64(ref.f_x).tobytes()
         assert all(seen.values()), seen
