@@ -9,7 +9,6 @@ order is fixed and floats are written with shortest round-trip repr.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, fields, replace
 from itertools import chain, islice, repeat
 from pathlib import Path
@@ -38,8 +37,6 @@ from .solvers import (
     _Cycle,
     run,
 )
-
-log = logging.getLogger(__name__)
 
 _L1_RUN = dict(solvers=METHODS, classic_scale=SolverConfig.classic_step_scale,
                classic_exponent=SolverConfig.classic_step_exponent, max_iter=2000)
@@ -127,15 +124,7 @@ def reference_optimum(problem: ProblemInstance) -> ReferenceOptimum:
             break
         state = _accelerated_step(obj, state, h)
         best_f = min(best_f, state.f_x)
-    certified = sub_norm < REFERENCE_TOL
-    if not certified:
-        log.warning(
-            "reference for %s is uncertified: |subgradient| = %.3e after %d alg2 steps",
-            problem.label,
-            sub_norm,
-            step,
-        )
-    return ReferenceOptimum(value=best_f, certified=certified, subgrad_norm=sub_norm)
+    return ReferenceOptimum(value=best_f, certified=sub_norm < REFERENCE_TOL, subgrad_norm=sub_norm)
 
 
 @dataclass(frozen=True)
@@ -176,6 +165,8 @@ class ExperimentConfig:
                     raise ValueError(f"unknown solver {s!r}, expected one of {METHODS}")
             if len(set(self.solvers)) < len(self.solvers):
                 raise ValueError(f"solvers must not repeat a name, got {','.join(self.solvers)}")
+        if self.out is not None and not Path(self.out).name:
+            raise ValueError(f"out must name a file, got {self.out!r}")
 
     def resolved(self) -> "ExperimentConfig":
         """Fill the family defaults for the sizes and weights it reads, solvers,
@@ -183,6 +174,17 @@ class ExperimentConfig:
         _, sizes, run_defaults = _FAMILIES[self.experiment]
         defaults = {**sizes, **run_defaults}
         return replace(self, **{k: v for k, v in defaults.items() if getattr(self, k) is None})
+
+    def solver_configs(self) -> tuple[SolverConfig, ...]:
+        """One `SolverConfig` per solver of the resolved config, each with its
+        step, classic schedule and max_iter."""
+        cfg = self.resolved()
+        return tuple(
+            SolverConfig(method=name, max_iter=cfg.max_iter, step_h=cfg.step,
+                         classic_step_scale=cfg.classic_scale,
+                         classic_step_exponent=cfg.classic_exponent)
+            for name in cfg.solvers
+        )
 
 
 @dataclass
@@ -194,18 +196,20 @@ class TrialResult:
 
 @dataclass
 class GapCurve:
-    """Pointwise mean gap per solver over the trials."""
+    """Pointwise mean gap per solver over the trials, and each trial's result.
 
-    experiment: str
+    The experiment and trial count are those of the `ExperimentConfig` run:
+    every trial completes, or the run fails.
+    """
+
     mean_gaps: dict[str, np.ndarray]
-    trials: int
     raw: list[TrialResult]
 
     def final_mean_gap(self, solver: str) -> float:
         return float(self.mean_gaps[solver][-1])
 
 
-def _run_trial(cfg: ExperimentConfig, solver_cfgs: list[SolverConfig], t: int) -> TrialResult:
+def _run_trial(cfg: ExperimentConfig, solver_cfgs: tuple[SolverConfig, ...], t: int) -> TrialResult:
     problem = build_problem(
         cfg.experiment, cfg.base_seed + t, n=cfg.n, m=cfg.m, k=cfg.k, r=cfg.r, gamma=cfg.gamma
     )
@@ -223,37 +227,28 @@ def _run_trial(cfg: ExperimentConfig, solver_cfgs: list[SolverConfig], t: int) -
 
 
 def run_experiment(cfg: ExperimentConfig) -> GapCurve:
-    """Run all trials, average the gap curves, and write CSV output if requested.
+    """Run all trials of the resolved ``cfg``, each solver as in
+    `ExperimentConfig.solver_configs`, average the gap curves, and write CSV
+    output if requested.
 
     A solver error in any trial fails the experiment: it is raised again as a
     `SolverError` that names the trial.
     """
     cfg = cfg.resolved()
-    solver_cfgs = [
-        SolverConfig(
-            method=name,
-            max_iter=cfg.max_iter,
-            step_h=cfg.step,
-            classic_step_scale=cfg.classic_scale,
-            classic_step_exponent=cfg.classic_exponent,
-        )
-        for name in cfg.solvers
-    ]
+    solver_cfgs = cfg.solver_configs()
     if cfg.out is not None:
         _check_writable(_experiment_paths(cfg.out))
-    completed: list[TrialResult] = []
+    results: list[TrialResult] = []
     for t in range(cfg.trials):
         try:
-            completed.append(_run_trial(cfg, solver_cfgs, t))
+            results.append(_run_trial(cfg, solver_cfgs, t))
         except SolverError as exc:
             raise SolverError(f"trial {t}: {exc}") from exc
     mean_gaps = {
-        name: np.mean([res.traces[name].gaps() for res in completed], axis=0)
+        name: np.mean([res.traces[name].gaps() for res in results], axis=0)
         for name in cfg.solvers
     }
-    curve = GapCurve(
-        experiment=cfg.experiment, mean_gaps=mean_gaps, trials=len(completed), raw=completed
-    )
+    curve = GapCurve(mean_gaps=mean_gaps, raw=results)
     if cfg.out is not None:
         write_experiment_csv(cfg, curve)
     return curve
@@ -352,11 +347,11 @@ def write_experiment_csv(cfg: ExperimentConfig, curve: GapCurve):
     agg_path, raw_path, meta_path = _experiment_paths(cfg.out)
     names = sorted(curve.mean_gaps)
     _write_lines(agg_path, chain(["experiment,solver,iter,mean_gap,trials"], (
-        f"{curve.experiment},{name},{i},{g},{curve.trials}"
+        f"{cfg.experiment},{name},{i},{g},{cfg.trials}"
         for name in names for i, g in enumerate(_fmt_each(curve.mean_gaps[name]))
     )))
     _write_lines(raw_path, chain([_TRACE_HEADER], chain.from_iterable(
-        _trace_rows(curve.experiment, res.traces[name], res.trial, res.certified)
+        _trace_rows(cfg.experiment, res.traces[name], res.trial, res.certified)
         for name in names for res in curve.raw
     )))
 
@@ -366,5 +361,5 @@ def write_experiment_csv(cfg: ExperimentConfig, curve: GapCurve):
         if isinstance(value, tuple):
             value = ",".join(str(v) for v in value)
         meta.append(f"{f.name}={value}")
-    meta.append(f"completed_trials={curve.trials}")
+    meta.append(f"completed_trials={cfg.trials}")
     _write_lines(meta_path, meta)

@@ -1,5 +1,9 @@
 """Command-line interface with three subcommands: solve, bench, verify.
 
+`solve` and `bench` map their flags to one `ExperimentConfig` (`_config`):
+`solve` is a one-trial, one-solver experiment whose problem and solver come
+from that config, as each trial's do in `bench`.
+
 Exit codes: 0 success, 1 numerical or property failure, 2 usage error.
 All stdout and file output is a pure function of the flag vector, so any
 invocation can be repeated byte-for-byte.
@@ -22,7 +26,7 @@ from .bench import (
     run_experiment,
     write_trace_csv,
 )
-from .solvers import METHODS, SolverConfig, SolverError, run
+from .solvers import METHODS, SolverError, run
 from .verify import SUITES, run_suites
 
 
@@ -53,16 +57,27 @@ def _add_step_flags(sub: argparse.ArgumentParser):
                      help="classic schedule exponent (default 0.25; 1 for toy2d experiments)")
 
 
-def _check_step_flags(args, solvers):
-    """Reject a step flag given away from its default that no selected solver
-    reads: classic reads only --classic-scale and --classic-exponent, the
-    other solvers only --step."""
+def _config(args, **command) -> ExperimentConfig:
+    """The unresolved `ExperimentConfig` of the flags `solve` and `bench` share
+    and the ``command``'s own fields.
+
+    A step flag given away from its default that no selected solver reads is
+    rejected: classic reads only --classic-scale and --classic-exponent, the
+    other solvers only --step.
+    """
+    cfg = ExperimentConfig(
+        base_seed=args.seed, step=args.step, classic_scale=args.classic_scale,
+        classic_exponent=args.classic_exponent, n=args.n, m=args.m, k=args.k, r=args.r,
+        gamma=args.gamma, out=args.out, **command,
+    )
+    solvers = cfg.resolved().solvers
     for flag, read in (("step", set(solvers) != {"classic"}),
                        ("classic_scale", "classic" in solvers),
                        ("classic_exponent", "classic" in solvers)):
-        if getattr(args, flag) not in (None, "auto") and not read:
+        if getattr(cfg, flag) not in (None, "auto") and not read:
             raise ValueError(f"no selected solver ({','.join(solvers)}) reads "
                              f"--{flag.replace('_', '-')}")
+    return cfg
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,32 +116,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_solve(args) -> int:
-    family = ExperimentConfig(
-        args.problem, trials=1,
-        classic_scale=args.classic_scale, classic_exponent=args.classic_exponent,
-        n=args.n, m=args.m, k=args.k, r=args.r, gamma=args.gamma,
+    cfg = _config(
+        args, experiment=args.problem, trials=1, solvers=(args.solver,), max_iter=args.iters
     ).resolved()
-    _check_step_flags(args, (args.solver,))
-    cfg = SolverConfig(
-        method=args.solver,
-        max_iter=args.iters,
-        step_h=args.step,
-        classic_step_scale=family.classic_scale,
-        classic_step_exponent=family.classic_exponent,
-    )
-    if args.out:
-        _check_writable([args.out])
+    (solver_cfg,) = cfg.solver_configs()
+    if cfg.out is not None:
+        _check_writable([cfg.out])
     problem = build_problem(
-        args.problem, args.seed, n=family.n, m=family.m, k=family.k, r=family.r, gamma=family.gamma
+        cfg.experiment, cfg.base_seed, n=cfg.n, m=cfg.m, k=cfg.k, r=cfg.r, gamma=cfg.gamma
     )
-    trace = run(problem.objective, problem.x0, cfg, f_ref=problem.f_ref)
+    trace = run(problem.objective, problem.x0, solver_cfg, f_ref=problem.f_ref)
     bad = np.flatnonzero(~np.isfinite(trace.f_values))
     if bad.size:
         raise SolverError(
             f"{args.solver} diverged: first non-finite value at iteration {int(bad[0])}"
         )
-    if args.out:
-        write_trace_csv(args.out, trace, args.problem, trial=0, certified=problem.f_ref is not None)
+    if cfg.out is not None:
+        write_trace_csv(cfg.out, trace, cfg.experiment, trial=0, certified=problem.f_ref is not None)
     final_f = float(trace.f_values[-1])
     print(f"problem={args.problem} solver={args.solver} iters={args.iters} seed={args.seed}")
     print(f"final_f={_fmt(final_f)}")
@@ -142,25 +148,11 @@ def _cmd_bench(args) -> int:
     solvers = None
     if args.solvers is not None:
         solvers = tuple(s.strip() for s in args.solvers.split(",") if s.strip())
-    cfg = ExperimentConfig(
-        experiment=args.experiment,
-        trials=args.trials,
-        base_seed=args.seed,
-        solvers=solvers,
-        max_iter=args.iters,
-        step=args.step,
-        classic_scale=args.classic_scale,
-        classic_exponent=args.classic_exponent,
-        n=args.n,
-        m=args.m,
-        k=args.k,
-        r=args.r,
-        gamma=args.gamma,
-        out=args.out,
-    )
-    _check_step_flags(args, cfg.resolved().solvers)
+    cfg = _config(
+        args, experiment=args.experiment, trials=args.trials, solvers=solvers, max_iter=args.iters
+    ).resolved()
     curve = run_experiment(cfg)
-    print(f"experiment={curve.experiment} trials={curve.trials} iters={len(next(iter(curve.mean_gaps.values()))) - 1}")
+    print(f"experiment={cfg.experiment} trials={cfg.trials} iters={cfg.max_iter}")
     print("solver final_mean_gap")
     for name in sorted(curve.mean_gaps):
         print(f"{name} {_fmt(curve.final_mean_gap(name))}")

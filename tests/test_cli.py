@@ -173,22 +173,31 @@ class TestSolve:
 
 
 class TestBench:
-    def test_single_trial_matches_solve(self, tmp_path, capsys):
+    @pytest.mark.parametrize("solver", ["alg1", "classic"])
+    def test_single_trial_matches_solve(self, solver, tmp_path, capsys):
         solve_out = tmp_path / "solve.csv"
         assert main([
-            "solve", "--problem", "toy2d", "--solver", "alg1",
+            "solve", "--problem", "toy2d", "--solver", solver,
             "--iters", "20", "--seed", "0", "--out", str(solve_out),
         ]) == 0
         bench_out = tmp_path / "bench.csv"
         assert main([
             "bench", "--experiment", "toy2d", "--trials", "1", "--iters", "20",
-            "--seed", "0", "--solvers", "alg1,ista", "--out", str(bench_out),
+            "--seed", "0", "--solvers", f"{solver},ista", "--out", str(bench_out),
         ]) == 0
         capsys.readouterr()
         solve_lines = solve_out.read_text().splitlines()
         bench_lines = bench_out.with_suffix(".raw.csv").read_text().splitlines()
         assert solve_lines[0] == bench_lines[0]
-        assert solve_lines[1:] == [line for line in bench_lines if line.split(",")[1] == "alg1"]
+        assert solve_lines[1:] == [line for line in bench_lines if line.split(",")[1] == solver]
+        # both apply toy2d's classic schedule: scale 1, exponent 1
+        prob = build_problem("toy2d", 0)
+        expected = run(prob.objective, prob.x0, SolverConfig(
+            method=solver, max_iter=20, classic_step_scale=1.0, classic_step_exponent=1.0,
+        ))
+        assert [line.split(",")[4] for line in solve_lines[1:]] == [
+            repr(f) for f in expected.f_values.tolist()
+        ]
 
     def test_deterministic_aggregate(self, tmp_path, cli):
         args = (
@@ -269,6 +278,23 @@ class TestBench:
         assert proc.stderr == "error: trial 5: alg1 failed at iteration 2: synthetic failure\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_uncertified_reference_shows_only_in_the_rows(self, tmp_path, cli):
+        # in a fresh interpreter, so that a logged warning would reach stderr
+        program = ("-c", """if True:
+            import sys
+            import l1subgrad.bench as bench
+            from l1subgrad.cli import main
+            bench.REFERENCE_BUDGET = 3
+            sys.exit(main(sys.argv[1:]))
+        """)
+        proc = cli("bench", "--experiment", "lasso", "--trials", "2", "--m", "20", "--n", "40",
+                   "--iters", "5", "--solvers", "alg1", "--out", str(tmp_path / "b.csv"),
+                   program=program)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        rows = (tmp_path / "b.raw.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2 * 6 and all(row.endswith(",false") for row in rows)
+
 
 _SOLVE_CLASSIC = ("solve", "--problem", "toy2d", "--solver", "classic", "--iters", "5")
 _BENCH_TOY = ("bench", "--experiment", "toy2d", "--trials", "1", "--iters", "5")
@@ -298,11 +324,16 @@ _SOLVE_LOGSUMEXP = ("solve", "--problem", "logsumexp", "--solver", "alg1", "--it
     (("solve", "--problem", "quadratic", "--solver", "alg1", "--iters", "3", "--n", "5",
       "--r", "5"), "quadratic does not read --r"),
     (_BENCH_TOY + ("--r", "5"), "toy2d does not read --r"),
+    (("solve", "--problem", "toy2d", "--solver", "alg1", "--iters", "3", "--out", ""),
+     "out must name a file, got ''"),
+    (_BENCH_TOY + ("--out", ""), "out must name a file, got ''"),
+    (_BENCH_TOY + ("--out", "."), "out must name a file, got '.'"),
 ], ids=[
     "solve-scale-negative", "solve-scale-nan", "solve-scale-inf", "solve-exponent-nan",
     "solve-exponent-negative", "bench-scale-zero", "bench-exponent-inf", "bench-solvers-repeated",
     "solve-r-nan", "solve-r-inf", "bench-perturbed-gamma", "solve-quadratic-m", "solve-toy2d-n",
     "solve-quadratic-r", "bench-toy2d-r", "solve-quadratic-r-default", "bench-toy2d-r-default",
+    "solve-out-empty", "bench-out-empty", "bench-out-dot",
 ])
 def test_bad_schedule_or_budget_is_usage_error(args, message, capsys):
     assert main(list(args)) == 2
@@ -385,3 +416,10 @@ def test_benchmark_tracer_still_installs(args, tmp_path, cli):
     assert traced.stderr == ""
     assert traced.stdout == plain.stdout
     assert isinstance(json.loads(layers.read_text())["metrics"], dict)
+
+
+def test_cli_import_leaves_logging_unloaded(cli):
+    """No command writes through `logging`, so importing the CLI does not load it."""
+    proc = cli(program=("-c", "import sys, l1subgrad.cli; print('logging' in sys.modules)"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -493,11 +493,9 @@ class TestLeanLoop:
     @pytest.mark.parametrize("method", METHODS)
     def test_run_matches_public_steps_bitwise(self, experiment, method):
         prob = build_problem(experiment, 1, n=12, m=9, k=10)
-        family = ExperimentConfig(experiment, trials=1).resolved()
-        cfg = SolverConfig(
-            method=method, max_iter=40, classic_step_scale=family.classic_scale,
-            classic_step_exponent=family.classic_exponent,
-        )
+        (cfg,) = ExperimentConfig(
+            experiment, trials=1, solvers=(method,), max_iter=40
+        ).solver_configs()
         trace = run(prob.objective, prob.x0, cfg)
         assert trace.f_values.tobytes() == _hand_loop(prob.objective, prob.x0, cfg).tobytes()
 
@@ -547,14 +545,12 @@ class TestParking:
     @pytest.mark.parametrize("method", METHODS)
     def test_run_stops_calling_the_oracle_once_parked(self, method):
         prob = build_problem("toy2d", 0)
-        family = ExperimentConfig("toy2d", trials=1).resolved()
         counts = []
         for iters in (500, 1000):
             obj, calls = _counted_oracle(prob.objective)
-            cfg = SolverConfig(
-                method=method, max_iter=iters, classic_step_scale=family.classic_scale,
-                classic_step_exponent=family.classic_exponent,
-            )
+            (cfg,) = ExperimentConfig(
+                "toy2d", trials=1, solvers=(method,), max_iter=iters
+            ).solver_configs()
             trace = run(obj, prob.x0, cfg)
             counts.append(dict(calls))
             # stopping early records the bytes that stepping to the end records

@@ -57,6 +57,18 @@ VECTORS = [
     # alg1 runs that stop on cycles of period above 2 (period 8 at seed 0)
     *(("solve", "--problem", "quadratic", "--solver", "alg1", "--n", "200", "--iters", "2000",
        "--seed", str(s), "--out", "out.csv") for s in range(4)),
+    # step flags and classic schedules through the shared flag mapping; the sidecar
+    # of a run without classic still records the family's classic fields
+    ("bench", "--experiment", "toy2d", "--solvers", "alg1,classic", "--step", "0.3",
+     "--classic-scale", "2", "--classic-exponent", "0.5", "--out", "out.csv"),
+    ("bench", "--experiment", "quadratic", "--n", "30", "--solvers", "alg1,alg2",
+     "--out", "out.csv"),
+    ("solve", "--problem", "toy2d", "--solver", "classic", "--classic-scale", "2",
+     "--classic-exponent", "0.5", "--out", "out.csv"),
+    # usage errors
+    ("solve", "--problem", "toy2d", "--solver", "alg1", "--classic-scale", "3"),
+    ("bench", "--experiment", "toy2d", "--solvers", "classic", "--step", "0.1"),
+    ("solve", "--problem", "quadratic", "--solver", "alg1", "--m", "9"),
 ]
 
 
