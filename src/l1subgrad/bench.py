@@ -9,6 +9,7 @@ order is fixed and floats are written with shortest round-trip repr.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, fields, replace
 from itertools import chain, islice, repeat
 from pathlib import Path
@@ -165,7 +166,7 @@ class ExperimentConfig:
                     raise ValueError(f"unknown solver {s!r}, expected one of {METHODS}")
             if len(set(self.solvers)) < len(self.solvers):
                 raise ValueError(f"solvers must not repeat a name, got {','.join(self.solvers)}")
-        if self.out is not None and not Path(self.out).name:
+        if self.out is not None and os.path.basename(self.out) in ("", ".", ".."):
             raise ValueError(f"out must name a file, got {self.out!r}")
 
     def resolved(self) -> "ExperimentConfig":

@@ -2,8 +2,8 @@
 
 Each suite builds seeded instances, measures the relevant inequality with an
 explicit tolerance, and reports the worst margin observed (margin >= 0 means
-the property held everywhere). The CLI `verify` subcommand is a thin wrapper
-over `run_suites`.
+the property held everywhere). The CLI `verify` subcommand calls the suites
+in `SUITES`, sorted by name.
 """
 
 from __future__ import annotations
@@ -155,39 +155,6 @@ def suite_pl(seed: int = 0, instances: int = 5, samples_per: int = 200) -> list[
     ]
 
 
-def _first_least(obj: CompositeObjective, walk: list[np.ndarray]) -> np.ndarray:
-    """The first point of ``walk`` with the least f."""
-    values = [obj.value(x) for x in walk]
-    return walk[values.index(min(values))]
-
-
-def _limit_point(obj: CompositeObjective, x: np.ndarray, h: float, cap: int = 20_000):
-    """Continue the subgradient iteration to its floating-point limit.
-
-    In float64 the map is deterministic on a finite set, so it reaches an
-    exact fixed point or a cycle of some period P. `solvers._Cycle` finds the
-    cycle within T + 2P steps for a tail of T steps, and closes it on the
-    cycle's least-bytes point. The P points of the cycle are walked from
-    there, and the first least-valued one is returned. Cycles at the
-    rounding floor often hold several points of exactly equal f; starting
-    the walk at the least-bytes point makes the choice among them a function
-    of the cycle alone. If no cycle closes within ``cap`` steps, the last
-    point reached is returned.
-    """
-    cycle = _Cycle(x.tobytes())
-    for _ in range(cap):
-        x = subgradient_step(obj, x, h)
-        period = cycle.period(x.tobytes())
-        if period:
-            break
-    else:
-        return x
-    walk = [x]
-    for _ in range(period - 1):
-        walk.append(subgradient_step(obj, walk[-1], h))
-    return _first_least(obj, walk)
-
-
 def _quadratic_gaps(prob, iterates: list[np.ndarray], x_star: np.ndarray) -> np.ndarray:
     """Gaps f(x_k) - f(x_star) without catastrophic cancellation.
 
@@ -213,33 +180,46 @@ def _quadratic_gaps(prob, iterates: list[np.ndarray], x_star: np.ndarray) -> np.
     return gaps
 
 
-def _rate_gaps(prob, iters: int) -> np.ndarray:
+def _rate_gaps(prob, iters: int, cap: int = 20_000) -> np.ndarray:
     """Gaps f(x_k) - f(x*), k = 0 .. iters, of the crossing subgradient method
     at h = 1/L from ``prob.x0``, x* being the trajectory's own limit point.
 
-    Stepping stops once the iterate closes a cycle of period P. Each later
-    iterate repeats the one P steps before it, and a gap is a function of the
-    iterate alone, so each distinct iterate's gap is measured once: up to the
-    step that closed the cycle, after which the last P gaps repeat to
-    ``iters``, as `solvers.run` fills ``f_values``. x* is then taken from
-    those last P iterates by the rule of `_limit_point`, walking from the
-    closing (least-bytes) iterate, without stepping again; a trajectory that
-    closes no cycle within ``iters`` continues in `_limit_point`.
+    In float64 the map is deterministic on a finite set, so the iterates
+    reach an exact fixed point or a cycle of some period P. One walk from
+    ``prob.x0`` feeds `solvers._Cycle`, which closes the cycle on its
+    least-bytes point by step T + 2P for a tail of T steps; the walk stops
+    there, or after ``iters + cap`` steps. Only the first ``iters + 1``
+    iterates are held. x* is the first least-valued point of the P steps
+    walked from the closing point: cycles at the rounding floor often hold
+    several points of exactly equal f, and starting from the least-bytes
+    point makes the choice among them a function of the cycle alone. If no
+    cycle closes, x* is the last point reached.
+
+    Each later iterate repeats the one P steps before it, and a gap is a
+    function of the iterate alone, so each held iterate's gap is measured
+    once and, when the cycle closed within ``iters``, the last P gaps repeat
+    to ``iters``, as `solvers.run` fills ``f_values``.
     """
     obj = prob.objective
     h = 1.0 / obj.lipschitz_L
     x = prob.x0.copy()
     iterates = [x]
     cycle = _Cycle(x.tobytes())
-    for _ in range(iters):
+    for k in range(iters + cap):
         x = subgradient_step(obj, x, h)
-        iterates.append(x)
+        if k < iters:
+            iterates.append(x)
         period = cycle.period(x.tobytes())
         if period:
-            x_star = _first_least(obj, iterates[-1:] + iterates[-period:-1])
-            gaps = _quadratic_gaps(prob, iterates, x_star)
-            return np.concatenate([gaps, np.resize(gaps[-period:], iters + 1 - len(gaps))])
-    return _quadratic_gaps(prob, iterates, _limit_point(obj, x, h))
+            break
+    else:
+        period = 1
+    walk = [x]
+    for _ in range(period - 1):
+        walk.append(subgradient_step(obj, walk[-1], h))
+    values = [obj.value(p) for p in walk]
+    gaps = _quadratic_gaps(prob, iterates, walk[values.index(min(values))])
+    return np.concatenate([gaps, np.resize(gaps[-period:], iters + 1 - len(gaps))])
 
 
 def suite_rate(
@@ -250,9 +230,10 @@ def suite_rate(
     The optimum is the trajectory's own floating-point limit and late gaps are
     measured by the shifted quadratic form: beyond a few hundred iterations
     the bound drops below the float64 resolution of f, where only a
-    cancellation-free measurement remains meaningful. Each instance stops
-    stepping once its iterate closes a cycle, and each distinct iterate's gap
-    is measured once (`_rate_gaps`).
+    cancellation-free measurement remains meaningful. Each instance walks its
+    trajectory once (`_rate_gaps`): the walk stops once its iterate closes a
+    cycle, x* is taken from that cycle, and each distinct iterate's gap is
+    measured once.
     """
     worst = np.inf
     for i in range(instances):
@@ -429,11 +410,3 @@ SUITES = {
     "gradcheck": suite_gradcheck,
 }
 
-
-def run_suites(names, seed: int = 0) -> list[PropertyResult]:
-    results = []
-    for name in names:
-        if name not in SUITES:
-            raise ValueError(f"unknown suite {name!r}, expected one of {sorted(SUITES)}")
-        results.extend(SUITES[name](seed=seed))
-    return results

@@ -341,6 +341,21 @@ def test_bad_schedule_or_budget_is_usage_error(args, message, capsys):
     assert out == "" and message in err
 
 
+@pytest.mark.parametrize("command", [
+    ("solve", "--problem", "toy2d", "--solver", "alg1", "--iters", "3"), _BENCH_TOY,
+], ids=["solve", "bench"])
+@pytest.mark.parametrize("out", ["newdir/", "d/.", ".."])
+def test_out_naming_a_directory_is_usage_error(command, out, tmp_path, monkeypatch, capsys):
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main([*command, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: out must name a file, got {out!r}\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["work"]
+
+
 @pytest.mark.parametrize("args, flag, chosen", [
     (_SOLVE_CLASSIC + ("--step", "7"), "--step", "classic"),
     (("solve", "--problem", "toy2d", "--solver", "alg1", "--iters", "5", "--classic-scale", "3"),

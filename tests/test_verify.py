@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 
 import l1subgrad.verify as verify
@@ -5,21 +7,11 @@ from l1subgrad.numerics import Rng
 from l1subgrad.problems import make_quadratic
 from l1subgrad.solvers import (
     SolverState,
+    _Cycle,
     accelerated_step,
     classic_subgradient_step,
     subgradient_step,
 )
-
-
-def _rate_instance_after(steps: int):
-    """The first `rate` suite instance (seed offset 0) and its iterate after `steps` steps."""
-    prob = make_quadratic(50, Rng(301), eig_range=(1.0, 10.0), pin_extremes=True)
-    obj = prob.objective
-    h = 1.0 / obj.lipschitz_L
-    x = prob.x0.copy()
-    for _ in range(steps):
-        x = subgradient_step(obj, x, h)
-    return obj, x, h
 
 
 def _cycle_from(obj, x, h, cap=1000):
@@ -31,34 +23,6 @@ def _cycle_from(obj, x, h, cap=1000):
         assert len(cycle) < cap, "no cycle through x"
         y = subgradient_step(obj, y, h)
     return cycle
-
-
-class TestLimitPoint:
-    def test_cycle_found_in_few_steps(self, monkeypatch):
-        obj, x, h = _rate_instance_after(500)
-        calls = []
-
-        def counted(*args):
-            calls.append(1)
-            return subgradient_step(*args)
-
-        monkeypatch.setattr(verify, "subgradient_step", counted)
-        x_star = verify._limit_point(obj, x, h)
-        assert len(calls) <= 50
-
-        cycle = _cycle_from(obj, x_star, h)
-        values = [obj.value(p) for p in cycle]
-        assert obj.value(x_star) == min(values)
-
-    def test_fixed_point_returned_as_is(self):
-        obj = verify._oscillation_objective()
-        zero = np.array([0.0])
-        assert np.array_equal(subgradient_step(obj, zero, 100.0), zero)
-        assert np.array_equal(verify._limit_point(obj, zero, 100.0), zero)
-
-    def test_rate_instance_still_passes(self):
-        (result,) = verify.suite_rate(instances=1)
-        assert result.passed, result.margin
 
 
 def _least_bytes_limit_point(obj, x, h, cap=20_000):
@@ -177,8 +141,75 @@ class TestSuitesStopOnCycles:
     def test_anti_oscillation_matches_full_loop(self):
         assert verify.suite_anti_oscillation() == _full_anti_oscillation()
 
-    def test_limit_point_matches_reference_loop(self):
-        for steps in (0, 20, 500):
-            obj, x, h = _rate_instance_after(steps)
-            limit = verify._limit_point(obj, x, h)
-            assert limit.tobytes() == _least_bytes_limit_point(obj, x, h).tobytes()
+
+def _counted_steps(monkeypatch):
+    """Route `verify.subgradient_step` through a counter; the list of calls."""
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return subgradient_step(*args)
+
+    monkeypatch.setattr(verify, "subgradient_step", counted)
+    return calls
+
+
+def _closing_step(prob):
+    """The step at which `_Cycle` closes the rate trajectory, and its period."""
+    obj = prob.objective
+    h = 1.0 / obj.lipschitz_L
+    x = prob.x0
+    cycle = _Cycle(x.tobytes())
+    for k in range(1, 20_001):
+        x = subgradient_step(obj, x, h)
+        period = cycle.period(x.tobytes())
+        if period:
+            return k, period
+    raise AssertionError("no cycle")
+
+
+class TestRateGaps:
+    def test_rate_instance_still_passes(self):
+        (result,) = verify.suite_rate(instances=1)
+        assert result.passed, result.margin
+
+    def test_matches_full_loop_within_and_past_iters(self):
+        # the cycles close at steps 147-207: past iters 0 to 100, within 500
+        for i in range(6):
+            prob = _rate_instance(0, i)
+            for iters in (0, 1, 2, 20, 100, 500):
+                got = verify._rate_gaps(prob, iters)
+                assert got.tobytes() == _full_gaps(prob, iters).tobytes(), (i, iters)
+
+    def test_no_cycle_takes_the_last_point(self):
+        prob = _rate_instance(0, 0)
+        iters, cap = 3, 7
+        assert _closing_step(prob)[0] > iters + cap
+        obj = prob.objective
+        h = 1.0 / obj.lipschitz_L
+        walk = [prob.x0]
+        for _ in range(iters + cap):
+            walk.append(subgradient_step(obj, walk[-1], h))
+        expected = verify._quadratic_gaps(prob, walk[: iters + 1], walk[-1])
+        assert verify._rate_gaps(prob, iters, cap=cap).tobytes() == expected.tobytes()
+
+    def test_fixed_start_takes_one_step(self, monkeypatch):
+        # gamma above every |b_i| makes 0 the minimizer, and a fixed point of the step
+        n = 10
+        prob = make_quadratic(n, Rng(7), eig_range=(1.0, 10.0), pin_extremes=True, gamma=1e3)
+        prob = replace(prob, x0=np.zeros(n))
+        h = 1.0 / prob.objective.lipschitz_L
+        assert subgradient_step(prob.objective, prob.x0, h).tobytes() == prob.x0.tobytes()
+        calls = _counted_steps(monkeypatch)
+        gaps = verify._rate_gaps(prob, 50)
+        assert len(calls) == 1
+        assert gaps.tobytes() == np.zeros(51).tobytes()
+
+    def test_steps_to_the_closing_step_and_round_the_cycle(self, monkeypatch):
+        for i in range(3):
+            prob = _rate_instance(0, i)
+            closing, period = _closing_step(prob)
+            for iters in (0, 500):
+                calls = _counted_steps(monkeypatch)
+                verify._rate_gaps(prob, iters)
+                assert len(calls) <= closing + period - 1, (i, iters, len(calls))

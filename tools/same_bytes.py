@@ -39,6 +39,8 @@ VECTORS = [
     *(("solve", "--problem", "quadratic", "--solver", "alg2", "--n", "1000", "--iters", "3000",
        "--seed", str(s), "--out", "out.csv") for s in range(4)),
     *(("verify", "--suite", "all", "--seed", str(s)) for s in range(8)),
+    # rate instances Rng(321) ... Rng(400), which seeds 0-7 never build
+    *(("verify", "--suite", "rate", "--seed", str(s)) for s in (20, 40, 60, 80)),
     *(("bench", "--experiment", family, "--trials", "3", "--iters", "300", *sizes,
        "--out", "out.csv") for family, sizes in _SMALL.items()),
     *(("solve", "--problem", family, "--solver", method, "--iters", "300", *sizes,
