@@ -4,7 +4,7 @@
 `solve` is a one-trial, one-solver experiment whose problem and solver come
 from that config, as each trial's do in `bench`.
 
-Exit codes: 0 success, 1 numerical or property failure, 2 usage error.
+Exit codes: 0 success, 1 numerical, allocation or property failure, 2 usage error.
 All stdout and file output is a pure function of the flag vector, so any
 invocation can be repeated byte-for-byte.
 """
@@ -20,6 +20,7 @@ from .bench import (
     EXPERIMENTS,
     ExperimentConfig,
     ExperimentError,
+    ReferenceOptimum,
     _check_writable,
     _fmt,
     build_problem,
@@ -58,8 +59,8 @@ def _add_step_flags(sub: argparse.ArgumentParser):
 
 
 def _config(args, **command) -> ExperimentConfig:
-    """The unresolved `ExperimentConfig` of the flags `solve` and `bench` share
-    and the ``command``'s own fields.
+    """The `ExperimentConfig` of the flags `solve` and `bench` share and the
+    ``command``'s own fields.
 
     A step flag given away from its default that no selected solver reads is
     rejected: classic reads only --classic-scale and --classic-exponent, the
@@ -70,11 +71,11 @@ def _config(args, **command) -> ExperimentConfig:
         classic_exponent=args.classic_exponent, n=args.n, m=args.m, k=args.k, r=args.r,
         gamma=args.gamma, out=args.out, **command,
     )
-    solvers = cfg.resolved().solvers
+    solvers = cfg.solvers
     for flag, read in (("step", set(solvers) != {"classic"}),
                        ("classic_scale", "classic" in solvers),
                        ("classic_exponent", "classic" in solvers)):
-        if getattr(cfg, flag) not in (None, "auto") and not read:
+        if getattr(args, flag) not in (None, "auto") and not read:
             raise ValueError(f"no selected solver ({','.join(solvers)}) reads "
                              f"--{flag.replace('_', '-')}")
     return cfg
@@ -118,29 +119,30 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_solve(args) -> int:
     cfg = _config(
         args, experiment=args.problem, trials=1, solvers=(args.solver,), max_iter=args.iters
-    ).resolved()
+    )
     (solver_cfg,) = cfg.solver_configs()
     if cfg.out is not None:
         _check_writable([cfg.out])
     problem = build_problem(
         cfg.experiment, cfg.base_seed, n=cfg.n, m=cfg.m, k=cfg.k, r=cfg.r, gamma=cfg.gamma
     )
-    trace = run(problem.objective, problem.x0, solver_cfg, f_ref=problem.f_ref)
+    trace = run(problem.objective, problem.x0, solver_cfg)
+    ref = None if problem.f_ref is None else ReferenceOptimum(problem.f_ref, certified=True)
     bad = np.flatnonzero(~np.isfinite(trace.f_values))
     if bad.size:
         raise SolverError(
             f"{args.solver} diverged: first non-finite value at iteration {int(bad[0])}"
         )
     if cfg.out is not None:
-        write_trace_csv(cfg.out, trace, cfg.experiment, trial=0, certified=problem.f_ref is not None)
+        write_trace_csv(cfg.out, trace, cfg.experiment, trial=0, ref=ref)
     final_f = float(trace.f_values[-1])
     print(f"problem={args.problem} solver={args.solver} iters={args.iters} seed={args.seed}")
     print(f"final_f={_fmt(final_f)}")
-    sub_norm = float(np.linalg.norm(problem.objective.min_norm_subgradient(trace.x_final)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sub_norm = float(np.linalg.norm(problem.objective.min_norm_subgradient(trace.x_final)))
     print(f"final_subgrad_norm={_fmt(sub_norm)}")
-    gaps = trace.gaps()
-    if gaps is not None:
-        print(f"final_gap={_fmt(float(gaps[-1]))}")
+    if ref is not None:
+        print(f"final_gap={_fmt(final_f - ref.value)}")
     return 0
 
 
@@ -150,7 +152,7 @@ def _cmd_bench(args) -> int:
         solvers = tuple(s.strip() for s in args.solvers.split(",") if s.strip())
     cfg = _config(
         args, experiment=args.experiment, trials=args.trials, solvers=solvers, max_iter=args.iters
-    ).resolved()
+    )
     curve = run_experiment(cfg)
     print(f"experiment={cfg.experiment} trials={cfg.trials} iters={cfg.max_iter}")
     print("solver final_mean_gap")
@@ -182,7 +184,7 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SolverError, ExperimentError) as exc:
+    except (SolverError, ExperimentError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

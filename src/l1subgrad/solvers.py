@@ -369,21 +369,15 @@ class SolverConfig:
 
 @dataclass
 class IterationTrace:
-    """Objective values of one run, k = 0 .. max_iter, plus metadata.
+    """Objective values of one run, k = 0 .. max_iter, and its last iterate.
 
     ``f_values`` entries are finite except that a diverging run is recorded
-    as +inf from the first bad iterate on.
+    as +inf from the first bad iterate on. Gaps to a reference are `bench`'s.
     """
 
     method: str
     f_values: np.ndarray
-    f_ref: float | None = None
-    x_final: np.ndarray | None = None
-
-    def gaps(self) -> np.ndarray | None:
-        if self.f_ref is None:
-            return None
-        return self.f_values - self.f_ref
+    x_final: np.ndarray
 
 
 def _driver(method: str, obj: CompositeObjective, x0: np.ndarray, h: float, cfg: SolverConfig):
@@ -422,16 +416,14 @@ def _driver(method: str, obj: CompositeObjective, x0: np.ndarray, h: float, cfg:
     return x0.copy(), obj._value(x0), step, np.ndarray.tobytes
 
 
-def run(
-    obj: CompositeObjective, x0, cfg: SolverConfig, f_ref: float | None = None
-) -> IterationTrace:
+def run(obj: CompositeObjective, x0, cfg: SolverConfig) -> IterationTrace:
     """Drive ``cfg.method`` for ``cfg.max_iter`` steps, recording f each iteration.
 
-    Step errors are re-raised with the iteration index attached. If an iterate
-    or objective value stops being finite (possible for ``classic``, whose
-    large early steps may overflow on steep problems), the remaining trace is
-    filled with +inf and iteration stops; methods with crossing control raise
-    instead.
+    x0 and f(x0) must be finite (`ValueError` otherwise). Step errors are
+    re-raised with the iteration index attached. If an iterate or objective
+    value stops being finite (possible for ``classic``, whose large early
+    steps may overflow on steep problems), the remaining trace is filled with
+    +inf and iteration stops; methods with crossing control raise instead.
 
     Iteration also stops once the state the next step reads closes a cycle
     (`_Cycle`: ``x`` for alg1 and ista; ``x`` and ``p`` for alg2, whose
@@ -455,6 +447,8 @@ def run(
     _check_step(h)
     f_values = np.empty(cfg.max_iter + 1)
     state, f_values[0], step, key = _driver(method, obj, x0, h, cfg)
+    if not math.isfinite(f_values[0]):
+        raise ValueError(f"f(x0) must be finite, got {f_values[0]}")
     cycle = None if method == "classic" else _Cycle(key(state), period_one_only=method == "fista")
 
     # divergence of the unguarded methods is detected through inf propagation,
@@ -478,4 +472,4 @@ def run(
                 break
 
     x_final = state if isinstance(state, np.ndarray) else state.x
-    return IterationTrace(method=method, f_values=f_values, f_ref=f_ref, x_final=x_final)
+    return IterationTrace(method=method, f_values=f_values, x_final=x_final)

@@ -8,6 +8,8 @@ import l1subgrad.bench as bench
 from l1subgrad.bench import (
     EXPERIMENTS,
     ExperimentConfig,
+    ExperimentError,
+    ReferenceOptimum,
     build_problem,
     reference_optimum,
     run_experiment,
@@ -18,7 +20,7 @@ from l1subgrad.numerics import Rng
 from l1subgrad.problems import make_lasso, make_quadratic
 from l1subgrad.solvers import SolverConfig, SolverError, SolverState, _accelerated_step, run
 
-# the sizes and weights `resolved` fills for each family; the others stay None
+# the sizes and weights a config fills for each family; the others stay None
 _DEFAULT_SIZES = {
     "quadratic": {"n": 1000},
     "lasso": {"m": 500, "n": 1000},
@@ -32,11 +34,11 @@ _DEFAULT_SIZES = {
 class TestReferenceOptimum:
     def test_analytic_value_passes_through(self):
         ref = reference_optimum(build_problem("toy2d", seed=0))
-        assert ref.value == -0.5 and ref.certified and ref.subgrad_norm == 0.0
+        assert ref == ReferenceOptimum(value=-0.5, certified=True)
 
     def test_strongly_convex_certifies(self):
         ref = reference_optimum(make_quadratic(50, Rng(1)))
-        assert ref.certified and ref.subgrad_norm < 1e-10
+        assert ref.certified
 
     def test_unpenalized_quadratic_matches_dense_solve(self):
         prob = make_quadratic(8, Rng(2), gamma=0.0)
@@ -50,7 +52,6 @@ class TestReferenceOptimum:
         monkeypatch.setattr(bench, "REFERENCE_BUDGET", 3)
         ref = reference_optimum(make_lasso(20, 40, Rng(3)))
         assert not ref.certified
-        assert ref.subgrad_norm >= 1e-10
 
     def test_toy2d_without_analytic_value_reaches_minus_half(self):
         ref = reference_optimum(replace(build_problem("toy2d", seed=0), f_ref=None))
@@ -133,7 +134,7 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
     def test_family_defaults(self, experiment):
-        cfg = ExperimentConfig(experiment=experiment, trials=1).resolved()
+        cfg = ExperimentConfig(experiment=experiment, trials=1)
         sizes = {name: getattr(cfg, name) for name in ("n", "m", "k", "r", "gamma")}
         assert sizes == {**dict.fromkeys(sizes), **_DEFAULT_SIZES[experiment]}
         if experiment.startswith("toy2d"):
@@ -147,7 +148,7 @@ class TestExperimentConfig:
             (sc.method, sc.step_h, sc.classic_step_scale, sc.classic_step_exponent, sc.max_iter)
             for sc in solver_cfgs
         ] == [(name, "auto", *run_defaults[1:]) for name in run_defaults[0]]
-        # build_problem's own defaults and the resolved sizes give the same instance
+        # build_problem's own defaults and the config's sizes give the same instance
         implicit, explicit = build_problem(experiment, 3), build_problem(experiment, 3, **sizes)
         assert implicit.x0.tobytes() == explicit.x0.tobytes()
         f_implicit = implicit.objective.value(implicit.x0)
@@ -156,8 +157,10 @@ class TestExperimentConfig:
     def test_explicit_values_survive_resolution(self):
         cfg = ExperimentConfig(
             experiment="toy2d", trials=2, solvers=("ista",), max_iter=7, classic_scale=3.0
-        ).resolved()
+        )
         assert cfg.solvers == ("ista",) and cfg.max_iter == 7 and cfg.classic_scale == 3.0
+        # a resolved config makes the same config again
+        assert replace(cfg) == cfg
 
 
 class TestRunExperiment:
@@ -219,9 +222,34 @@ class TestRunExperiment:
         )
         curve = run_experiment(cfg)
         for res in curve.raw:
-            assert res.certified
+            assert res.ref.certified
             for trace in res.traces.values():
-                assert np.min(trace.gaps()) >= -1e-9
+                assert np.min(trace.f_values - res.ref.value) >= -1e-9
+
+    _DIP = ExperimentConfig("toy2d", trials=1, max_iter=5, solvers=("alg1",))
+
+    @staticmethod
+    def _reference_one_above(monkeypatch, certified):
+        real_reference = bench.reference_optimum
+        monkeypatch.setattr(bench, "reference_optimum", lambda problem: ReferenceOptimum(
+            real_reference(problem).value + 1.0, certified=certified))
+
+    def test_certified_reference_above_the_trace_fails_the_experiment(self, monkeypatch):
+        self._reference_one_above(monkeypatch, certified=True)
+        prob = build_problem("toy2d", 0)
+        trace = run(prob.objective, prob.x0, self._DIP.solver_configs()[0])
+        min_gap = np.min(trace.f_values - (prob.f_ref + 1.0))
+        with pytest.raises(ExperimentError) as info:
+            run_experiment(self._DIP)
+        assert str(info.value) == (
+            f"certified reference above trace values for 'toy2d' "
+            f"(solver alg1, trial 0, min gap {min_gap:.3e})"
+        )
+
+    def test_uncertified_reference_above_the_trace_is_no_error(self, monkeypatch):
+        # an uncertified reference bounds nothing, so a dip below it is kept
+        self._reference_one_above(monkeypatch, certified=False)
+        assert not run_experiment(self._DIP).raw[0].ref.certified
 
     def test_raw_csv_schema(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -259,11 +287,11 @@ class TestRunExperiment:
         real_run = bench.run
         calls = []
 
-        def flaky(obj, x0, cfg, f_ref=None):
+        def flaky(obj, x0, cfg):
             calls.append(cfg.method)
             if len(calls) == 6:  # one solver per trial, so this is trial 5
                 raise SolverError("alg1 failed at iteration 2: synthetic failure")
-            return real_run(obj, x0, cfg, f_ref=f_ref)
+            return real_run(obj, x0, cfg)
 
         monkeypatch.setattr(bench, "run", flaky)
         cfg = ExperimentConfig(experiment="toy2d", trials=40, max_iter=3, solvers=("alg1",))
@@ -279,11 +307,9 @@ class TestRunExperiment:
 class TestTraceCsv:
     def test_trace_csv_format(self, tmp_path):
         prob = build_problem("toy2d", 0)
-        trace = run(
-            prob.objective, prob.x0, SolverConfig(method="alg1", max_iter=3), f_ref=prob.f_ref
-        )
+        trace = run(prob.objective, prob.x0, SolverConfig(method="alg1", max_iter=3))
         path = tmp_path / "trace.csv"
-        write_trace_csv(path, trace, "toy2d", trial=0, certified=True)
+        write_trace_csv(path, trace, "toy2d", trial=0, ref=ReferenceOptimum(prob.f_ref, True))
         lines = path.read_text().splitlines()
         assert lines[0] == "experiment,solver,trial,iter,f_value,gap,certified"
         assert len(lines) == 5
@@ -293,9 +319,17 @@ class TestTraceCsv:
         prob = build_problem("lasso", 0, m=6, n=8)
         trace = run(prob.objective, prob.x0, SolverConfig(method="ista", max_iter=2))
         path = tmp_path / "t.csv"
-        write_trace_csv(path, trace, "lasso", trial=0, certified=False)
+        write_trace_csv(path, trace, "lasso", trial=0, ref=None)
         row = path.read_text().splitlines()[1].split(",")
         assert row[5] == "" and row[6] == "false"
+
+    def test_trace_csv_gap_and_flag_come_from_one_reference(self, tmp_path):
+        prob = build_problem("toy2d", 0)
+        trace = run(prob.objective, prob.x0, SolverConfig(method="ista", max_iter=2))
+        path = tmp_path / "t.csv"
+        write_trace_csv(path, trace, "toy2d", trial=0, ref=ReferenceOptimum(-0.25, False))
+        for row, f in zip(path.read_text().splitlines()[1:], trace.f_values.tolist()):
+            assert row.split(",")[5:] == [repr(f + 0.25), "false"]
 
     def test_float_text_is_repr_of_each_value(self):
         nan_payload = np.array([0x7FF8000000000123], dtype=np.int64).view(np.float64)[0]
@@ -316,16 +350,15 @@ class TestTraceCsv:
 
     def test_parked_trace_rows_are_repr_of_each_value(self, tmp_path):
         prob = build_problem("toy2d", 0)
-        trace = run(
-            prob.objective, prob.x0, SolverConfig(method="alg1", max_iter=500), f_ref=prob.f_ref
-        )
+        trace = run(prob.objective, prob.x0, SolverConfig(method="alg1", max_iter=500))
         # the run parks, so most rows repeat the last value
         assert np.unique(trace.f_values).size < 100
         path = tmp_path / "parked.csv"
-        write_trace_csv(path, trace, "toy2d", trial=3, certified=True)
+        write_trace_csv(path, trace, "toy2d", trial=3, ref=ReferenceOptimum(prob.f_ref, True))
+        gaps = (trace.f_values - prob.f_ref).tolist()
         rows = [
             f"toy2d,alg1,3,{i},{f!r},{g!r},true"
-            for i, (f, g) in enumerate(zip(trace.f_values.tolist(), trace.gaps().tolist()))
+            for i, (f, g) in enumerate(zip(trace.f_values.tolist(), gaps))
         ]
         header = "experiment,solver,trial,iter,f_value,gap,certified"
         assert path.read_text() == "\n".join([header, *rows]) + "\n"

@@ -5,7 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from l1subgrad.bench import build_problem
+import l1subgrad.bench as bench
+import l1subgrad.cli as cli_module
+from l1subgrad.bench import ReferenceOptimum, build_problem
 from l1subgrad.cli import main
 from l1subgrad.solvers import SolverConfig, run
 
@@ -262,11 +264,11 @@ class TestBench:
             from l1subgrad.solvers import SolverError
             real_run, calls = bench.run, []
 
-            def flaky(obj, x0, cfg, f_ref=None):
+            def flaky(obj, x0, cfg):
                 calls.append(cfg.method)
                 if len(calls) == 6:
                     raise SolverError("alg1 failed at iteration 2: synthetic failure")
-                return real_run(obj, x0, cfg, f_ref=f_ref)
+                return real_run(obj, x0, cfg)
 
             bench.run = flaky
             sys.exit(main(sys.argv[1:]))
@@ -389,6 +391,64 @@ def test_step_flag_no_selected_solver_reads_is_usage_error(args, flag, chosen, c
 def test_step_flag_read_by_a_selected_solver_is_accepted(args, capsys):
     assert main(list(args)) == 0
     assert capsys.readouterr().err == ""
+
+
+# |x0|_1 times this weight overflows, so f(x0) is inf while x0 is finite
+_HUGE_GAMMA = ("--n", "3", "--gamma", "1e308", "--iters", "5")
+
+
+@pytest.mark.parametrize("command", [
+    ("solve", "--problem", "quadratic", "--solver", "alg1", *_HUGE_GAMMA),
+    ("bench", "--experiment", "quadratic", "--trials", "1", *_HUGE_GAMMA),
+], ids=["solve", "bench"])
+def test_start_where_f_is_not_finite_is_usage_error(command, tmp_path, cli):
+    proc = cli(*command, "--out", str(tmp_path / "o.csv"))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: f(x0) must be finite, got inf\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, printed", [
+    (("solve", "--problem", "toy2d", "--solver", "alg1", "--gamma", "1e200", "--iters", "0"),
+     "final_subgrad_norm=inf\n"),
+    (("bench", "--experiment", "quadratic", "--n", "3", "--gamma", "1e200", "--trials", "1",
+      "--iters", "5"), ""),
+], ids=["solve", "bench"])
+def test_overflowing_subgradient_norm_warns_nothing(command, printed, cli):
+    # solve's final norm and the reference's norm overflow to inf, silently
+    proc = cli(*command)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert printed in proc.stdout
+
+
+@pytest.mark.parametrize("command, module", [
+    (("solve", "--problem", "toy2d", "--solver", "alg1", "--iters", "5"), cli_module),
+    (_BENCH_TOY, bench),
+], ids=["solve", "bench"])
+def test_trace_too_large_to_allocate_is_one_error_line(command, module, tmp_path, monkeypatch,
+                                                       capsys):
+    # never allocated for real: on a host that overcommits, the allocation can succeed
+    def unallocatable(obj, x0, cfg):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(module, "run", unallocatable)
+    assert main([*command, "--out", str(tmp_path / "o.csv")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: Unable to allocate 7.28 TiB for an array\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_certified_reference_above_the_trace_exits_one(tmp_path, monkeypatch, capsys):
+    real_reference = bench.reference_optimum
+    monkeypatch.setattr(bench, "reference_optimum", lambda problem: ReferenceOptimum(
+        real_reference(problem).value + 1.0, certified=True))
+    assert main([*_BENCH_TOY, "--solvers", "alg1", "--out", str(tmp_path / "b.csv")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: certified reference above trace values for ")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestVerify:

@@ -266,11 +266,10 @@ class TestFistaRestart:
     def test_beats_ista_on_quadratic(self):
         prob = make_quadratic(40, Rng(15))
         obj = prob.objective
-        f_ref = None
         cfg_i = SolverConfig(method="ista", max_iter=100)
         cfg_f = SolverConfig(method="fista", max_iter=100)
-        ista_trace = run(obj, prob.x0, cfg_i, f_ref)
-        fista_trace = run(obj, prob.x0, cfg_f, f_ref)
+        ista_trace = run(obj, prob.x0, cfg_i)
+        fista_trace = run(obj, prob.x0, cfg_f)
         assert fista_trace.f_values[-1] <= ista_trace.f_values[-1]
 
 
@@ -337,13 +336,10 @@ class TestRunDriver:
         assert len(trace.f_values) == 1
         assert trace.f_values[0] == prob.objective.value(prob.x0)
 
-    def test_record_count_and_gaps(self):
+    def test_record_count(self):
         prob = make_2d()
-        trace = run(
-            prob.objective, prob.x0, SolverConfig(method="ista", max_iter=37), f_ref=prob.f_ref
-        )
+        trace = run(prob.objective, prob.x0, SolverConfig(method="ista", max_iter=37))
         assert len(trace.f_values) == 38
-        assert trace.gaps() is not None and len(trace.gaps()) == 38
 
     def test_auto_step_resolves_to_inverse_lipschitz(self):
         prob = make_2d()
@@ -419,6 +415,13 @@ class TestRunDriver:
         prob = make_2d()
         with pytest.raises(ValueError):
             run(prob.objective, np.array([np.nan, 0.0]), SolverConfig(method="alg1", max_iter=1))
+
+    @pytest.mark.parametrize("method", ["alg1", "alg2", "ista", "fista", "classic"])
+    def test_rejects_start_where_f_is_not_finite(self, method):
+        # |x0|_1 times this weight overflows, while x0 itself is finite
+        prob = make_2d(gamma=1.5e308)
+        with pytest.raises(ValueError, match=r"^f\(x0\) must be finite, got inf$"):
+            run(prob.objective, prob.x0, SolverConfig(method=method, max_iter=5))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

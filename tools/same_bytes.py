@@ -67,6 +67,12 @@ VECTORS = [
      "--out", "out.csv"),
     ("solve", "--problem", "toy2d", "--solver", "classic", "--classic-scale", "2",
      "--classic-exponent", "0.5", "--out", "out.csv"),
+    # gap arithmetic on non-finite values: inf rows and an inf mean gap, and a
+    # solve that diverges and writes nothing
+    ("bench", "--experiment", "toy2d", "--solvers", "alg1,classic", "--classic-scale", "1e300",
+     "--trials", "2", "--iters", "5", "--out", "out.csv"),
+    ("solve", "--problem", "toy2d", "--solver", "classic", "--classic-scale", "1e300",
+     "--iters", "5", "--out", "out.csv"),
     # usage errors
     ("solve", "--problem", "toy2d", "--solver", "alg1", "--classic-scale", "3"),
     ("bench", "--experiment", "toy2d", "--solvers", "classic", "--step", "0.1"),
