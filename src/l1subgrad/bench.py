@@ -2,7 +2,9 @@
 
 An experiment regenerates its problem once per trial (seed = base_seed +
 trial index), runs every configured solver from the trial's common start
-point, and averages the gap curves pointwise across trials. Only this module
+point, and averages the gap curves pointwise across trials. The trials are
+independent, so they run in forked worker processes, one per CPU
+(`_fork_map`), and are merged in trial order. Only this module
 knows of references: `run` records f, each `TrialResult` carries its trial's
 `ReferenceOptimum`, and a gap is f minus its value. All file output is
 deterministic: row order is fixed and floats are written with shortest
@@ -12,7 +14,9 @@ round-trip repr.
 from __future__ import annotations
 
 import os
+import pickle
 from dataclasses import dataclass, fields
+from functools import partial
 from itertools import chain, islice, repeat
 from pathlib import Path
 
@@ -210,22 +214,166 @@ class GapCurve:
 
 
 def _run_trial(cfg: ExperimentConfig, solver_cfgs: tuple[SolverConfig, ...], t: int) -> TrialResult:
-    problem = build_problem(
-        cfg.experiment, cfg.base_seed + t, n=cfg.n, m=cfg.m, k=cfg.k, r=cfg.r, gamma=cfg.gamma
-    )
-    ref = reference_optimum(problem)
-    traces = {}
-    for sc in solver_cfgs:
-        trace = run(problem.objective, problem.x0, sc)
-        # min(f) - ref is min(f - ref) bit for bit: rounding x - ref is monotone in x
-        min_gap = np.min(trace.f_values) - ref.value
-        if ref.certified and min_gap < -1e-9:
-            raise ExperimentError(
-                f"certified reference above trace values for {cfg.experiment!r} "
-                f"(solver {sc.method}, trial {t}, min gap {min_gap:.3e})"
-            )
-        traces[sc.method] = trace
+    """Trial ``t``: its problem, reference and one trace per solver; a
+    `SolverError` is raised again with the trial named."""
+    try:
+        problem = build_problem(
+            cfg.experiment, cfg.base_seed + t, n=cfg.n, m=cfg.m, k=cfg.k, r=cfg.r, gamma=cfg.gamma
+        )
+        ref = reference_optimum(problem)
+        traces = {}
+        for sc in solver_cfgs:
+            trace = run(problem.objective, problem.x0, sc)
+            # min(f) - ref is min(f - ref) bit for bit: rounding x - ref is monotone in x
+            min_gap = np.min(trace.f_values) - ref.value
+            if ref.certified and min_gap < -1e-9:
+                raise ExperimentError(
+                    f"certified reference above trace values for {cfg.experiment!r} "
+                    f"(solver {sc.method}, trial {t}, min gap {min_gap:.3e})"
+                )
+            traces[sc.method] = trace
+    except SolverError as exc:
+        raise SolverError(f"trial {t}: {exc}") from exc
     return TrialResult(trial=t, ref=ref, traces=traces)
+
+
+def _worker_count() -> int:
+    """The CPUs this process may run on, or 1 where `os.fork` or
+    `os.sched_getaffinity` is missing: `_fork_map` starts one worker each."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _fork_map(fn, items) -> list:
+    """``[fn(item) for item in items]`` for independent items, computed in
+    forked workers, with the same results and the same first error.
+
+    There are `_worker_count` workers, at most one per item, and item j goes
+    to worker j mod W, so that blocks of items of unequal cost are shared.
+    Each worker runs its items in order and sends each result down its own
+    pipe as a pickle; at its first exception it sends that instead and stops.
+    The parent does no item's work: it reads the results in item order, so
+    the first exception it reads is that of the lowest failing item, every
+    lower item having succeeded, and it raises it as the loop would. A worker
+    that ends without sending its result (killed by a signal, or holding an
+    exception that cannot be pickled) raises `ExperimentError`. Every worker
+    is reaped before this returns or raises, and killed first when it raises.
+    With one worker the loop runs in this process and forks nothing.
+    """
+    items = list(items)
+    workers = min(_worker_count(), len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    pipes = [os.pipe() for _ in range(workers)]
+    readers = [open(read_end, "rb") for read_end, _ in pipes]
+    pids = []
+    results = []
+    try:
+        for w, (_, write_end) in enumerate(pipes):
+            pid = os.fork()
+            if pid == 0:
+                # the read ends, and the write ends of the workers not yet forked
+                _serve(fn, items[w::workers], write_end,
+                       [r for r, _ in pipes] + [x for _, x in pipes[w + 1:]])
+            pids.append(pid)
+            os.close(write_end)
+        for j in range(len(items)):
+            try:
+                ok, value = pickle.load(readers[j % workers])
+            except Exception:  # end of file, or a pickle that does not load: no result
+                ok, value = False, None
+            if not ok:
+                break
+            results.append(value)
+    finally:
+        for _, write_end in pipes[len(pids):]:
+            os.close(write_end)
+        for reader in readers:
+            reader.close()
+        if len(results) < len(items):
+            import signal  # only here: a run that completes never loads it
+
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    if len(results) < len(items):
+        j = len(results)
+        if value is not None:
+            raise value
+        code = os.waitstatus_to_exitcode(statuses[j % workers])
+        how = f"signal {-code}" if code < 0 else f"exit status {code}"
+        raise ExperimentError(f"the worker for item {j} ended without its result ({how})")
+    return results
+
+
+# OpenBLAS's thread-count setter, plain and as numpy's wheels build it
+# (prefixed, with 64-bit integers)
+_OPENBLAS_THREAD_SETTERS = (
+    "openblas_set_num_threads", "openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_",
+)
+
+
+def _one_blas_thread():
+    """Give each OpenBLAS library loaded in this process one thread.
+
+    The package pins BLAS to one thread only when it is imported before
+    numpy (see `l1subgrad`). In a program that imported numpy first, a
+    worker, one of as many processes as there are CPUs, would otherwise run
+    a BLAS thread pool of its own and oversubscribe the CPUs: criterion 7's
+    experiments took 12-17 s forked with OpenBLAS's default of one thread
+    per CPU, and 2.0-2.3 s with this (2 CPUs, numpy 2.4.6 with OpenBLAS
+    0.3.31). A worker then computes what the command line computes. The
+    libraries are found in ``/proc/self/maps``; where that or a library
+    cannot be read, or numpy's BLAS is another, the thread counts stay as
+    they are.
+    """
+    import ctypes  # numpy has loaded it already
+
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in maps}
+        for path in paths:
+            if "openblas" in os.path.basename(path):
+                lib = ctypes.CDLL(path)
+                for name in _OPENBLAS_THREAD_SETTERS:
+                    if hasattr(lib, name):
+                        getattr(lib, name)(1)
+    except OSError:
+        pass
+
+
+def _serve(fn, items, write_end, inherited):
+    """A forked worker's whole life: close the ``inherited`` pipe ends, send
+    ``(True, fn(item))`` for each item in turn, or ``(False, exc)`` for the
+    first that raises, down ``write_end``, then leave through `os._exit`.
+
+    Holding only its own write end, a worker whose parent has gone meets a
+    broken pipe rather than blocking on a sibling's read end. Leaving through
+    `os._exit` runs none of the parent's exit handlers, buffered writes or
+    ``finally`` clauses in the worker.
+    """
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        _one_blas_thread()
+        # never closed here: `os._exit` closes it, so the parent reads the end
+        # of this pipe only once this worker has ended, with its exit status
+        out = open(write_end, "wb")
+        for item in items:
+            try:
+                message = (True, fn(item))
+            except Exception as exc:
+                message = (False, exc)
+            out.write(pickle.dumps(message))
+            out.flush()
+            if not message[0]:
+                break
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def run_experiment(cfg: ExperimentConfig) -> GapCurve:
@@ -233,18 +381,15 @@ def run_experiment(cfg: ExperimentConfig) -> GapCurve:
     `ExperimentConfig.solver_configs`, average the gap curves, and write CSV
     output if requested.
 
-    A solver error in any trial fails the experiment: it is raised again as a
+    The trials are independent, so they run in forked workers (`_fork_map`),
+    and their results are merged in trial order. A solver error in any trial
+    fails the experiment: the lowest failing trial's is raised again as a
     `SolverError` that names the trial.
     """
     solver_cfgs = cfg.solver_configs()
     if cfg.out is not None:
         _check_writable(_experiment_paths(cfg.out))
-    results: list[TrialResult] = []
-    for t in range(cfg.trials):
-        try:
-            results.append(_run_trial(cfg, solver_cfgs, t))
-        except SolverError as exc:
-            raise SolverError(f"trial {t}: {exc}") from exc
+    results = _fork_map(partial(_run_trial, cfg, solver_cfgs), range(cfg.trials))
     mean_gaps = {
         name: np.mean([res.traces[name].f_values - res.ref.value for res in results], axis=0)
         for name in cfg.solvers

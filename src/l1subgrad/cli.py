@@ -139,7 +139,12 @@ def _cmd_solve(args) -> int:
     print(f"problem={args.problem} solver={args.solver} iters={args.iters} seed={args.seed}")
     print(f"final_f={_fmt(final_f)}")
     with np.errstate(over="ignore", invalid="ignore"):
-        sub_norm = float(np.linalg.norm(problem.objective.min_norm_subgradient(trace.x_final)))
+        sub = problem.objective.min_norm_subgradient(trace.x_final)
+        sub_norm = float(np.linalg.norm(sub))
+        # a finite norm whose square overflows: scale by the largest entry first
+        if sub_norm == np.inf and np.all(np.isfinite(sub)):
+            scale = np.max(np.abs(sub))
+            sub_norm = float(scale * np.linalg.norm(sub / scale))
     print(f"final_subgrad_norm={_fmt(sub_norm)}")
     if ref is not None:
         print(f"final_gap={_fmt(final_f - ref.value)}")

@@ -9,10 +9,11 @@ in `SUITES`, sorted by name.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .bench import reference_optimum
+from .bench import _fork_map, reference_optimum
 from .numerics import Rng, random_orthogonal
 from .objective import CompositeObjective
 from .problems import (
@@ -133,23 +134,42 @@ def suite_subgrad_oracle(seed: int = 0, points: int = 200) -> list[PropertyResul
     ]
 
 
-def suite_pl(seed: int = 0, instances: int = 5, samples_per: int = 200) -> list[PropertyResult]:
-    """Gap bounded by |min-norm subgradient|^2 / (2 mu) on strongly convex instances."""
+def _least(margins) -> float:
+    """The least of the instances' margins, folded from +inf in instance
+    order as each instance folds its own, so a nan margin is skipped as it is
+    within an instance, and the result is that of one loop over them all."""
+    return min([np.inf, *margins])
+
+
+def _pl_margin(seed: int, samples_per: int, i: int) -> float | None:
+    """Instance i of `suite_pl`: its least slack over its samples, or None when
+    its reference does not certify."""
+    rng = Rng(seed + 201 + i)
+    prob = make_quadratic(30, rng, eig_range=(1.0, 10.0), pin_extremes=True)
+    obj = prob.objective
+    ref = reference_optimum(prob)
+    if not ref.certified:
+        return None
     worst = np.inf
-    total = 0
-    for i in range(instances):
-        rng = Rng(seed + 201 + i)
-        prob = make_quadratic(30, rng, eig_range=(1.0, 10.0), pin_extremes=True)
-        obj = prob.objective
-        ref = reference_optimum(prob)
-        if not ref.certified:
-            return [PropertyResult("pl", False, -np.inf, "reference failed to certify")]
-        for _ in range(samples_per):
-            x = rng.gaussians(obj.dim, 0.0, 3.0)
-            lhs = obj.value(x) - ref.value
-            rhs = float(np.linalg.norm(obj.min_norm_subgradient(x)) ** 2) / (2.0 * obj.mu)
-            worst = min(worst, rhs + 1e-9 - lhs)
-            total += 1
+    for _ in range(samples_per):
+        x = rng.gaussians(obj.dim, 0.0, 3.0)
+        lhs = obj.value(x) - ref.value
+        rhs = float(np.linalg.norm(obj.min_norm_subgradient(x)) ** 2) / (2.0 * obj.mu)
+        worst = min(worst, rhs + 1e-9 - lhs)
+    return worst
+
+
+def suite_pl(seed: int = 0, instances: int = 5, samples_per: int = 200) -> list[PropertyResult]:
+    """Gap bounded by |min-norm subgradient|^2 / (2 mu) on strongly convex instances.
+
+    The instances are independent, so they run in forked workers
+    (`bench._fork_map`); the worst margin is the min over instances.
+    """
+    margins = _fork_map(partial(_pl_margin, seed, samples_per), range(instances))
+    if None in margins:
+        return [PropertyResult("pl", False, -np.inf, "reference failed to certify")]
+    worst = _least(margins)
+    total = instances * samples_per
     return [
         PropertyResult("pl", worst >= 0.0, worst, f"{total} samples, absolute slack 1e-9")
     ]
@@ -222,6 +242,16 @@ def _rate_gaps(prob, iters: int, cap: int = 20_000) -> np.ndarray:
     return np.concatenate([gaps, np.resize(gaps[-period:], iters + 1 - len(gaps))])
 
 
+def _rate_margin(seed: int, n: int, iters: int, i: int) -> float:
+    """Instance i of `suite_rate`: the least slack of its gaps under the bound."""
+    prob = make_quadratic(n, Rng(seed + 301 + i), eig_range=(1.0, 10.0), pin_extremes=True)
+    obj = prob.objective
+    kappa = 1.0 / (1.0 + obj.mu / obj.lipschitz_L)
+    gaps = _rate_gaps(prob, iters)
+    bound = gaps[0] * kappa ** np.arange(iters + 1) * (1.0 + 1e-9)
+    return float(np.min(bound - gaps))
+
+
 def suite_rate(
     seed: int = 0, instances: int = 20, n: int = 50, iters: int = 500
 ) -> list[PropertyResult]:
@@ -233,17 +263,10 @@ def suite_rate(
     cancellation-free measurement remains meaningful. Each instance walks its
     trajectory once (`_rate_gaps`): the walk stops once its iterate closes a
     cycle, x* is taken from that cycle, and each distinct iterate's gap is
-    measured once.
+    measured once. The instances are independent, so they run in forked
+    workers (`bench._fork_map`); the worst margin is the min over instances.
     """
-    worst = np.inf
-    for i in range(instances):
-        rng = Rng(seed + 301 + i)
-        prob = make_quadratic(n, rng, eig_range=(1.0, 10.0), pin_extremes=True)
-        obj = prob.objective
-        kappa = 1.0 / (1.0 + obj.mu / obj.lipschitz_L)
-        gaps = _rate_gaps(prob, iters)
-        bound = gaps[0] * kappa ** np.arange(iters + 1) * (1.0 + 1e-9)
-        worst = min(worst, float(np.min(bound - gaps)))
+    worst = _least(_fork_map(partial(_rate_margin, seed, n, iters), range(instances)))
     return [
         PropertyResult(
             "rate",
@@ -254,19 +277,38 @@ def suite_rate(
     ]
 
 
-def _dominance_instances(seed: int, count: int):
+def _dominance_instance(seed: int, i: int, count: int):
+    """Instance i of `suite_dominance`'s ``count``: four family blocks of
+    ``count // 4`` (quadratic, lasso, logistic, logsumexp), then the families
+    in turn."""
     per = max(1, count // 4)
-    for i in range(count):
-        rng = Rng(seed + 401 + i)
-        family = i // per if i // per < 4 else i % 4
-        if family == 0:
-            yield make_quadratic(60, rng)
-        elif family == 1:
-            yield make_lasso(80, 100, rng)
-        elif family == 2:
-            yield make_logistic(150, 40, rng)
-        else:
-            yield make_logsumexp(120, 50, rng)
+    rng = Rng(seed + 401 + i)
+    family = i // per if i // per < 4 else i % 4
+    if family == 0:
+        return make_quadratic(60, rng)
+    if family == 1:
+        return make_lasso(80, 100, rng)
+    if family == 2:
+        return make_logistic(150, 40, rng)
+    return make_logsumexp(120, 50, rng)
+
+
+def _dominance_margin(seed: int, count: int, iters: int, i: int) -> float:
+    """Instance i of `suite_dominance`: its least slack over its iterations."""
+    prob = _dominance_instance(seed, i, count)
+    obj = prob.objective
+    h = 1.0 / obj.lipschitz_L
+    state = SolverState.initial(obj, prob.x0)
+    cycle = _Cycle(state.key())
+    worst = np.inf
+    for _ in range(iters):
+        state = accelerated_step(obj, state, h)
+        f_q = state.f_x if state.x is state.q else obj.value(state.q)
+        slack = 1e-12 * (1.0 + abs(f_q))
+        worst = min(worst, f_q + slack - state.f_x)
+        if cycle.period(state.key()):
+            break
+    return worst
 
 
 def suite_dominance(seed: int = 0, instances: int = 100, iters: int = 300) -> list[PropertyResult]:
@@ -279,23 +321,13 @@ def suite_dominance(seed: int = 0, instances: int = 100, iters: int = 300) -> li
     iterations count as checked.
     When the step kept ``x = q`` (``state.x is state.q``), f(q) is the
     ``state.f_x`` the step computed, the same `_value` of the same array, so
-    it is read from there rather than computed again.
+    it is read from there rather than computed again. The instances are
+    independent, so they run in forked workers (`bench._fork_map`); the worst
+    margin is the min over instances.
     """
-    worst = np.inf
-    for prob in _dominance_instances(seed, instances):
-        obj = prob.objective
-        h = 1.0 / obj.lipschitz_L
-        state = SolverState.initial(obj, prob.x0)
-        cycle = _Cycle(state.key())
-        for _ in range(iters):
-            state = accelerated_step(obj, state, h)
-            f_q = state.f_x if state.x is state.q else obj.value(state.q)
-            slack = 1e-12 * (1.0 + abs(f_q))
-            worst = min(worst, f_q + slack - state.f_x)
-            if cycle.period(state.key()):
-                break
-        # free the stack now, or it adds to the memory peak of the next build
-        del cycle
+    worst = _least(
+        _fork_map(partial(_dominance_margin, seed, instances, iters), range(instances))
+    )
     return [
         PropertyResult(
             "dominance",

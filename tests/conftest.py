@@ -27,3 +27,14 @@ def cli():
     ``subprocess.CompletedProcess`` with text stdout and stderr.
     """
     return _invoke
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Set how many forked workers `bench._fork_map` starts: ``workers(count)``."""
+    import l1subgrad.bench as bench
+
+    def set_count(count):
+        monkeypatch.setattr(bench, "_worker_count", lambda: count)
+
+    return set_count

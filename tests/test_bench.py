@@ -1,5 +1,8 @@
+import os
+import signal
+import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 import pytest
@@ -19,6 +22,14 @@ from l1subgrad.bench import (
 from l1subgrad.numerics import Rng
 from l1subgrad.problems import make_lasso, make_quadratic
 from l1subgrad.solvers import SolverConfig, SolverError, SolverState, _accelerated_step, run
+
+
+@dataclass(frozen=True)
+class _LabelledReference(ReferenceOptimum):
+    """A reference that names the problem it was computed for."""
+
+    label: str = ""
+
 
 # the sizes and weights a config fills for each family; the others stay None
 _DEFAULT_SIZES = {
@@ -264,44 +275,181 @@ class TestRunExperiment:
         assert first[0] == "toy2d" and first[1] == "alg1" and first[2] == "0" and first[3] == "0"
         assert first[6] == "true"
 
-    def test_every_reference_goes_through_reference_optimum(self, monkeypatch):
-        seen = []
+    def test_every_reference_goes_through_reference_optimum(self, workers, monkeypatch):
+        # each trial's reference names the problem the spy saw, wherever it ran
         real_reference = bench.reference_optimum
-
-        def spy(problem):
-            seen.append(problem.label)
-            return real_reference(problem)
-
-        monkeypatch.setattr(bench, "reference_optimum", spy)
-        for experiment in ("toy2d", "toy2d-perturbed"):
-            run_experiment(
-                ExperimentConfig(experiment=experiment, trials=2, max_iter=2, solvers=("alg1",))
-            )
-        assert seen == ["toy2d", "toy2d", "toy2d-perturbed", "toy2d-perturbed"]
+        monkeypatch.setattr(bench, "reference_optimum", lambda problem: _LabelledReference(
+            *astuple(real_reference(problem)), label=problem.label))
+        for count in (1, 2):
+            workers(count)
+            seen = []
+            for experiment in ("toy2d", "toy2d-perturbed"):
+                curve = run_experiment(ExperimentConfig(
+                    experiment=experiment, trials=2, max_iter=2, solvers=("alg1",)))
+                seen += [res.ref.label for res in curve.raw]
+            assert seen == ["toy2d", "toy2d", "toy2d-perturbed", "toy2d-perturbed"], count
 
     def test_infinite_step_is_rejected(self):
         with pytest.raises(ValueError, match="finite positive"):
             run_experiment(ExperimentConfig("toy2d", 1, max_iter=3, step=float("inf")))
 
-    def test_one_failing_trial_fails_the_experiment(self, monkeypatch, caplog):
+    @staticmethod
+    def _failing_trials(monkeypatch, failing, log):
+        """Route `bench.run` through a fake that raises on the toy2d-perturbed
+        trials in ``failing``, known by their start points, and appends each
+        trial it is called for to the file ``log``, from whichever process."""
+        trial_of = {build_problem("toy2d-perturbed", t).x0.tobytes(): t for t in range(40)}
         real_run = bench.run
-        calls = []
 
         def flaky(obj, x0, cfg):
-            calls.append(cfg.method)
-            if len(calls) == 6:  # one solver per trial, so this is trial 5
+            t = trial_of[x0.tobytes()]
+            with open(log, "a") as f:
+                f.write(f"{t}\n")
+            if t in failing:
                 raise SolverError("alg1 failed at iteration 2: synthetic failure")
             return real_run(obj, x0, cfg)
 
         monkeypatch.setattr(bench, "run", flaky)
-        cfg = ExperimentConfig(experiment="toy2d", trials=40, max_iter=3, solvers=("alg1",))
-        with caplog.at_level("WARNING"), pytest.raises(
-            SolverError, match="^trial 5: alg1 failed at iteration 2: synthetic failure$"
+
+    _FLAKY = ExperimentConfig(experiment="toy2d-perturbed", trials=40, max_iter=3,
+                              solvers=("alg1",))
+
+    def test_one_failing_trial_fails_the_experiment(self, workers, monkeypatch, caplog,
+                                                    tmp_path):
+        """A failing trial fails the run, which logs nothing, at 1 and 2
+        workers; the worker that ran it (with one worker, the whole run) stops
+        there, and every lower trial ran."""
+        for count in (1, 2):
+            workers(count)
+            log = tmp_path / f"trials-{count}.txt"
+            self._failing_trials(monkeypatch, {5}, log)
+            with caplog.at_level("WARNING"), pytest.raises(
+                SolverError, match="^trial 5: alg1 failed at iteration 2: synthetic failure$"
+            ):
+                run_experiment(self._FLAKY)
+            assert not caplog.records
+            ran = [int(t) for t in log.read_text().split()]
+            assert [t for t in ran if t % count == 5 % count] == list(range(5 % count, 6, count))
+            assert set(range(5)) <= set(ran)
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_the_lowest_failing_trial_is_reported(self, count, workers, monkeypatch, tmp_path):
+        workers(count)
+        self._failing_trials(monkeypatch, {5, 9}, tmp_path / "trials.txt")
+        with pytest.raises(SolverError, match="^trial 5: "):
+            run_experiment(self._FLAKY)
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkMap:
+    """`bench._fork_map` returns and raises as the loop it replaces, and leaves no process."""
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_results_in_item_order(self, count, workers):
+        workers(count)
+        assert bench._fork_map(lambda i: i * i, range(7)) == [i * i for i in range(7)]
+        _no_children_left()
+
+    def test_items_are_dealt_round_robin(self, workers):
+        workers(3)
+        pids = [pid for _, pid in bench._fork_map(lambda i: (i, os.getpid()), range(7))]
+        assert os.getpid() not in pids
+        assert [pids.index(pid) for pid in pids] == [0, 1, 2, 0, 1, 2, 0]
+
+    def test_one_worker_or_one_item_forks_nothing(self, workers):
+        workers(1)
+        assert bench._fork_map(lambda i: os.getpid(), range(3)) == [os.getpid()] * 3
+        workers(4)
+        assert bench._fork_map(lambda i: os.getpid(), [0]) == [os.getpid()]
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_a_raising_item_raises_its_own_exception(self, count, workers):
+        workers(count)
+
+        def fail_at_three(i):
+            if i == 3:
+                raise ValueError(f"item {i} fails")
+            return i
+
+        with pytest.raises(ValueError, match="^item 3 fails$"):
+            bench._fork_map(fail_at_three, range(8))
+        _no_children_left()
+
+    def test_workers_still_busy_are_killed_when_an_item_raises(self, workers):
+        workers(2)
+
+        def slow_or_failing(i):
+            if i == 0:
+                raise ValueError("item 0 fails")
+            time.sleep(60)
+
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="^item 0 fails$"):
+            bench._fork_map(slow_or_failing, range(4))
+        assert time.monotonic() - start < 30
+        _no_children_left()
+
+    def test_a_worker_killed_by_a_signal_is_an_experiment_error(self, workers):
+        workers(2)
+
+        def killed_at_three(i):
+            if i == 3:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return i
+
+        with pytest.raises(
+            ExperimentError, match=r"^the worker for item 3 ended without its result \(signal 9\)$"
         ):
-            run_experiment(cfg)
-        # the run stops at the failing trial and logs nothing
-        assert len(calls) == 6
-        assert not caplog.records
+            bench._fork_map(killed_at_three, range(6))
+        _no_children_left()
+
+    def test_an_exception_that_cannot_be_pickled_is_an_experiment_error(self, workers):
+        workers(2)
+
+        def unpicklable(i):
+            exc = SolverError(f"item {i} fails")
+            exc.hook = lambda: None  # a lambda has no pickle
+            raise exc
+
+        with pytest.raises(ExperimentError, match=(
+            r"^the worker for item 0 ended without its result \(exit status 1\)$"
+        )):
+            bench._fork_map(unpicklable, range(4))
+        _no_children_left()
+
+    def test_workers_run_blas_on_one_thread(self, workers):
+        import ctypes
+
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in maps}
+        libs = [ctypes.CDLL(path) for path in paths if "openblas" in os.path.basename(path)]
+        getters = [getattr(lib, name) for lib in libs
+                   for name in ("openblas_get_num_threads", "openblas_get_num_threads64_",
+                                "scipy_openblas_get_num_threads",
+                                "scipy_openblas_get_num_threads64_")
+                   if hasattr(lib, name)]
+        if not getters:
+            pytest.skip("numpy's BLAS here is not an OpenBLAS")
+        workers(2)
+        assert bench._fork_map(lambda _: [get() for get in getters], range(2)) == [[1], [1]]
+
+    @pytest.mark.parametrize("error", [SolverError, ExperimentError, ValueError, MemoryError])
+    def test_errors_the_cli_reports_come_back_with_their_text(self, error, workers):
+        workers(2)
+
+        def failing(i):
+            if i == 2:
+                raise error(f"item {i} fails")
+            return i
+
+        with pytest.raises(error) as info:
+            bench._fork_map(failing, range(4))
+        assert type(info.value) is error and str(info.value) == "item 2 fails"
+        _no_children_left()
 
 
 class TestTraceCsv:

@@ -255,30 +255,81 @@ class TestBench:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["x.raw.csv"]
 
     def test_failing_trial_exits_one_with_one_error_line(self, tmp_path, cli):
-        # trial 5's solver raises; in a fresh interpreter, so that a logged
-        # warning would reach stderr as it does for a user
+        # trial 5's solver raises, known by its start point, in whichever
+        # worker runs it; in a fresh interpreter, so that a logged warning
+        # would reach stderr as it does for a user
         program = ("-c", """if True:
             import sys
             import l1subgrad.bench as bench
             from l1subgrad.cli import main
             from l1subgrad.solvers import SolverError
-            real_run, calls = bench.run, []
+            real_run = bench.run
+            failing = bench.build_problem("toy2d-perturbed", 5).x0.tobytes()
 
             def flaky(obj, x0, cfg):
-                calls.append(cfg.method)
-                if len(calls) == 6:
+                if x0.tobytes() == failing:
                     raise SolverError("alg1 failed at iteration 2: synthetic failure")
                 return real_run(obj, x0, cfg)
 
             bench.run = flaky
             sys.exit(main(sys.argv[1:]))
         """)
-        proc = cli("bench", "--experiment", "toy2d", "--trials", "40", "--iters", "3",
+        proc = cli("bench", "--experiment", "toy2d-perturbed", "--trials", "40", "--iters", "3",
                    "--solvers", "alg1", "--out", str(tmp_path / "b.csv"), program=program)
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr == "error: trial 5: alg1 failed at iteration 2: synthetic failure\n"
         assert list(tmp_path.iterdir()) == []
+
+    def test_worker_killed_by_a_signal_exits_one_with_one_error_line(self, tmp_path, cli):
+        program = ("-c", """if True:
+            import os, signal, sys
+            import l1subgrad.bench as bench
+            from l1subgrad.cli import main
+            real_run = bench.run
+            failing = bench.build_problem("toy2d-perturbed", 5).x0.tobytes()
+
+            def killed(obj, x0, cfg):
+                if x0.tobytes() == failing:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return real_run(obj, x0, cfg)
+
+            bench.run = killed
+            bench._worker_count = lambda: 2  # never this process, on a host with one CPU
+            code = main(sys.argv[1:])
+            try:
+                os.waitpid(-1, os.WNOHANG)
+            except ChildProcessError:
+                sys.exit(code)
+            sys.exit(f"a worker was left behind, exit code {code}")
+        """)
+        proc = cli("bench", "--experiment", "toy2d-perturbed", "--trials", "8", "--iters", "3",
+                   "--out", str(tmp_path / "b.csv"), program=program)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: the worker for item 5 ended without its result (signal 9)\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bytes_do_not_depend_on_the_worker_count(self, workers, tmp_path, monkeypatch,
+                                                     capsys):
+        vectors = [
+            ("bench", "--experiment", "toy2d-perturbed", "--trials", "20", "--iters", "100",
+             "--out", "out.csv"),
+            ("bench", "--experiment", "lasso", "--m", "20", "--n", "40", "--trials", "5",
+             "--iters", "100", "--out", "out.csv"),
+        ]
+        outputs = {}
+        for count in (1, 2, 3):
+            workers(count)
+            for v, argv in enumerate(vectors):
+                run_dir = tmp_path / f"{count}-{v}"
+                run_dir.mkdir()
+                monkeypatch.chdir(run_dir)
+                assert main(list(argv)) == 0
+                files = {p.name: p.read_bytes() for p in sorted(run_dir.iterdir())}
+                outputs.setdefault(v, []).append((capsys.readouterr(), files))
+        for runs in outputs.values():
+            assert runs[1] == runs[0] and runs[2] == runs[0]
 
     def test_uncertified_reference_shows_only_in_the_rows(self, tmp_path, cli):
         # in a fresh interpreter, so that a logged warning would reach stderr
@@ -410,13 +461,14 @@ def test_start_where_f_is_not_finite_is_usage_error(command, tmp_path, cli):
 
 
 @pytest.mark.parametrize("command, printed", [
+    # both entries are 1e200: the norm sqrt(2)*1e200 is finite though its square is not
     (("solve", "--problem", "toy2d", "--solver", "alg1", "--gamma", "1e200", "--iters", "0"),
-     "final_subgrad_norm=inf\n"),
+     "\nfinal_subgrad_norm=1.414213562373095e+200\n"),
     (("bench", "--experiment", "quadratic", "--n", "3", "--gamma", "1e200", "--trials", "1",
       "--iters", "5"), ""),
 ], ids=["solve", "bench"])
 def test_overflowing_subgradient_norm_warns_nothing(command, printed, cli):
-    # solve's final norm and the reference's norm overflow to inf, silently
+    # solve prints its final norm scaled; the reference's norm overflows to inf, silently
     proc = cli(*command)
     assert proc.returncode == 0
     assert proc.stderr == ""

@@ -71,7 +71,8 @@ def _full_rate(seed, instances, n=50, iters=500):
 def _full_dominance(seed, instances, iters=300):
     worst = np.inf
     checked = 0
-    for prob in verify._dominance_instances(seed, instances):
+    for i in range(instances):
+        prob = verify._dominance_instance(seed, i, instances)
         obj = prob.objective
         h = 1.0 / obj.lipschitz_L
         state = SolverState.initial(obj, prob.x0)
@@ -140,6 +141,22 @@ class TestSuitesStopOnCycles:
 
     def test_anti_oscillation_matches_full_loop(self):
         assert verify.suite_anti_oscillation() == _full_anti_oscillation()
+
+
+def test_margins_do_not_depend_on_the_worker_count(workers):
+    """The suites that fork give every margin bit for bit as one process does."""
+    suites = [
+        lambda: verify.suite_dominance(instances=12, iters=100),
+        lambda: verify.suite_rate(instances=5),
+        lambda: verify.suite_pl(instances=3, samples_per=50),
+    ]
+    results = []
+    for count in (1, 2, 3):
+        workers(count)
+        results.append([
+            (r.name, r.passed, r.margin.hex(), r.detail) for suite in suites for r in suite()
+        ])
+    assert results[1] == results[0] and results[2] == results[0]
 
 
 def _counted_steps(monkeypatch):
