@@ -307,43 +307,6 @@ def _fork_map(fn, items) -> list:
     return results
 
 
-# OpenBLAS's thread-count setter, plain and as numpy's wheels build it
-# (prefixed, with 64-bit integers)
-_OPENBLAS_THREAD_SETTERS = (
-    "openblas_set_num_threads", "openblas_set_num_threads64_",
-    "scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_",
-)
-
-
-def _one_blas_thread():
-    """Give each OpenBLAS library loaded in this process one thread.
-
-    The package pins BLAS to one thread only when it is imported before
-    numpy (see `l1subgrad`). In a program that imported numpy first, a
-    worker, one of as many processes as there are CPUs, would otherwise run
-    a BLAS thread pool of its own and oversubscribe the CPUs: criterion 7's
-    experiments took 12-17 s forked with OpenBLAS's default of one thread
-    per CPU, and 2.0-2.3 s with this (2 CPUs, numpy 2.4.6 with OpenBLAS
-    0.3.31). A worker then computes what the command line computes. The
-    libraries are found in ``/proc/self/maps``; where that or a library
-    cannot be read, or numpy's BLAS is another, the thread counts stay as
-    they are.
-    """
-    import ctypes  # numpy has loaded it already
-
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = {line.split(maxsplit=5)[-1].strip() for line in maps}
-        for path in paths:
-            if "openblas" in os.path.basename(path):
-                lib = ctypes.CDLL(path)
-                for name in _OPENBLAS_THREAD_SETTERS:
-                    if hasattr(lib, name):
-                        getattr(lib, name)(1)
-    except OSError:
-        pass
-
-
 def _serve(fn, items, write_end, inherited):
     """A forked worker's whole life: close the ``inherited`` pipe ends, send
     ``(True, fn(item))`` for each item in turn, or ``(False, exc)`` for the
@@ -358,7 +321,6 @@ def _serve(fn, items, write_end, inherited):
     try:
         for fd in inherited:
             os.close(fd)
-        _one_blas_thread()
         # never closed here: `os._exit` closes it, so the parent reads the end
         # of this pipe only once this worker has ended, with its exit status
         out = open(write_end, "wb")

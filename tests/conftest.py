@@ -1,4 +1,12 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures shared by the test modules.
+
+pytest loads this file before any test module, so importing `l1subgrad`
+here, before anything imports numpy, pins BLAS to one thread in the test
+process as on the command line: in-process results then match the CLI's,
+and `bench._fork_map` forks from a process with no BLAS thread pool.
+"""
+
+import l1subgrad  # noqa: F401  (first: see above)
 
 import os
 import subprocess

@@ -354,6 +354,15 @@ class TestForkMap:
         assert bench._fork_map(lambda i: i * i, range(7)) == [i * i for i in range(7)]
         _no_children_left()
 
+    def test_the_test_process_forks_with_one_thread(self):
+        # conftest imports l1subgrad before numpy, so OpenBLAS starts no thread
+        # pool, not even for a product it would split (a fork stops the pool)
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("threads are counted in /proc/self/task")
+        a = np.ones((300, 300))
+        a @ a
+        assert len(os.listdir("/proc/self/task")) == 1
+
     def test_items_are_dealt_round_robin(self, workers):
         workers(3)
         pids = [pid for _, pid in bench._fork_map(lambda i: (i, os.getpid()), range(7))]
@@ -420,22 +429,6 @@ class TestForkMap:
         )):
             bench._fork_map(unpicklable, range(4))
         _no_children_left()
-
-    def test_workers_run_blas_on_one_thread(self, workers):
-        import ctypes
-
-        with open("/proc/self/maps") as maps:
-            paths = {line.split(maxsplit=5)[-1].strip() for line in maps}
-        libs = [ctypes.CDLL(path) for path in paths if "openblas" in os.path.basename(path)]
-        getters = [getattr(lib, name) for lib in libs
-                   for name in ("openblas_get_num_threads", "openblas_get_num_threads64_",
-                                "scipy_openblas_get_num_threads",
-                                "scipy_openblas_get_num_threads64_")
-                   if hasattr(lib, name)]
-        if not getters:
-            pytest.skip("numpy's BLAS here is not an OpenBLAS")
-        workers(2)
-        assert bench._fork_map(lambda _: [get() for get in getters], range(2)) == [[1], [1]]
 
     @pytest.mark.parametrize("error", [SolverError, ExperimentError, ValueError, MemoryError])
     def test_errors_the_cli_reports_come_back_with_their_text(self, error, workers):
