@@ -39,9 +39,7 @@ from .solvers import (
     IterationTrace,
     SolverConfig,
     SolverError,
-    SolverState,
-    _accelerated_step,
-    _Cycle,
+    _walk,
     run,
 )
 
@@ -105,33 +103,29 @@ def build_problem(
 def reference_optimum(problem: ProblemInstance) -> ReferenceOptimum:
     """Best available optimum value for a problem, with a quality certificate.
 
-    Uses the exact value when the instance carries one. Otherwise runs alg2
-    at h = 1/L from ``x0``, keeping the least f seen, until the minimal-norm
-    subgradient s at the iterate (from the state's gradient) has a norm below
-    ``REFERENCE_TOL``, the state the next step reads closes a cycle
-    (`_Cycle`, by step T + 2P for a cycle of period P entered after T steps;
-    every point of the cycle has been seen by then, so the least f kept does
-    not depend on the point it closes on), or ``REFERENCE_BUDGET`` steps
-    pass. Reaching the tolerance certifies the value: for g strongly convex
-    with constant mu, the gap is at most
+    Uses the exact value when the instance carries one. Otherwise walks alg2
+    at h = 1/L from ``x0`` (`solvers._walk`, as `run` does), keeping the
+    least f seen from f(x0) on, until the minimal-norm subgradient s at the
+    iterate (from the state's gradient) has a norm below ``REFERENCE_TOL``,
+    the walk closes a cycle (every point of the cycle has been seen by then,
+    so the least f kept does not depend on the point it closes on), or
+    ``REFERENCE_BUDGET`` steps pass. Reaching the tolerance certifies the
+    value: for g strongly convex with constant mu, the gap is at most
     |s|^2 / (2 mu) (the PL inequality), whatever method found the point.
     """
     if problem.f_ref is not None:
         return ReferenceOptimum(value=problem.f_ref, certified=True)
     obj = problem.objective
-    h = 1.0 / obj.lipschitz_L
-    state = SolverState.initial(obj, problem.x0)
-    best_f = state.f_x
-    # the empty key equals no state, so the start state is compared too
-    cycle = _Cycle(b"")
+    walk = _walk(obj, problem.x0, 1.0 / obj.lipschitz_L, SolverConfig("alg2", REFERENCE_BUDGET))
+    state, best_f, period = next(walk)
     # a norm that overflows is inf, which does not certify
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(REFERENCE_BUDGET + 1):
             sub_norm = float(np.linalg.norm(_min_norm_from_grad(state.grad, state.x, obj.gamma)))
-            if sub_norm < REFERENCE_TOL or step == REFERENCE_BUDGET or cycle.period(state.key()):
+            if sub_norm < REFERENCE_TOL or step == REFERENCE_BUDGET or period:
                 break
-            state = _accelerated_step(obj, state, h)
-            best_f = min(best_f, state.f_x)
+            state, f, period = next(walk)
+            best_f = min(best_f, f)
     return ReferenceOptimum(value=best_f, certified=sub_norm < REFERENCE_TOL)
 
 

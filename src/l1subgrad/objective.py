@@ -32,18 +32,11 @@ def _min_norm_from_grad(grad: np.ndarray, x: np.ndarray, gamma: float) -> np.nda
     # zero components the least-|.| choice over [-gamma, gamma] is the
     # soft-threshold of the smooth partial derivative. Without zero components
     # the support's form holds everywhere, so the threshold is skipped
-    # (count_nonzero costs a third of x.all() on short vectors). Otherwise
-    # `_shrink(grad, gamma)` is built in one buffer, by the same operations in
-    # the same order, and the support's entries are copied over it.
+    # (count_nonzero costs a third of x.all() on short vectors).
     on_support = grad + gamma * np.sign(x)
     if np.count_nonzero(x) == x.size:
         return on_support
-    out = np.abs(grad)
-    out -= gamma
-    np.maximum(out, 0.0, out=out)
-    np.multiply(np.sign(grad), out, out=out)
-    np.copyto(out, on_support, where=x != 0.0)
-    return out
+    return np.where(x != 0.0, on_support, _shrink(grad, gamma))
 
 
 def _directional_from_grad(

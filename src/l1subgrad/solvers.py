@@ -11,33 +11,24 @@ Solver ids (used by the CLI and in CSV output):
 Validation happens once, at the boundary. `run` checks the start point and
 the resolved step before its loop; each public step function checks its step
 and iterate on every call. Both then call the same private kernel per method
-(``_subgradient_step``, ``_accelerated_step``, ``_ista_step``,
-``_fista_step``, ``_classic_step``), which trusts its arrays: 1-D float64 of
-the objective's length. Inside the kernels the objective is reached through
-its raw ``_value``/``_grad``/``_sub`` methods, which skip the coercion; only
-the result of the user's ``grad_g`` is still checked.
+(``_crossing_phase`` after the minimal-norm subgradient for alg1,
+``_accelerated_step``, ``_ista_step``, ``_fista_step``, ``_classic_step``),
+which trusts its arrays: 1-D float64 of the objective's length. Inside the
+kernels the objective is reached through its raw ``_value``/``_grad``/``_sub``
+methods, which skip the coercion; only the result of the user's ``grad_g`` is
+still checked.
 
-`run` stops early once the state closes a cycle. The steps are
-deterministic functions of the state they read (the objective's ``eval_g``
-and ``grad_g`` are deterministic functions of x, so the gradient alg2's
-state carries is one too, and its ``key`` leaves it out), and float64
-states form a finite set, so a converged run ends at a fixed point or in a
-cycle. When the state after step k repeats the state after step k - P,
-every later step repeats one already taken; `run` fills the rest of the
-trace by repeating the last P values, takes ``(max_iter - k) % P`` more
-steps for ``x_final``, and returns the same ``f_values`` and ``x_final``
-bytes as stepping to the end would. One detector, `_Cycle` (Nivasch's stack
-algorithm on the states' bytes), finds the cycles here, in the reference
-optimum and in `verify`; it closes a cycle of period P entered after T
-steps by step T + 2P. fista stops only at P = 1, since its ``t`` is not
-part of the state compared; ``classic`` never stops early: its step
-depends on k.
+One generator, `_walk`, steps a method from its start state and finds where
+its states close a cycle; `run` and `bench.reference_optimum` both read it.
+The `verify` suites keep their own loops on the public steps, each with its
+own `_Cycle`, the one detector used everywhere.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count, islice
 
 import numpy as np
 
@@ -151,12 +142,6 @@ def _crossing_phase(obj, x, sub, h):
     return x_second, mask, False, f_second
 
 
-def _subgradient_step(obj: CompositeObjective, x: np.ndarray, h: float):
-    """`subgradient_step` plus f at the new point when the step computed it (else None)."""
-    x_next, _, _, f_next = _crossing_phase(obj, x, obj._sub(x), h)
-    return x_next, f_next
-
-
 def subgradient_step(obj: CompositeObjective, x, h: float) -> np.ndarray:
     """One iteration of the constant-step minimal-norm subgradient method.
 
@@ -164,7 +149,8 @@ def subgradient_step(obj: CompositeObjective, x, h: float) -> np.ndarray:
     otherwise (the re-evaluation at the pinned point x').
     """
     _check_step(h)
-    return _subgradient_step(obj, as_vector(x, dim=obj.dim), h)[0]
+    x = as_vector(x, dim=obj.dim)
+    return _crossing_phase(obj, x, obj._sub(x), h)[0]
 
 
 @dataclass
@@ -380,40 +366,60 @@ class IterationTrace:
     x_final: np.ndarray
 
 
-def _driver(method: str, obj: CompositeObjective, x0: np.ndarray, h: float, cfg: SolverConfig):
-    """What `run` needs of one method: its start state and f there, a step
-    ``(state, k) -> (next state, f at its iterate)``, and a function giving
-    the `_Cycle` key of a state. The state of alg1, ista and classic is
-    their iterate, keyed by its bytes."""
+def _walk(obj: CompositeObjective, x0: np.ndarray, h: float, cfg: SolverConfig):
+    """Yield ``(state, f, period)`` for the start state at ``x0``, then after
+    each step of ``cfg.method`` at step size ``h``, for as long as it is asked.
+
+    ``state`` is what the next step reads: the iterate for alg1, ista and
+    classic, a `SolverState` for alg2, a `FistaState` for fista. ``f`` is f
+    at its iterate, or +inf where classic's iterate is not finite.
+    ``period`` is the period P of the cycle the state closes, else 0.
+
+    The steps are deterministic functions of the state they read (the
+    objective's ``eval_g`` and ``grad_g`` are deterministic functions of x,
+    so the gradient alg2's state carries is one too), and float64 states
+    form a finite set, so a converged walk ends at a fixed point or in a
+    cycle. `_Cycle` compares the states' bytes (``x``; ``x`` and ``p`` for
+    alg2; ``x`` and ``y`` for fista) and closes a cycle of period P entered
+    after T steps by step T + 2P: there the state after step k repeats the
+    state after step k - P, so every later step repeats one already taken.
+    fista closes only at P = 1: its ``t`` grows between restarts and changes
+    the step, so an ``(x, y)`` repeat of period 2 or more need not be a
+    cycle, while at P = 1 ``t`` only scales ``x_new - x``, then exactly
+    zero. classic never closes, since its step depends on k. The walk goes
+    on stepping after a cycle closes.
+    """
+    method = cfg.method
+    key = np.ndarray.tobytes
     if method == "alg2":
-        def step(s, k):
-            s = _accelerated_step(obj, s, h)
-            return s, s.f_x
-
-        start = SolverState.initial(obj, x0)
-        return start, start.f_x, step, SolverState.key
-    if method == "fista":
-        def step(s, k):
-            s = _fista_step(obj, s, h)
-            return s, obj._value(s.x)
-
-        return FistaState.initial(x0), obj._value(x0), step, FistaState.key
-    if method == "alg1":
-        def step(x, k):
-            x, f = _subgradient_step(obj, x, h)
-            return x, obj._value(x) if f is None else f
-    elif method == "ista":
-        def step(x, k):
-            x = _ista_step(obj, x, h)
-            return x, obj._value(x)
+        state = SolverState.initial(obj, x0)
+        f, key = state.f_x, SolverState.key
+    elif method == "fista":
+        state, f, key = FistaState.initial(x0), obj._value(x0), FistaState.key
     else:
-        scale, exponent = cfg.classic_step_scale, cfg.classic_step_exponent
-
-        def step(x, k):
-            x = _classic_step(obj, x, k, scale, exponent)
-            finite = np.count_nonzero(np.isfinite(x)) == x.size
-            return x, obj._value(x) if finite else math.inf
-    return x0.copy(), obj._value(x0), step, np.ndarray.tobytes
+        state, f = x0.copy(), obj._value(x0)
+    cycle = None if method == "classic" else _Cycle(key(state), period_one_only=method == "fista")
+    period = 0
+    for k in count(1):
+        yield state, f, period
+        if method == "alg2":
+            state = _accelerated_step(obj, state, h)
+            f = state.f_x
+        elif method == "alg1":
+            state, _, _, f = _crossing_phase(obj, state, obj._sub(state), h)
+            if f is None:
+                f = obj._value(state)
+        elif method == "ista":
+            state = _ista_step(obj, state, h)
+            f = obj._value(state)
+        elif method == "fista":
+            state = _fista_step(obj, state, h)
+            f = obj._value(state.x)
+        else:
+            state = _classic_step(obj, state, k, cfg.classic_step_scale, cfg.classic_step_exponent)
+            f = obj._value(state) if np.count_nonzero(np.isfinite(state)) == state.size else math.inf
+        if cycle is not None:
+            period = cycle.period(key(state))
 
 
 def run(obj: CompositeObjective, x0, cfg: SolverConfig) -> IterationTrace:
@@ -425,19 +431,10 @@ def run(obj: CompositeObjective, x0, cfg: SolverConfig) -> IterationTrace:
     steps may overflow on steep problems), the remaining trace is filled with
     +inf and iteration stops; methods with crossing control raise instead.
 
-    Iteration also stops once the state the next step reads closes a cycle
-    (`_Cycle`: ``x`` for alg1 and ista; ``x`` and ``p`` for alg2, whose
-    ``grad`` is a function of ``x``; ``x`` and ``y`` for fista), by step
-    T + 2P for a cycle of period P entered after T steps. If the state after
-    step k repeats the state after step k - P, every later step repeats one
-    already taken, so ``f_values[k+1:]`` is filled by repeating the last P
-    values, and ``x_final`` is reached by ``(max_iter - k) % P`` more steps;
-    the cycle itself is not stored. The returned bytes are those of stepping
-    to ``max_iter``. fista stops only at P = 1: its ``t`` grows between restarts
-    and changes the step, so an ``(x, y)`` repeat of period 2 or more need
-    not be a cycle, while at P = 1 ``t`` only scales ``x_new - x``, then
-    exactly zero. ``classic`` never stops this way, since its step depends on
-    k.
+    Iteration also stops once the walk (`_walk`) closes a cycle of period P
+    at step k: ``f_values[k+1:]`` is filled by repeating the last P values,
+    and ``x_final`` is the state ``(max_iter - k) % P`` steps further on the
+    same walk. The returned bytes are those of stepping to ``max_iter``.
     """
     x0 = as_vector(x0, dim=obj.dim)
     if not np.isfinite(x0).all():
@@ -446,29 +443,28 @@ def run(obj: CompositeObjective, x0, cfg: SolverConfig) -> IterationTrace:
     h = cfg.resolve_step(obj)
     _check_step(h)
     f_values = np.empty(cfg.max_iter + 1)
-    state, f_values[0], step, key = _driver(method, obj, x0, h, cfg)
+    walk = _walk(obj, x0, h, cfg)
+    state, f_values[0], _ = next(walk)
     if not math.isfinite(f_values[0]):
         raise ValueError(f"f(x0) must be finite, got {f_values[0]}")
-    cycle = None if method == "classic" else _Cycle(key(state), period_one_only=method == "fista")
 
     # divergence of the unguarded methods is detected through inf propagation,
     # so the overflow it causes is expected, not an error condition
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, cfg.max_iter + 1):
             try:
-                state, f_k = step(state, k)
+                state, f_k, period = next(walk)
             except SolverError as exc:
                 raise SolverError(f"{method} failed at iteration {k}: {exc}") from exc
             f_values[k] = f_k
             if not math.isfinite(f_k):
                 f_values[k:] = np.inf
                 break
-            period = cycle is not None and cycle.period(key(state))
             if period:
                 rest = f_values[k + 1:]
                 rest[:] = np.resize(f_values[k + 1 - period:k + 1], rest.size)
-                for j in range(k + 1, k + 1 + rest.size % period):
-                    state, _ = step(state, j)
+                for state, _, _ in islice(walk, rest.size % period):
+                    pass
                 break
 
     x_final = state if isinstance(state, np.ndarray) else state.x

@@ -1,3 +1,4 @@
+import math
 import os
 import signal
 import time
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import l1subgrad.bench as bench
+import l1subgrad.solvers as solvers
 from l1subgrad.bench import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -20,8 +22,16 @@ from l1subgrad.bench import (
     write_trace_csv,
 )
 from l1subgrad.numerics import Rng
-from l1subgrad.problems import make_lasso, make_quadratic
-from l1subgrad.solvers import SolverConfig, SolverError, SolverState, _accelerated_step, run
+from l1subgrad.objective import CompositeObjective, _min_norm_from_grad
+from l1subgrad.problems import ProblemInstance, make_lasso, make_quadratic
+from l1subgrad.solvers import (
+    SolverConfig,
+    SolverError,
+    SolverState,
+    _accelerated_step,
+    _Cycle,
+    run,
+)
 
 
 @dataclass(frozen=True)
@@ -72,13 +82,13 @@ class TestReferenceOptimum:
     @staticmethod
     def _count_steps(monkeypatch):
         calls = []
-        real_step = bench._accelerated_step
+        real_step = solvers._accelerated_step
 
         def counted(*args):
             calls.append(None)
             return real_step(*args)
 
-        monkeypatch.setattr(bench, "_accelerated_step", counted)
+        monkeypatch.setattr(solvers, "_accelerated_step", counted)
         return calls
 
     def test_quadratic_certifies_within_a_few_hundred_alg2_steps(self, monkeypatch):
@@ -119,6 +129,75 @@ class TestReferenceOptimum:
         # the reference reads the gradient each state carries, so it calls
         # grad_g as often as this loop does
         assert len(loop_calls) <= len(ref_calls) <= len(loop_calls) + 1
+
+
+def _stepwise_reference(problem: ProblemInstance) -> tuple[ReferenceOptimum, int]:
+    """The reference rule written out as its own loop: a `_Cycle` whose empty
+    first key equals no state, so the start state is compared too; at each
+    state the tolerance, the budget and the cycle are checked, then alg2
+    steps. Returns the reference and the steps taken."""
+    obj = problem.objective
+    h = 1.0 / obj.lipschitz_L
+    state = SolverState.initial(obj, problem.x0)
+    best_f = state.f_x
+    cycle = _Cycle(b"")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(bench.REFERENCE_BUDGET + 1):
+            sub_norm = float(np.linalg.norm(_min_norm_from_grad(state.grad, state.x, obj.gamma)))
+            if (sub_norm < bench.REFERENCE_TOL or step == bench.REFERENCE_BUDGET
+                    or cycle.period(state.key())):
+                break
+            state = _accelerated_step(obj, state, h)
+            best_f = min(best_f, state.f_x)
+    return ReferenceOptimum(value=best_f, certified=sub_norm < bench.REFERENCE_TOL), step
+
+
+def _nan_at_start() -> ProblemInstance:
+    # g(x) = |x|^2 / 2, whose value reads nan at the start point only
+    def eval_g(x):
+        return math.nan if x[0] == 3.0 else 0.5 * float(x @ x)
+
+    obj = CompositeObjective(eval_g=eval_g, grad_g=lambda x: x.copy(), gamma=0.5,
+                             lipschitz_L=1.0, dim=2, mu=1.0)
+    return ProblemInstance(objective=obj, x0=np.array([3.0, -2.0]), label="nan-start")
+
+
+class TestReferenceKeepsItsRule:
+    """`reference_optimum` gives the value bits, the flag and the step count
+    of the stepwise rule at each of its stops. The references that the
+    byte comparisons of CLI output build all stop at the tolerance, so only
+    this test reaches the cycle and the budget."""
+
+    @pytest.mark.parametrize("case, patch, expected_stop", [
+        ("quadratic", {}, "tolerance"),
+        ("lasso", {"REFERENCE_TOL": 0.0}, "cycle"),
+        ("lasso", {"REFERENCE_BUDGET": 3}, "budget"),
+        ("fixed-point", {"REFERENCE_TOL": 0.0}, "cycle"),
+        ("nan-start", {}, "tolerance"),
+    ], ids=["quadratic-tolerance", "lasso-cycle", "lasso-budget", "fixed-point", "nan-start"])
+    def test_same_value_flag_and_steps(self, case, patch, expected_stop, monkeypatch):
+        for name, value in patch.items():
+            monkeypatch.setattr(bench, name, value)
+        problem = {
+            "quadratic": lambda: make_quadratic(30, Rng(0)),
+            "lasso": lambda: make_lasso(20, 40, Rng(3)),
+            # 0 minimizes f when |grad_g(0)| <= gamma, so alg2 stays at its start
+            "fixed-point": lambda: replace(make_quadratic(10, Rng(5), gamma=1e3), x0=np.zeros(10)),
+            "nan-start": _nan_at_start,
+        }[case]()
+        expected, expected_steps = _stepwise_reference(problem)
+        calls = TestReferenceOptimum._count_steps(monkeypatch)
+        got = reference_optimum(problem)
+        assert np.float64(got.value).tobytes() == np.float64(expected.value).tobytes()
+        assert got.certified == expected.certified
+        assert len(calls) == expected_steps
+        stop = ("budget" if expected_steps == bench.REFERENCE_BUDGET
+                else "tolerance" if expected.certified else "cycle")
+        assert stop == expected_stop
+        if case == "fixed-point":
+            assert expected_steps == 1
+        if case == "nan-start":
+            assert math.isnan(expected.value)
 
 
 class TestBuildProblem:

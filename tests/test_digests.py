@@ -7,10 +7,12 @@ of its stdout and of every file it writes are compared with those recorded
 here. A change that moves a digest on purpose updates it in the same change
 and names the vector and the reason.
 
-The vectors do their arithmetic elementwise or in Python floats, except the
-norm `solve` prints, which goes through a BLAS dot that another numpy or BLAS
-build may round differently. The digests were recorded with the build in
-`RECORDED_WITH`, and a mismatch names both builds.
+The toy2d vectors do their arithmetic elementwise or in Python floats, except
+the norm `solve` prints, which goes through a BLAS dot. The small quadratic,
+lasso, logistic and logsumexp `bench` vectors use BLAS matrix products
+throughout, in their problems, their runs and their reference optima. Another
+numpy or BLAS build may round those differently, so the digests were recorded
+with the build in `RECORDED_WITH`, and a mismatch names both builds.
 """
 
 import hashlib
@@ -35,6 +37,35 @@ DIGESTS = {
         "out.csv": "925fc434f3ff58a81f5f79139ee3dcc37080f00d9ca78a7b212d30b043fbf24a",
         "out.meta.txt": "83c8d520b5682d940ce520a0824bf45c4b4cbc6c5587e93fb10f05c04845edb7",
         "out.raw.csv": "d74b08e7fe5ff7e33be1d2c58749086d0eb9280f7ef379a6c29615986caeb546",
+    },
+    # the reference optimum of each family with no exact value: alg2 runs to its tolerance
+    ("bench", "--experiment", "quadratic", "--n", "30", "--trials", "3", "--iters", "300",
+     "--out", "out.csv"): {
+        "stdout": "040975bdfb746d82ea320c1e79471ef19811e63dc19a44b18c9ce33c08fac301",
+        "out.csv": "ab04ed237f8490b44142d6af696d41897998f228d3d64bc24a7a6cd3a940dc22",
+        "out.meta.txt": "c25fe3efcc549f790733b722cf5ea035a42ed91e69f46b72ca93b1043142edc2",
+        "out.raw.csv": "082043ab8a5c69d8eeffea2a86e70895f03dc1d11d2494c526936e37a12a4ef6",
+    },
+    ("bench", "--experiment", "lasso", "--m", "20", "--n", "40", "--trials", "3", "--iters", "300",
+     "--out", "out.csv"): {
+        "stdout": "65dc302b82d11e3f88e0a79b617adc82b5a2fe0fd6fcad9c74d42f4b49b3f59c",
+        "out.csv": "eb9296f039a71090e130191da65273de01430f788a8db211633d6be97d1ab36d",
+        "out.meta.txt": "d679dbbe167dcf0e9e4cc6cfc7c5528b1653075a9b32c01acfaa68fa8d156b7c",
+        "out.raw.csv": "04c840da75e9a10a41e6c225c956406947255633d2dbaac832a8aaf8000403ad",
+    },
+    ("bench", "--experiment", "logistic", "--m", "30", "--n", "20", "--trials", "3", "--iters",
+     "300", "--out", "out.csv"): {
+        "stdout": "88913e0730bbc42d5e3ee9c17b3dd89f1f71c2648af26e19205895d93a077886",
+        "out.csv": "7de58afd4c212acb3c96aae9ff01c2e456aa7a103bfa130ae2744cc181b7612d",
+        "out.meta.txt": "7c0d6edcb641fb79095abf6b4d56459c8ecc26f0375f88ee75e6cfd05cee3e00",
+        "out.raw.csv": "63cf0c99696565980a365bdc8f413ba612268a970218c20c2e03c3be210455c5",
+    },
+    ("bench", "--experiment", "logsumexp", "--k", "30", "--n", "20", "--trials", "3", "--iters",
+     "300", "--out", "out.csv"): {
+        "stdout": "0245ac1a35c1c0f2b83af5328890cc4994c53c09b6a3c18be80f353aa6d0ed56",
+        "out.csv": "f674b2e21feaab469a54292853aae247625f3d2cc3f679c13a3ca852fb067ce5",
+        "out.meta.txt": "67493a4a3d44133d42b017288eaad476c2c65e8327caee29e94beca6545eec66",
+        "out.raw.csv": "d851d43735d0915c11a3ecaff95c3fc4c3cb45c9a942003ab48887aa9ffd703d",
     },
     ("solve", "--problem", "toy2d", "--solver", "alg1", "--out", "out.csv"): {
         "stdout": "4aec06d33f698f8eafc18e36428447a89a76f3cfb7c35556dabad1aad4c49918",
