@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 import pickle
+from contextlib import closing
 from dataclasses import dataclass, fields
 from functools import partial
 from itertools import chain, islice, repeat
@@ -39,6 +40,7 @@ from .solvers import (
     IterationTrace,
     SolverConfig,
     SolverError,
+    _usable_cpus,
     _walk,
     run,
 )
@@ -117,15 +119,18 @@ def reference_optimum(problem: ProblemInstance) -> ReferenceOptimum:
         return ReferenceOptimum(value=problem.f_ref, certified=True)
     obj = problem.objective
     walk = _walk(obj, problem.x0, 1.0 / obj.lipschitz_L, SolverConfig("alg2", REFERENCE_BUDGET))
-    state, best_f, period = next(walk)
-    # a norm that overflows is inf, which does not certify
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(REFERENCE_BUDGET + 1):
-            sub_norm = float(np.linalg.norm(_min_norm_from_grad(state.grad, state.x, obj.gamma)))
-            if sub_norm < REFERENCE_TOL or step == REFERENCE_BUDGET or period:
-                break
-            state, f, period = next(walk)
-            best_f = min(best_f, f)
+    # closed here, not when collected: the walk may hold a helper thread
+    with closing(walk):
+        state, best_f, period = next(walk)
+        # a norm that overflows is inf, which does not certify
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step in range(REFERENCE_BUDGET + 1):
+                sub = _min_norm_from_grad(state.grad, state.x, obj.gamma)
+                sub_norm = float(np.linalg.norm(sub))
+                if sub_norm < REFERENCE_TOL or step == REFERENCE_BUDGET or period:
+                    break
+                state, f, period = next(walk)
+                best_f = min(best_f, f)
     return ReferenceOptimum(value=best_f, certified=sub_norm < REFERENCE_TOL)
 
 
@@ -231,20 +236,13 @@ def _run_trial(cfg: ExperimentConfig, solver_cfgs: tuple[SolverConfig, ...], t: 
     return TrialResult(trial=t, ref=ref, traces=traces)
 
 
-def _worker_count() -> int:
-    """The CPUs this process may run on, or 1 where `os.fork` or
-    `os.sched_getaffinity` is missing: `_fork_map` starts one worker each."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
 def _fork_map(fn, items) -> list:
     """``[fn(item) for item in items]`` for independent items, computed in
     forked workers, with the same results and the same first error.
 
-    There are `_worker_count` workers, at most one per item, and item j goes
-    to worker j mod W, so that blocks of items of unequal cost are shared.
+    There is one worker per CPU (`solvers._usable_cpus`), at most one per
+    item, and item j goes to worker j mod W, so that blocks of items of
+    unequal cost are shared.
     Each worker runs its items in order and sends each result down its own
     pipe as a pickle; at its first exception it sends that instead and stops.
     The parent does no item's work: it reads the results in item order, so
@@ -256,7 +254,7 @@ def _fork_map(fn, items) -> list:
     With one worker the loop runs in this process and forks nothing.
     """
     items = list(items)
-    workers = min(_worker_count(), len(items))
+    workers = min(_usable_cpus(), len(items))
     if workers <= 1:
         return [fn(item) for item in items]
     pipes = [os.pipe() for _ in range(workers)]

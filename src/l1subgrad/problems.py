@@ -8,15 +8,17 @@ the exact LAPACK spectral norm otherwise).
 
 The matrix families (quadratic, lasso, logistic, logsumexp) compute the
 product of their matrix with x once per point: ``eval_g`` and ``grad_g`` read
-it through `_shared_product`, which remembers the last point and its product.
-The solvers often ask for g and its gradient at the same point in turn (f(x)
-after a step, the subgradient at x in the next), and the product dominates
-either call. The 2-D example has no product to share and keeps plain closures.
+it through `_shared_product`, which remembers the last point and its product
+on each thread. The solvers often ask for g and its gradient at the same
+point in turn (f(x) after a step, the subgradient at x in the next), and the
+product dominates either call. The 2-D example has no product to share and
+keeps plain closures.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 from itertools import product
 
@@ -29,24 +31,25 @@ from .objective import CompositeObjective
 def _shared_product(mat: np.ndarray):
     """x -> mat @ x, computed once for repeated calls at the same point.
 
-    A one-slot memo holding the last point's shape and bytes with its
-    product, as one tuple, so that a reader never sees a point paired with
-    another point's product. The bytes are a copy: mutating the caller's
-    array in place cannot make a stale hit. Comparing bytes is exact (it
-    tells -0.0 from 0.0) and costs about a microsecond at n = 1000, against
-    hundreds for the product.
+    A one-slot memo per thread, holding the last point's shape and bytes with
+    its product, as one tuple, so that a reader never sees a point paired
+    with another point's product. A per-thread slot keeps the point of alg2's
+    helper thread (`solvers._walk`) from being evicted by the point the main
+    thread computes at the same time. The bytes are a copy: mutating the
+    caller's array in place cannot make a stale hit. Comparing bytes is exact
+    (it tells -0.0 from 0.0) and costs about a microsecond at n = 1000,
+    against hundreds for the product.
     """
-    memo = (None, None)
+    memo = threading.local()
 
     def product(x):
-        nonlocal memo
         x = np.asarray(x, dtype=np.float64)
         key = (x.shape, x.tobytes())
-        last_key, last_y = memo
+        last_key, last_y = getattr(memo, "last", (None, None))
         if key == last_key:
             return last_y
         y = mat @ x
-        memo = (key, y)
+        memo.last = (key, y)
         return y
 
     return product

@@ -27,6 +27,8 @@ own `_Cycle`, the one detector used everywhere.
 from __future__ import annotations
 
 import math
+import os
+from contextlib import closing
 from dataclasses import dataclass
 from itertools import count, islice
 
@@ -41,6 +43,13 @@ from .objective import (
 )
 
 METHODS = ("alg1", "alg2", "ista", "fista", "classic")
+
+# The least dimension at which an alg2 walk hands f and grad_g at q to a
+# helper thread (`_walk`); below it the handoff costs more than it saves.
+_OVERLAP_MIN_DIM = 700
+# The process that imported this module; a process forked from it, such as a
+# `bench._fork_map` worker, never starts a helper, since the workers hold every CPU.
+_HOME_PID = os.getpid()
 
 
 class SolverError(RuntimeError):
@@ -58,6 +67,12 @@ def _check_schedule(scale: float, exponent: float):
     # exponent 0 gives a constant step, as in verify's anti-oscillation suite
     if not (math.isfinite(exponent) and exponent >= 0):
         raise ValueError(f"classic_step_exponent must be finite and >= 0, got {exponent}")
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or 1 without `os.fork` or `os.sched_getaffinity`."""
+    known = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    return len(os.sched_getaffinity(0)) if known else 1
 
 
 class _Cycle:
@@ -180,7 +195,25 @@ class SolverState:
         return self.x.tobytes() + self.p.tobytes()
 
 
-def _accelerated_step(obj: CompositeObjective, state: SolverState, h: float) -> SolverState:
+def _value_and_grad(obj: CompositeObjective, x: np.ndarray, f_x: float | None):
+    # f(x) unless given, then grad_g(x): where f(x) was evaluated just before,
+    # the matrix families reuse its product
+    return (obj._value(x) if f_x is None else f_x), obj._grad(x)
+
+
+def _accelerated_step(
+    obj: CompositeObjective, state: SolverState, h: float, helper=None
+) -> SolverState:
+    """`accelerated_step` without the checks.
+
+    The fallback to q (r > 0) needs f(q) and grad_g(q). With a ``helper``
+    (an `_overlap.Helper`) they are computed on its thread while this one
+    computes grad_g(q'), and the step waits for them before it reads r or
+    raises, so the helper is idle when the step ends. Where the move is kept
+    (r <= 0) they are dropped, with any exception they raised, as the step
+    without a helper never computes them; otherwise their exception is
+    raised here. The calls are the same either way, so are the bytes.
+    """
     x = state.x
     p = state.p
     sub = _min_norm_from_grad(state.grad, x, obj.gamma)
@@ -206,8 +239,14 @@ def _accelerated_step(obj: CompositeObjective, state: SolverState, h: float) -> 
         p = (q_prime - q) / sqrt_h
         prod = None
 
-    grad_qp = obj._grad(q_prime)
-    r = float(_directional_from_grad(grad_qp, q, q_prime, obj.gamma, prod) @ p)
+    if helper is not None:
+        helper.submit(_value_and_grad, obj, q, f_q)
+    try:
+        grad_qp = obj._grad(q_prime)
+        r = float(_directional_from_grad(grad_qp, q, q_prime, obj.gamma, prod) @ p)
+    finally:
+        if helper is not None:
+            helper.wait()
     if r <= 0.0:
         p = p + (q - q_old) / sqrt_h
         x_new = q_prime
@@ -216,10 +255,7 @@ def _accelerated_step(obj: CompositeObjective, state: SolverState, h: float) -> 
     else:
         x_new = q
         p = (q - q_old) / sqrt_h
-        f_new = f_q if f_q is not None else obj._value(x_new)
-        # after f(q): where f(q) was evaluated just above, the matrix
-        # families reuse its product
-        grad = obj._grad(x_new)
+        f_new, grad = _value_and_grad(obj, q, f_q) if helper is None else helper.result()
 
     return SolverState(x=x_new, p=p, f_x=f_new, grad=grad, q=q)
 
@@ -388,6 +424,15 @@ def _walk(obj: CompositeObjective, x0: np.ndarray, h: float, cfg: SolverConfig):
     cycle, while at P = 1 ``t`` only scales ``x_new - x``, then exactly
     zero. classic never closes, since its step depends on k. The walk goes
     on stepping after a cycle closes.
+
+    An alg2 walk owns one helper thread (`_overlap.Helper`). Each step that
+    follows two fallbacks to q in a row lends it to `_accelerated_step`,
+    which is done with it before the step yields. It is started at the first
+    such step where ``obj.dim >= _OVERLAP_MIN_DIM``, the process may use 2
+    or more CPUs (`_usable_cpus`) and it is not a process forked from the one
+    that imported this module (a `bench._fork_map` worker), and joined when
+    the walk is closed: close the walk rather than drop it. The bytes are
+    those of the walk without it.
     """
     method = cfg.method
     key = np.ndarray.tobytes
@@ -399,27 +444,44 @@ def _walk(obj: CompositeObjective, x0: np.ndarray, h: float, cfg: SolverConfig):
     else:
         state, f = x0.copy(), obj._value(x0)
     cycle = None if method == "classic" else _Cycle(key(state), period_one_only=method == "fista")
-    period = 0
-    for k in count(1):
-        yield state, f, period
-        if method == "alg2":
-            state = _accelerated_step(obj, state, h)
-            f = state.f_x
-        elif method == "alg1":
-            state, _, _, f = _crossing_phase(obj, state, obj._sub(state), h)
-            if f is None:
+    period = fallbacks = 0
+    helper = None
+    try:
+        for k in count(1):
+            yield state, f, period
+            if method == "alg2":
+                # fallbacks to q (after one, state.x is state.q) come in long
+                # runs on some instances and alone on others: a step that
+                # follows two in a row is lent the helper
+                fallbacks = fallbacks + 1 if state.x is state.q else 0
+                if (fallbacks >= 2 and helper is None and obj.dim >= _OVERLAP_MIN_DIM
+                        and os.getpid() == _HOME_PID and _usable_cpus() >= 2):
+                    from ._overlap import Helper
+
+                    helper = Helper()
+                state = _accelerated_step(obj, state, h, helper if fallbacks >= 2 else None)
+                f = state.f_x
+            elif method == "alg1":
+                state, _, _, f = _crossing_phase(obj, state, obj._sub(state), h)
+                if f is None:
+                    f = obj._value(state)
+            elif method == "ista":
+                state = _ista_step(obj, state, h)
                 f = obj._value(state)
-        elif method == "ista":
-            state = _ista_step(obj, state, h)
-            f = obj._value(state)
-        elif method == "fista":
-            state = _fista_step(obj, state, h)
-            f = obj._value(state.x)
-        else:
-            state = _classic_step(obj, state, k, cfg.classic_step_scale, cfg.classic_step_exponent)
-            f = obj._value(state) if np.count_nonzero(np.isfinite(state)) == state.size else math.inf
-        if cycle is not None:
-            period = cycle.period(key(state))
+            elif method == "fista":
+                state = _fista_step(obj, state, h)
+                f = obj._value(state.x)
+            else:
+                state = _classic_step(
+                    obj, state, k, cfg.classic_step_scale, cfg.classic_step_exponent
+                )
+                f = (obj._value(state) if np.count_nonzero(np.isfinite(state)) == state.size
+                     else math.inf)
+            if cycle is not None:
+                period = cycle.period(key(state))
+    finally:
+        if helper is not None:
+            helper.close()
 
 
 def run(obj: CompositeObjective, x0, cfg: SolverConfig) -> IterationTrace:
@@ -443,29 +505,29 @@ def run(obj: CompositeObjective, x0, cfg: SolverConfig) -> IterationTrace:
     h = cfg.resolve_step(obj)
     _check_step(h)
     f_values = np.empty(cfg.max_iter + 1)
-    walk = _walk(obj, x0, h, cfg)
-    state, f_values[0], _ = next(walk)
-    if not math.isfinite(f_values[0]):
-        raise ValueError(f"f(x0) must be finite, got {f_values[0]}")
+    with closing(_walk(obj, x0, h, cfg)) as walk:
+        state, f_values[0], _ = next(walk)
+        if not math.isfinite(f_values[0]):
+            raise ValueError(f"f(x0) must be finite, got {f_values[0]}")
 
-    # divergence of the unguarded methods is detected through inf propagation,
-    # so the overflow it causes is expected, not an error condition
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, cfg.max_iter + 1):
-            try:
-                state, f_k, period = next(walk)
-            except SolverError as exc:
-                raise SolverError(f"{method} failed at iteration {k}: {exc}") from exc
-            f_values[k] = f_k
-            if not math.isfinite(f_k):
-                f_values[k:] = np.inf
-                break
-            if period:
-                rest = f_values[k + 1:]
-                rest[:] = np.resize(f_values[k + 1 - period:k + 1], rest.size)
-                for state, _, _ in islice(walk, rest.size % period):
-                    pass
-                break
+        # divergence of the unguarded methods is detected through inf
+        # propagation, so the overflow it causes is expected, not an error
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(1, cfg.max_iter + 1):
+                try:
+                    state, f_k, period = next(walk)
+                except SolverError as exc:
+                    raise SolverError(f"{method} failed at iteration {k}: {exc}") from exc
+                f_values[k] = f_k
+                if not math.isfinite(f_k):
+                    f_values[k:] = np.inf
+                    break
+                if period:
+                    rest = f_values[k + 1:]
+                    rest[:] = np.resize(f_values[k + 1 - period:k + 1], rest.size)
+                    for state, _, _ in islice(walk, rest.size % period):
+                        pass
+                    break
 
     x_final = state if isinstance(state, np.ndarray) else state.x
     return IterationTrace(method=method, f_values=f_values, x_final=x_final)

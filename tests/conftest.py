@@ -43,6 +43,6 @@ def workers(monkeypatch):
     import l1subgrad.bench as bench
 
     def set_count(count):
-        monkeypatch.setattr(bench, "_worker_count", lambda: count)
+        monkeypatch.setattr(bench, "_usable_cpus", lambda: count)
 
     return set_count

@@ -7,6 +7,7 @@ import pytest
 
 import l1subgrad.bench as bench
 import l1subgrad.cli as cli_module
+import l1subgrad.solvers as solvers
 from l1subgrad.bench import ReferenceOptimum, build_problem
 from l1subgrad.cli import main
 from l1subgrad.solvers import SolverConfig, run
@@ -295,7 +296,7 @@ class TestBench:
                 return real_run(obj, x0, cfg)
 
             bench.run = killed
-            bench._worker_count = lambda: 2  # never this process, on a host with one CPU
+            bench._usable_cpus = lambda: 2  # never this process, on a host with one CPU
             code = main(sys.argv[1:])
             try:
                 os.waitpid(-1, os.WNOHANG)
@@ -309,6 +310,22 @@ class TestBench:
         assert proc.stdout == ""
         assert proc.stderr == "error: the worker for item 5 ended without its result (signal 9)\n"
         assert list(tmp_path.iterdir()) == []
+
+    def test_alg2_bytes_do_not_depend_on_the_helper_thread(self, cli, tmp_path):
+        # n = 1000 lends alg2's steps a helper thread where the process may use
+        # 2 CPUs; pinned to one, as by `taskset -c 0`, it runs without one
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("the helper thread needs a process that may use 2 CPUs")
+        assert solvers._OVERLAP_MIN_DIM <= 1000
+        one_cpu = ("-c", "import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+                   "from l1subgrad.cli import main; sys.exit(main(sys.argv[1:]))")
+        argv = ("solve", "--problem", "quadratic", "--solver", "alg2", "--n", "1000", "--iters",
+                "300", "--out")
+        pinned = cli(*argv, str(tmp_path / "pinned.csv"), program=one_cpu)
+        free = cli(*argv, str(tmp_path / "free.csv"))
+        assert (pinned.returncode, pinned.stdout, pinned.stderr) == (0, free.stdout, "")
+        assert free.returncode == 0
+        assert (tmp_path / "pinned.csv").read_bytes() == (tmp_path / "free.csv").read_bytes()
 
     def test_bytes_do_not_depend_on_the_worker_count(self, workers, tmp_path, monkeypatch,
                                                      capsys):

@@ -9,8 +9,9 @@ and names the vector and the reason.
 
 The toy2d vectors do their arithmetic elementwise or in Python floats, except
 the norm `solve` prints, which goes through a BLAS dot. The small quadratic,
-lasso, logistic and logsumexp `bench` vectors use BLAS matrix products
-throughout, in their problems, their runs and their reference optima. Another
+lasso, logistic and logsumexp `bench` vectors, and the default-size alg2
+`solve` vectors, use BLAS matrix products throughout, in their problems, their
+runs and their reference optima. Another
 numpy or BLAS build may round those differently, so the digests were recorded
 with the build in `RECORDED_WITH`, and a mismatch names both builds.
 """
@@ -78,6 +79,17 @@ DIGESTS = {
     ("solve", "--problem", "toy2d", "--solver", "classic", "--out", "out.csv"): {
         "stdout": "24792acc3d233bc53f2eb1fdb01c194f84f0d2181fc6c1ed3acd9badcb901ea1",
         "out.csv": "2a94a7fbca0fddcdb35c753b591542fc16d1fa155acb422b17bdfe8dadb7caeb",
+    },
+    # alg2 runs that hand f and grad_g at q to the helper thread on a host with
+    # more than one CPU (`solvers._walk`), recorded before the helper existed
+    ("solve", "--problem", "quadratic", "--solver", "alg2", "--n", "1000", "--iters", "300",
+     "--out", "out.csv"): {
+        "stdout": "52115c92252c89deaa776ac58d3432dd1e5e6e22211ba2f4db82e825e8964cf3",
+        "out.csv": "89204fcf6f8af2bc8846a1ee8e53ec2b4e87150045be958b5aaa23351d8431b8",
+    },
+    ("solve", "--problem", "lasso", "--solver", "alg2", "--iters", "300", "--out", "out.csv"): {
+        "stdout": "7c5f4473a1e13213fdcca70feb1942ff4bdf56980eddf083e022ecab064b921f",
+        "out.csv": "91cdf010d07880602396fbf71cf83710fe700ceb85d3e52f045227446f0e0502",
     },
     ("verify", "--suite", "anti-oscillation"): {
         "stdout": "c41a139f6a62de48631076e502a64cb3bb656162d4019b3201b2d96ba5040029",

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import warnings
 from dataclasses import replace
 
@@ -165,6 +167,53 @@ class TestSharedProduct:
         iters = 200
         run(prob.objective, prob.x0, SolverConfig(method="alg2", max_iter=iters))
         assert 0 < computed["n"] <= 2.0 * iters
+
+    def test_a_product_on_another_thread_does_not_evict_this_threads_point(self):
+        mat = Rng(53).gaussian_matrix(40, 40)
+        computed = []
+
+        class CountedMatrix:
+            def __matmul__(self, x):
+                computed.append(x.tobytes())
+                return mat @ x
+
+        product = problems._shared_product(CountedMatrix())
+        x, y = _probe_points(40, 59, count=2)
+        first = product(x)
+        other = threading.Thread(target=product, args=(y,))
+        other.start()
+        other.join(timeout=10)
+        assert not other.is_alive()
+        assert product(x) is first
+        assert computed == [x.tobytes(), y.tobytes()]
+
+    def test_concurrent_callers_each_get_their_own_points_product(self):
+        # each thread alternates between two points, so that the points the
+        # threads ask for, hit and store interleave at every switch
+        mat = Rng(61).gaussian_matrix(60, 60)
+        product = problems._shared_product(mat)
+        points = _probe_points(60, 67, count=2)
+        expected = [mat @ x for x in points]
+        wrong = []
+
+        def call(offset):
+            for i in range(2000):
+                j = (offset + i) % 2
+                if not np.array_equal(product(points[j]), expected[j]):
+                    wrong.append(j)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=call, args=(t,)) for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
 
 class TestQuadratic:

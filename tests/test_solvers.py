@@ -1,12 +1,16 @@
 import dataclasses
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
 
+import l1subgrad._overlap as _overlap
+import l1subgrad.bench as bench
 import l1subgrad.objective as objective
 import l1subgrad.solvers as solvers
-from l1subgrad.bench import EXPERIMENTS, ExperimentConfig, build_problem
+from l1subgrad.bench import EXPERIMENTS, ExperimentConfig, build_problem, run_experiment
 from l1subgrad.numerics import Rng, as_vector
 from l1subgrad.objective import CompositeObjective
 from l1subgrad.problems import make_2d, make_quadratic
@@ -816,3 +820,214 @@ class TestKernelsMatchReference:
                 assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
             assert np.float64(got.f_x).tobytes() == np.float64(ref.f_x).tobytes()
         assert all(seen.values()), seen
+
+
+# alg2 on a small instance of each matrix family; together their walks reach
+# crossings, flips, kept moves and fallbacks with the helper lent, and cycles
+_OVERLAP_SIZES = {
+    "quadratic": dict(n=30),
+    "lasso": dict(m=20, n=40),
+    "logistic": dict(m=30, n=20),
+    "logsumexp": dict(k=30, n=20, gamma=0.1),
+}
+
+
+@pytest.fixture
+def overlap(monkeypatch):
+    """Gate alg2's helper thread: ``overlap(True)`` lets every walk of this
+    process start one, whatever its size or the host's CPU count, and
+    ``overlap(False)`` lets none. It starts as ``overlap(True)``."""
+    monkeypatch.setattr(solvers, "_usable_cpus", lambda: 2)
+
+    def gate(on):
+        monkeypatch.setattr(solvers, "_OVERLAP_MIN_DIM", 1 if on else 10**9)
+
+    gate(True)
+    return gate
+
+
+def _spy(monkeypatch):
+    """The set of what alg2's steps reach from here on: "crossing", "flip",
+    "cycle", and per step ("helper" or "serial", "kept" or "fell back")."""
+    seen = set()
+    step, cross = solvers._accelerated_step, solvers._crossing_phase
+    directional, period = solvers._directional_from_grad, solvers._Cycle.period
+
+    def spied_step(obj, state, h, helper=None):
+        new = step(obj, state, h, helper)
+        seen.add(("helper" if helper else "serial", "fell back" if new.x is new.q else "kept"))
+        return new
+
+    def spied_cross(obj, x, sub, h):
+        out = cross(obj, x, sub, h)
+        if out[1] is not None:
+            seen.add("crossing")
+        return out
+
+    def spied_directional(grad, q, qp, gamma, prod=None):
+        if prod is None:  # the step computes q' * q again only after a flip
+            seen.add("flip")
+        return directional(grad, q, qp, gamma, prod)
+
+    def spied_period(self, key):
+        found = period(self, key)
+        if found:
+            seen.add("cycle")
+        return found
+
+    monkeypatch.setattr(solvers, "_accelerated_step", spied_step)
+    monkeypatch.setattr(solvers, "_crossing_phase", spied_cross)
+    monkeypatch.setattr(solvers, "_directional_from_grad", spied_directional)
+    monkeypatch.setattr(solvers._Cycle, "period", spied_period)
+    return seen
+
+
+class TestOverlap:
+    """alg2's helper thread (`solvers._walk`) changes no byte and outlives no run."""
+
+    def test_run_bytes_do_not_depend_on_the_helper(self, overlap, monkeypatch):
+        seen = _spy(monkeypatch)
+        reached = set()
+        for family, sizes in _OVERLAP_SIZES.items():
+            prob = build_problem(family, 0, **sizes)
+            cfg = SolverConfig(method="alg2", max_iter=3000)
+            traces = []
+            for on in (True, False):
+                overlap(on)
+                seen.clear()
+                traces.append(run(prob.objective, prob.x0, cfg))
+                assert "cycle" in seen
+                reached |= seen
+            assert traces[0].f_values.tobytes() == traces[1].f_values.tobytes()
+            assert traces[0].x_final.tobytes() == traces[1].x_final.tobytes()
+        assert {"crossing", "flip", "cycle", ("helper", "kept"), ("helper", "fell back")} <= reached
+        assert threading.active_count() == 1
+
+    @pytest.mark.parametrize("family", sorted(_OVERLAP_SIZES))
+    def test_steps_that_all_lend_the_helper_keep_their_bytes(self, family, monkeypatch):
+        # `_walk` lends the helper only within runs of fallbacks, which some of
+        # these instances never have; here every step lends it
+        seen = _spy(monkeypatch)
+        prob = build_problem(family, 0, **_OVERLAP_SIZES[family])
+        obj = prob.objective
+        h = 1.0 / obj.lipschitz_L
+        lent = alone = SolverState.initial(obj, prob.x0)
+        helper = _overlap.Helper()
+        try:
+            for _ in range(300):
+                lent = solvers._accelerated_step(obj, lent, h, helper)
+                alone = solvers._accelerated_step(obj, alone, h)
+                assert lent.key() + lent.grad.tobytes() == alone.key() + alone.grad.tobytes()
+                assert lent.f_x.hex() == alone.f_x.hex()
+        finally:
+            helper.close()
+        assert {"crossing", "flip", ("helper", "kept"), ("helper", "fell back")} <= seen
+
+    @pytest.mark.parametrize("family", ["quadratic", "lasso"])
+    def test_reference_value_bits_do_not_depend_on_the_helper(self, family, overlap,
+                                                              monkeypatch):
+        seen = _spy(monkeypatch)
+        prob = build_problem(family, 0, **_OVERLAP_SIZES[family])
+        refs = []
+        for on in (True, False):
+            overlap(on)
+            refs.append(bench.reference_optimum(prob))
+            # the walk is left before its budget, with the helper started
+            assert threading.active_count() == 1
+        assert {("helper", "kept"), ("helper", "fell back")} & seen
+        assert refs[0].value.hex() == refs[1].value.hex()
+        assert refs[0].certified == refs[1].certified
+
+    def test_the_callers_numpy_error_state_holds_on_the_helper(self, overlap):
+        # `run` steps under np.errstate(over="ignore"), on either thread
+        prob = build_problem("quadratic", 0, n=30)
+        seen = set()
+
+        def eval_g(x, _eval=prob.objective.eval_g):
+            seen.add((threading.current_thread() is threading.main_thread(), np.geterr()["over"]))
+            return _eval(x)
+
+        obj = dataclasses.replace(prob.objective, eval_g=eval_g)
+        run(obj, prob.x0, SolverConfig(method="alg2", max_iter=300))
+        assert (False, "ignore") in seen
+        assert {over for main, over in seen if not main} == {"ignore"}
+
+    def test_no_thread_outlives_a_run_that_fails(self, overlap, monkeypatch):
+        seen = _spy(monkeypatch)
+        prob = build_problem("quadratic", 0, n=30)
+        calls = {"n": 0}
+
+        # from the 200th call on, grad_g is NaN: the step that reads it falls
+        # back to q with a NaN gradient, and the next one fails
+        def grad_g(x, _grad=prob.objective.grad_g):
+            calls["n"] += 1
+            return _grad(x) if calls["n"] < 200 else np.full_like(x, np.nan)
+
+        obj = dataclasses.replace(prob.objective, grad_g=grad_g)
+        with pytest.raises(SolverError, match="^alg2 failed at iteration"):
+            run(obj, prob.x0, SolverConfig(method="alg2", max_iter=1000))
+        assert {("helper", "kept"), ("helper", "fell back")} & seen
+        assert threading.active_count() == 1
+
+    @staticmethod
+    def _lent_steps(prob, monkeypatch):
+        """(fell back, q bytes, q' bytes) of each step of an alg2 run that lent the helper."""
+        steps, points = [], []
+        step, directional = solvers._accelerated_step, solvers._directional_from_grad
+
+        def recorded(obj, state, h, helper=None):
+            new = step(obj, state, h, helper)
+            if helper is not None:
+                steps.append((new.x is new.q, new.q.tobytes(), points[-1]))
+            return new
+
+        def seen_at(grad, q, qp, gamma, prod=None):
+            points.append(qp.tobytes())
+            return directional(grad, q, qp, gamma, prod)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "_accelerated_step", recorded)
+            patch.setattr(solvers, "_directional_from_grad", seen_at)
+            run(prob.objective, prob.x0, SolverConfig(method="alg2", max_iter=300))
+        return steps
+
+    @pytest.mark.parametrize("at, fell_back", [("q", True), ("q", False), ("q'", True)])
+    def test_an_oracle_error_is_raised_as_without_the_helper(self, at, fell_back, overlap,
+                                                             monkeypatch):
+        # grad_g fails at the q (on the helper) or the q' (on this thread) of
+        # the first step that lent the helper and then fell back, or kept q'
+        prob = build_problem("quadratic", 0, n=30)
+        steps = self._lent_steps(prob, monkeypatch)
+        _, q, q_prime = next(step for step in steps if step[0] == fell_back)
+        target = q if at == "q" else q_prime
+        outcomes = []
+        for on in (True, False):
+            overlap(on)
+
+            def grad_g(x, _grad=prob.objective.grad_g):
+                if x.tobytes() == target:
+                    raise ArithmeticError("grad_g refuses this point")
+                return _grad(x)
+
+            obj = dataclasses.replace(prob.objective, grad_g=grad_g)
+            try:
+                trace = run(obj, prob.x0, SolverConfig(method="alg2", max_iter=300))
+                outcomes.append((trace.f_values.tobytes(), trace.x_final.tobytes()))
+            except ArithmeticError as exc:
+                outcomes.append((type(exc), str(exc)))
+            assert threading.active_count() == 1
+        # the step that kept q' never evaluates at q, with the helper or without
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[0][0] is ArithmeticError) == (at == "q'" or fell_back)
+
+    def test_forked_workers_start_no_helper(self, overlap, workers, monkeypatch):
+        def refuse():
+            raise AssertionError(f"a helper thread started in process {os.getpid()}")
+
+        monkeypatch.setattr(_overlap, "Helper", refuse)
+        cfg = ExperimentConfig("quadratic", trials=2, solvers=("alg2",), max_iter=50, n=30)
+        workers(2)
+        run_experiment(cfg)
+        workers(1)  # the trials run in this process, which starts one
+        with pytest.raises(AssertionError, match="^a helper thread started in process"):
+            run_experiment(cfg)
