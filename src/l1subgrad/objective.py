@@ -70,7 +70,18 @@ class CompositeObjective:
     when it stops at an exact fixed point of a method's step. lipschitz_L is
     a Lipschitz constant of grad_g, and mu an optional strong-convexity
     constant of g when one is known.
+
+    On an alg2 walk of a large enough built-in matrix family (`problems`),
+    eval_g and grad_g also run on a helper thread, at the same time as on
+    the walk's own thread (`solvers._walk`). An objective made here, or with
+    `dataclasses.replace`, is never lent that thread: its oracles run on the
+    calling thread alone, one call at a time, at the points the method reads.
     """
+
+    # elements of the matrix whose product with x dominates eval_g and
+    # grad_g; only the built-in matrix families set it (their oracles are
+    # safe on two threads at once), and at 0 alg2 lends no helper thread
+    _matrix_size = 0
 
     eval_g: Callable[[np.ndarray], float]
     grad_g: Callable[[np.ndarray], np.ndarray]

@@ -11,8 +11,11 @@ product of their matrix with x once per point: ``eval_g`` and ``grad_g`` read
 it through `_shared_product`, which remembers the last point and its product
 on each thread. The solvers often ask for g and its gradient at the same
 point in turn (f(x) after a step, the subgradient at x in the next), and the
-product dominates either call. The 2-D example has no product to share and
-keeps plain closures.
+product dominates either call. Their oracles are thus safe on two threads at
+once, and each family records its matrix's element count on the objective
+(`CompositeObjective._matrix_size`), which lets a large alg2 walk run them
+on a helper thread too. The 2-D example has no product to share and keeps
+plain closures.
 """
 
 from __future__ import annotations
@@ -117,6 +120,7 @@ def make_quadratic(
     obj = CompositeObjective(
         eval_g=eval_g, grad_g=grad_g, gamma=gamma, lipschitz_L=lip, dim=n, mu=mu
     )
+    object.__setattr__(obj, "_matrix_size", m.size)
     return ProblemInstance(
         objective=obj,
         x0=x0,
@@ -166,6 +170,7 @@ def make_lasso(
     obj = CompositeObjective(
         eval_g=eval_g, grad_g=grad_g, gamma=gamma, lipschitz_L=lip, dim=n, mu=mu
     )
+    object.__setattr__(obj, "_matrix_size", a.size)
     return ProblemInstance(
         objective=obj,
         x0=x0,
@@ -215,6 +220,7 @@ def make_logistic(m: int, n: int, rng: Rng, gamma: float | None = None) -> Probl
         gamma = 0.25 * float(np.max(np.abs(grad_g(np.zeros(n)))))
     lip = 0.25 * float(np.linalg.norm(mat, 2)) ** 2
     obj = CompositeObjective(eval_g=eval_g, grad_g=grad_g, gamma=gamma, lipschitz_L=lip, dim=n)
+    object.__setattr__(obj, "_matrix_size", mat.size)
     return ProblemInstance(
         objective=obj,
         x0=x0,
@@ -253,6 +259,7 @@ def make_logsumexp(
 
     lip = float(np.linalg.norm(mat, 2)) ** 2 / r
     obj = CompositeObjective(eval_g=eval_g, grad_g=grad_g, gamma=gamma, lipschitz_L=lip, dim=n)
+    object.__setattr__(obj, "_matrix_size", mat.size)
     return ProblemInstance(
         objective=obj,
         x0=x0,

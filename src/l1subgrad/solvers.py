@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import os
 from contextlib import closing
+from contextvars import copy_context
 from dataclasses import dataclass
 from itertools import count, islice
 
@@ -44,9 +45,10 @@ from .objective import (
 
 METHODS = ("alg1", "alg2", "ista", "fista", "classic")
 
-# The least dimension at which an alg2 walk hands f and grad_g at q to a
-# helper thread (`_walk`); below it the handoff costs more than it saves.
-_OVERLAP_MIN_DIM = 700
+# The least element count of a built-in family's matrix
+# (`CompositeObjective._matrix_size`) at which an alg2 walk hands f and grad_g
+# at q to a helper thread (`_walk`); below it the handoff costs more than it saves.
+_OVERLAP_MIN_SIZE = 490_000
 # The process that imported this module; a process forked from it, such as a
 # `bench._fork_map` worker, never starts a helper, since the workers hold every CPU.
 _HOME_PID = os.getpid()
@@ -202,17 +204,19 @@ def _value_and_grad(obj: CompositeObjective, x: np.ndarray, f_x: float | None):
 
 
 def _accelerated_step(
-    obj: CompositeObjective, state: SolverState, h: float, helper=None
+    obj: CompositeObjective, state: SolverState, h: float, pool=None
 ) -> SolverState:
     """`accelerated_step` without the checks.
 
-    The fallback to q (r > 0) needs f(q) and grad_g(q). With a ``helper``
-    (an `_overlap.Helper`) they are computed on its thread while this one
-    computes grad_g(q'), and the step waits for them before it reads r or
-    raises, so the helper is idle when the step ends. Where the move is kept
-    (r <= 0) they are dropped, with any exception they raised, as the step
-    without a helper never computes them; otherwise their exception is
-    raised here. The calls are the same either way, so are the bytes.
+    The fallback to q (r > 0) needs f(q) and grad_g(q). With a ``pool`` (a
+    one-thread `concurrent.futures.ThreadPoolExecutor`) they are computed on
+    its thread, in a copy of this thread's context (numpy's error state is a
+    context variable), while this one computes grad_g(q'); the step waits
+    for them before it reads r or raises, so the pool is idle when the step
+    ends. Where the move is kept (r <= 0) they are dropped, with any
+    exception they raised, as the step without a pool never computes them;
+    otherwise their exception is raised here. The calls are the same either
+    way, so are the bytes.
     """
     x = state.x
     p = state.p
@@ -239,14 +243,14 @@ def _accelerated_step(
         p = (q_prime - q) / sqrt_h
         prod = None
 
-    if helper is not None:
-        helper.submit(_value_and_grad, obj, q, f_q)
+    if pool is not None:
+        lent = pool.submit(copy_context().run, _value_and_grad, obj, q, f_q)
     try:
         grad_qp = obj._grad(q_prime)
         r = float(_directional_from_grad(grad_qp, q, q_prime, obj.gamma, prod) @ p)
     finally:
-        if helper is not None:
-            helper.wait()
+        if pool is not None:
+            lent.exception()  # waits for it; raised below or dropped
     if r <= 0.0:
         p = p + (q - q_old) / sqrt_h
         x_new = q_prime
@@ -255,7 +259,7 @@ def _accelerated_step(
     else:
         x_new = q
         p = (q - q_old) / sqrt_h
-        f_new, grad = _value_and_grad(obj, q, f_q) if helper is None else helper.result()
+        f_new, grad = _value_and_grad(obj, q, f_q) if pool is None else lent.result()
 
     return SolverState(x=x_new, p=p, f_x=f_new, grad=grad, q=q)
 
@@ -425,14 +429,16 @@ def _walk(obj: CompositeObjective, x0: np.ndarray, h: float, cfg: SolverConfig):
     zero. classic never closes, since its step depends on k. The walk goes
     on stepping after a cycle closes.
 
-    An alg2 walk owns one helper thread (`_overlap.Helper`). Each step that
-    follows two fallbacks to q in a row lends it to `_accelerated_step`,
-    which is done with it before the step yields. It is started at the first
-    such step where ``obj.dim >= _OVERLAP_MIN_DIM``, the process may use 2
-    or more CPUs (`_usable_cpus`) and it is not a process forked from the one
-    that imported this module (a `bench._fork_map` worker), and joined when
-    the walk is closed: close the walk rather than drop it. The bytes are
-    those of the walk without it.
+    An alg2 walk may own one helper thread, a one-thread pool that each
+    step following two fallbacks to q in a row lends to `_accelerated_step`,
+    which is done with it before the step yields. Only a built-in matrix
+    family's objective, whose oracles may run on two threads at once, with
+    ``obj._matrix_size >= _OVERLAP_MIN_SIZE`` gets one, and only in a
+    process that may use 2 or more CPUs (`_usable_cpus`) and is not forked
+    from the one that imported this module (a `bench._fork_map` worker). It
+    is started at the first such step and joined when the walk is closed:
+    close the walk rather than drop it. The bytes are those of the walk
+    without it.
     """
     method = cfg.method
     key = np.ndarray.tobytes
@@ -445,7 +451,9 @@ def _walk(obj: CompositeObjective, x0: np.ndarray, h: float, cfg: SolverConfig):
         state, f = x0.copy(), obj._value(x0)
     cycle = None if method == "classic" else _Cycle(key(state), period_one_only=method == "fista")
     period = fallbacks = 0
-    helper = None
+    lend = (method == "alg2" and obj._matrix_size >= _OVERLAP_MIN_SIZE
+            and os.getpid() == _HOME_PID and _usable_cpus() >= 2)
+    pool = None
     try:
         for k in count(1):
             yield state, f, period
@@ -454,12 +462,11 @@ def _walk(obj: CompositeObjective, x0: np.ndarray, h: float, cfg: SolverConfig):
                 # runs on some instances and alone on others: a step that
                 # follows two in a row is lent the helper
                 fallbacks = fallbacks + 1 if state.x is state.q else 0
-                if (fallbacks >= 2 and helper is None and obj.dim >= _OVERLAP_MIN_DIM
-                        and os.getpid() == _HOME_PID and _usable_cpus() >= 2):
-                    from ._overlap import Helper
+                if lend and fallbacks >= 2 and pool is None:
+                    from concurrent.futures import ThreadPoolExecutor
 
-                    helper = Helper()
-                state = _accelerated_step(obj, state, h, helper if fallbacks >= 2 else None)
+                    pool = ThreadPoolExecutor(1, "l1subgrad-helper")
+                state = _accelerated_step(obj, state, h, pool if fallbacks >= 2 else None)
                 f = state.f_x
             elif method == "alg1":
                 state, _, _, f = _crossing_phase(obj, state, obj._sub(state), h)
@@ -480,8 +487,8 @@ def _walk(obj: CompositeObjective, x0: np.ndarray, h: float, cfg: SolverConfig):
             if cycle is not None:
                 period = cycle.period(key(state))
     finally:
-        if helper is not None:
-            helper.close()
+        if pool is not None:
+            pool.shutdown()
 
 
 def run(obj: CompositeObjective, x0, cfg: SolverConfig) -> IterationTrace:

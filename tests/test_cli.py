@@ -316,7 +316,7 @@ class TestBench:
         # 2 CPUs; pinned to one, as by `taskset -c 0`, it runs without one
         if len(os.sched_getaffinity(0)) < 2:
             pytest.skip("the helper thread needs a process that may use 2 CPUs")
-        assert solvers._OVERLAP_MIN_DIM <= 1000
+        assert solvers._OVERLAP_MIN_SIZE <= 1000 * 1000
         one_cpu = ("-c", "import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
                    "from l1subgrad.cli import main; sys.exit(main(sys.argv[1:]))")
         argv = ("solve", "--problem", "quadratic", "--solver", "alg2", "--n", "1000", "--iters",

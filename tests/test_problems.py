@@ -115,6 +115,14 @@ DIRECT = {
 
 
 class TestSharedProduct:
+    def test_matrix_families_record_their_matrix_size(self):
+        # the element count that gates alg2's helper thread, which only
+        # these families' thread-safe oracles are lent
+        sizes = {name: FAMILIES[name](Rng(47)).objective._matrix_size for name in FAMILIES}
+        assert sizes == {"quadratic": 25 * 25, "lasso": 30 * 40, "logistic": 60 * 20,
+                         "logsumexp": 50 * 25, "toy2d-perturbed": 0}
+        assert replace(FAMILIES["quadratic"](Rng(47)).objective, gamma=2.0)._matrix_size == 0
+
     @pytest.mark.parametrize("family", sorted(DIRECT))
     def test_oracle_matches_direct_formula_bitwise(self, family):
         prob = FAMILIES[family](Rng(41))

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import math
 import os
@@ -6,7 +7,6 @@ import threading
 import numpy as np
 import pytest
 
-import l1subgrad._overlap as _overlap
 import l1subgrad.bench as bench
 import l1subgrad.objective as objective
 import l1subgrad.solvers as solvers
@@ -832,6 +832,13 @@ _OVERLAP_SIZES = {
 }
 
 
+def _thread_safe(obj):
+    """``obj``, lent alg2's helper thread like a built-in matrix family's: a
+    test's wrapper around such a family's oracles is safe on two threads."""
+    object.__setattr__(obj, "_matrix_size", obj.dim * obj.dim)
+    return obj
+
+
 @pytest.fixture
 def overlap(monkeypatch):
     """Gate alg2's helper thread: ``overlap(True)`` lets every walk of this
@@ -840,7 +847,7 @@ def overlap(monkeypatch):
     monkeypatch.setattr(solvers, "_usable_cpus", lambda: 2)
 
     def gate(on):
-        monkeypatch.setattr(solvers, "_OVERLAP_MIN_DIM", 1 if on else 10**9)
+        monkeypatch.setattr(solvers, "_OVERLAP_MIN_SIZE", 1 if on else 10**12)
 
     gate(True)
     return gate
@@ -853,9 +860,9 @@ def _spy(monkeypatch):
     step, cross = solvers._accelerated_step, solvers._crossing_phase
     directional, period = solvers._directional_from_grad, solvers._Cycle.period
 
-    def spied_step(obj, state, h, helper=None):
-        new = step(obj, state, h, helper)
-        seen.add(("helper" if helper else "serial", "fell back" if new.x is new.q else "kept"))
+    def spied_step(obj, state, h, pool=None):
+        new = step(obj, state, h, pool)
+        seen.add(("helper" if pool else "serial", "fell back" if new.x is new.q else "kept"))
         return new
 
     def spied_cross(obj, x, sub, h):
@@ -912,15 +919,12 @@ class TestOverlap:
         obj = prob.objective
         h = 1.0 / obj.lipschitz_L
         lent = alone = SolverState.initial(obj, prob.x0)
-        helper = _overlap.Helper()
-        try:
+        with concurrent.futures.ThreadPoolExecutor(1) as pool:
             for _ in range(300):
-                lent = solvers._accelerated_step(obj, lent, h, helper)
+                lent = solvers._accelerated_step(obj, lent, h, pool)
                 alone = solvers._accelerated_step(obj, alone, h)
                 assert lent.key() + lent.grad.tobytes() == alone.key() + alone.grad.tobytes()
                 assert lent.f_x.hex() == alone.f_x.hex()
-        finally:
-            helper.close()
         assert {"crossing", "flip", ("helper", "kept"), ("helper", "fell back")} <= seen
 
     @pytest.mark.parametrize("family", ["quadratic", "lasso"])
@@ -947,7 +951,7 @@ class TestOverlap:
             seen.add((threading.current_thread() is threading.main_thread(), np.geterr()["over"]))
             return _eval(x)
 
-        obj = dataclasses.replace(prob.objective, eval_g=eval_g)
+        obj = _thread_safe(dataclasses.replace(prob.objective, eval_g=eval_g))
         run(obj, prob.x0, SolverConfig(method="alg2", max_iter=300))
         assert (False, "ignore") in seen
         assert {over for main, over in seen if not main} == {"ignore"}
@@ -963,7 +967,7 @@ class TestOverlap:
             calls["n"] += 1
             return _grad(x) if calls["n"] < 200 else np.full_like(x, np.nan)
 
-        obj = dataclasses.replace(prob.objective, grad_g=grad_g)
+        obj = _thread_safe(dataclasses.replace(prob.objective, grad_g=grad_g))
         with pytest.raises(SolverError, match="^alg2 failed at iteration"):
             run(obj, prob.x0, SolverConfig(method="alg2", max_iter=1000))
         assert {("helper", "kept"), ("helper", "fell back")} & seen
@@ -975,9 +979,9 @@ class TestOverlap:
         steps, points = [], []
         step, directional = solvers._accelerated_step, solvers._directional_from_grad
 
-        def recorded(obj, state, h, helper=None):
-            new = step(obj, state, h, helper)
-            if helper is not None:
+        def recorded(obj, state, h, pool=None):
+            new = step(obj, state, h, pool)
+            if pool is not None:
                 steps.append((new.x is new.q, new.q.tobytes(), points[-1]))
             return new
 
@@ -1009,7 +1013,7 @@ class TestOverlap:
                     raise ArithmeticError("grad_g refuses this point")
                 return _grad(x)
 
-            obj = dataclasses.replace(prob.objective, grad_g=grad_g)
+            obj = _thread_safe(dataclasses.replace(prob.objective, grad_g=grad_g))
             try:
                 trace = run(obj, prob.x0, SolverConfig(method="alg2", max_iter=300))
                 outcomes.append((trace.f_values.tobytes(), trace.x_final.tobytes()))
@@ -1021,13 +1025,47 @@ class TestOverlap:
         assert (outcomes[0][0] is ArithmeticError) == (at == "q'" or fell_back)
 
     def test_forked_workers_start_no_helper(self, overlap, workers, monkeypatch):
-        def refuse():
+        def refuse(*args):
             raise AssertionError(f"a helper thread started in process {os.getpid()}")
 
-        monkeypatch.setattr(_overlap, "Helper", refuse)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
         cfg = ExperimentConfig("quadratic", trials=2, solvers=("alg2",), max_iter=50, n=30)
         workers(2)
         run_experiment(cfg)
         workers(1)  # the trials run in this process, which starts one
         with pytest.raises(AssertionError, match="^a helper thread started in process"):
             run_experiment(cfg)
+
+    def test_a_custom_objective_runs_on_the_calling_thread_alone(self, overlap, monkeypatch):
+        # a one-slot memo that keeps the point and its product in two
+        # variables pairs them wrongly if two threads call it at once; the
+        # walk lends the helper to built-in matrix families only
+        prob = build_problem("quadratic", 0, n=30)
+        mat, b = prob.data["matrix"], prob.data["offset"]
+        threads, last_x, last_y = [], None, None
+
+        def product(x):
+            nonlocal last_x, last_y
+            threads.append(threading.get_ident())
+            if last_x is None or last_x.tobytes() != x.tobytes():
+                last_x = x.copy()
+                last_y = mat @ x
+            return last_y
+
+        custom = CompositeObjective(
+            eval_g=lambda x: 0.5 * float(x @ product(x)) + float(b @ x),
+            grad_g=lambda x: product(x) + b, gamma=prob.objective.gamma,
+            lipschitz_L=prob.objective.lipschitz_L, dim=30,
+        )
+        cfg = SolverConfig(method="alg2", max_iter=1000)
+        seen = _spy(monkeypatch)
+        builtin = run(prob.objective, prob.x0, cfg)
+        assert ("helper", "fell back") in seen
+        seen.clear()
+        for obj in (custom, dataclasses.replace(prob.objective, eval_g=custom.eval_g)):
+            trace = run(obj, prob.x0, cfg)
+            assert trace.f_values.tobytes() == builtin.f_values.tobytes()
+            assert trace.x_final.tobytes() == builtin.x_final.tobytes()
+        assert {lent for lent, _ in seen - {"crossing", "flip", "cycle"}} == {"serial"}
+        assert set(threads) == {threading.get_ident()}
+        assert threading.active_count() == 1
