@@ -119,7 +119,7 @@ def reference_optimum(problem: ProblemInstance) -> ReferenceOptimum:
         return ReferenceOptimum(value=problem.f_ref, certified=True)
     obj = problem.objective
     walk = _walk(obj, problem.x0, 1.0 / obj.lipschitz_L, SolverConfig("alg2", REFERENCE_BUDGET))
-    # closed here, not when collected: the walk may hold a helper thread
+    # closed here, not when collected: the walk may hold a helper process
     with closing(walk):
         state, best_f, period = next(walk)
         # a norm that overflows is inf, which does not certify

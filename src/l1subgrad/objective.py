@@ -72,15 +72,17 @@ class CompositeObjective:
     constant of g when one is known.
 
     On an alg2 walk of a large enough built-in matrix family (`problems`),
-    eval_g and grad_g also run on a helper thread, at the same time as on
-    the walk's own thread (`solvers._walk`). An objective made here, or with
-    `dataclasses.replace`, is never lent that thread: its oracles run on the
-    calling thread alone, one call at a time, at the points the method reads.
+    eval_g and grad_g also run in a helper process forked from the walk's
+    (`solvers._walk`), at the point q that the step may fall back to, also
+    on steps that then keep their move. An objective made here, or with
+    `dataclasses.replace`, is never lent that process: its oracles run in
+    the calling thread alone, one call at a time, at the points the method
+    reads.
     """
 
     # elements of the matrix whose product with x dominates eval_g and
-    # grad_g; only the built-in matrix families set it (their oracles are
-    # safe on two threads at once), and at 0 alg2 lends no helper thread
+    # grad_g; only the built-in matrix families set it (their oracles may
+    # run in a forked copy of the process), and at 0 alg2 lends no helper
     _matrix_size = 0
 
     eval_g: Callable[[np.ndarray], float]

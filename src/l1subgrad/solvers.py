@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 import os
 from contextlib import closing
-from contextvars import copy_context
 from dataclasses import dataclass
 from itertools import count, islice
 
@@ -47,8 +46,8 @@ METHODS = ("alg1", "alg2", "ista", "fista", "classic")
 
 # The least element count of a built-in family's matrix
 # (`CompositeObjective._matrix_size`) at which an alg2 walk hands f and grad_g
-# at q to a helper thread (`_walk`); below it the handoff costs more than it saves.
-_OVERLAP_MIN_SIZE = 490_000
+# at q to a helper process (`_walk`); below it the handoff costs more than it saves.
+_OVERLAP_MIN_SIZE = 250_000
 # The process that imported this module; a process forked from it, such as a
 # `bench._fork_map` worker, never starts a helper, since the workers hold every CPU.
 _HOME_PID = os.getpid()
@@ -204,25 +203,28 @@ def _value_and_grad(obj: CompositeObjective, x: np.ndarray, f_x: float | None):
 
 
 def _accelerated_step(
-    obj: CompositeObjective, state: SolverState, h: float, pool=None
+    obj: CompositeObjective, state: SolverState, h: float, helper=None
 ) -> SolverState:
     """`accelerated_step` without the checks.
 
-    The fallback to q (r > 0) needs f(q) and grad_g(q). With a ``pool`` (a
-    one-thread `concurrent.futures.ThreadPoolExecutor`) they are computed on
-    its thread, in a copy of this thread's context (numpy's error state is a
-    context variable), while this one computes grad_g(q'); the step waits
-    for them before it reads r or raises, so the pool is idle when the step
-    ends. Where the move is kept (r <= 0) they are dropped, with any
-    exception they raised, as the step without a pool never computes them;
-    otherwise their exception is raised here. The calls are the same either
-    way, so are the bytes.
+    The fallback to q (r > 0) needs f(q) and grad_g(q). A ``helper`` (a
+    `_helper.Helper`) is posted q as soon as the crossing phase has made it,
+    before this step computes q' and grad_g(q'). On a fallback the step
+    takes the pair from it if it comes within as long again as the step has
+    taken since posting; otherwise, and without a helper, the step computes
+    the pair itself. The helper returns only what this step would compute,
+    and no error: those are raised here, where the step computes the pair.
+    Where the move is kept (r <= 0) the helper's work is dropped unread, as
+    the step without it never evaluates at q. The bytes are the same either
+    way.
     """
     x = state.x
     p = state.p
     sub = _min_norm_from_grad(state.grad, x, obj.gamma)
 
     q, mask, prime_selected, f_q = _crossing_phase(obj, x, sub, h)
+    if helper is not None:
+        helper.post(q, f_q)
     if mask is None:
         q_old = x
         p = np.where(q == 0.0, 0.0, p)
@@ -243,14 +245,8 @@ def _accelerated_step(
         p = (q_prime - q) / sqrt_h
         prod = None
 
-    if pool is not None:
-        lent = pool.submit(copy_context().run, _value_and_grad, obj, q, f_q)
-    try:
-        grad_qp = obj._grad(q_prime)
-        r = float(_directional_from_grad(grad_qp, q, q_prime, obj.gamma, prod) @ p)
-    finally:
-        if pool is not None:
-            lent.exception()  # waits for it; raised below or dropped
+    grad_qp = obj._grad(q_prime)
+    r = float(_directional_from_grad(grad_qp, q, q_prime, obj.gamma, prod) @ p)
     if r <= 0.0:
         p = p + (q - q_old) / sqrt_h
         x_new = q_prime
@@ -259,7 +255,8 @@ def _accelerated_step(
     else:
         x_new = q
         p = (q - q_old) / sqrt_h
-        f_new, grad = _value_and_grad(obj, q, f_q) if pool is None else lent.result()
+        lent = None if helper is None else helper.take()
+        f_new, grad = _value_and_grad(obj, q, f_q) if lent is None else lent
 
     return SolverState(x=x_new, p=p, f_x=f_new, grad=grad, q=q)
 
@@ -429,16 +426,16 @@ def _walk(obj: CompositeObjective, x0: np.ndarray, h: float, cfg: SolverConfig):
     zero. classic never closes, since its step depends on k. The walk goes
     on stepping after a cycle closes.
 
-    An alg2 walk may own one helper thread, a one-thread pool that each
-    step following two fallbacks to q in a row lends to `_accelerated_step`,
-    which is done with it before the step yields. Only a built-in matrix
-    family's objective, whose oracles may run on two threads at once, with
-    ``obj._matrix_size >= _OVERLAP_MIN_SIZE`` gets one, and only in a
-    process that may use 2 or more CPUs (`_usable_cpus`) and is not forked
-    from the one that imported this module (a `bench._fork_map` worker). It
-    is started at the first such step and joined when the walk is closed:
-    close the walk rather than drop it. The bytes are those of the walk
-    without it.
+    An alg2 walk may own one helper process (`_helper.Helper`), which it
+    lends to each of its steps (`_accelerated_step`). Only a built-in matrix
+    family's objective, whose oracles may run in a forked copy of the
+    process, with ``obj._matrix_size >= _OVERLAP_MIN_SIZE`` gets one, and
+    only in a process that may use 2 or more CPUs (`_usable_cpus`) and is
+    not forked from the one that imported this module (a `bench._fork_map`
+    worker). It is forked at the first step (where no process can be forked,
+    the walk goes on without it) and killed and reaped when the walk is
+    closed: close the walk rather than drop it. The bytes are those of the
+    walk without it.
     """
     method = cfg.method
     key = np.ndarray.tobytes
@@ -450,23 +447,23 @@ def _walk(obj: CompositeObjective, x0: np.ndarray, h: float, cfg: SolverConfig):
     else:
         state, f = x0.copy(), obj._value(x0)
     cycle = None if method == "classic" else _Cycle(key(state), period_one_only=method == "fista")
-    period = fallbacks = 0
+    period = 0
     lend = (method == "alg2" and obj._matrix_size >= _OVERLAP_MIN_SIZE
             and os.getpid() == _HOME_PID and _usable_cpus() >= 2)
-    pool = None
+    helper = None
     try:
         for k in count(1):
             yield state, f, period
             if method == "alg2":
-                # fallbacks to q (after one, state.x is state.q) come in long
-                # runs on some instances and alone on others: a step that
-                # follows two in a row is lent the helper
-                fallbacks = fallbacks + 1 if state.x is state.q else 0
-                if lend and fallbacks >= 2 and pool is None:
-                    from concurrent.futures import ThreadPoolExecutor
+                if lend:
+                    lend = False
+                    from ._helper import Helper
 
-                    pool = ThreadPoolExecutor(1, "l1subgrad-helper")
-                state = _accelerated_step(obj, state, h, pool if fallbacks >= 2 else None)
+                    try:
+                        helper = Helper(obj)
+                    except OSError:
+                        pass
+                state = _accelerated_step(obj, state, h, helper)
                 f = state.f_x
             elif method == "alg1":
                 state, _, _, f = _crossing_phase(obj, state, obj._sub(state), h)
@@ -487,8 +484,8 @@ def _walk(obj: CompositeObjective, x0: np.ndarray, h: float, cfg: SolverConfig):
             if cycle is not None:
                 period = cycle.period(key(state))
     finally:
-        if pool is not None:
-            pool.shutdown()
+        if helper is not None:
+            helper.close()
 
 
 def run(obj: CompositeObjective, x0, cfg: SolverConfig) -> IterationTrace:

@@ -311,20 +311,31 @@ class TestBench:
         assert proc.stderr == "error: the worker for item 5 ended without its result (signal 9)\n"
         assert list(tmp_path.iterdir()) == []
 
-    def test_alg2_bytes_do_not_depend_on_the_helper_thread(self, cli, tmp_path):
-        # n = 1000 lends alg2's steps a helper thread where the process may use
-        # 2 CPUs; pinned to one, as by `taskset -c 0`, it runs without one
+    def test_alg2_bytes_do_not_depend_on_the_helper_process(self, cli, tmp_path):
+        # n = 1000 lends alg2's steps a helper process where the process may
+        # use 2 CPUs; pinned to one, as by `taskset -c 0`, it runs without one.
+        # Either way the run starts no thread and leaves no child process.
         if len(os.sched_getaffinity(0)) < 2:
-            pytest.skip("the helper thread needs a process that may use 2 CPUs")
+            pytest.skip("the helper process needs a process that may use 2 CPUs")
         assert solvers._OVERLAP_MIN_SIZE <= 1000 * 1000
-        one_cpu = ("-c", "import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
-                   "from l1subgrad.cli import main; sys.exit(main(sys.argv[1:]))")
+        program = ("-c", """if True:
+            import os, sys, threading
+            if sys.argv[1] == "pinned":
+                os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+            from l1subgrad.cli import main
+            code = main(sys.argv[2:])
+            try:
+                os.waitpid(-1, os.WNOHANG)
+            except ChildProcessError:
+                sys.exit(code if threading.active_count() == 1 else "a thread was left")
+            sys.exit(f"a child process was left behind, exit code {code}")
+            """)
         argv = ("solve", "--problem", "quadratic", "--solver", "alg2", "--n", "1000", "--iters",
                 "300", "--out")
-        pinned = cli(*argv, str(tmp_path / "pinned.csv"), program=one_cpu)
-        free = cli(*argv, str(tmp_path / "free.csv"))
+        pinned = cli("pinned", *argv, str(tmp_path / "pinned.csv"), program=program)
+        free = cli("free", *argv, str(tmp_path / "free.csv"), program=program)
         assert (pinned.returncode, pinned.stdout, pinned.stderr) == (0, free.stdout, "")
-        assert free.returncode == 0
+        assert (free.returncode, free.stderr) == (0, "")
         assert (tmp_path / "pinned.csv").read_bytes() == (tmp_path / "free.csv").read_bytes()
 
     def test_bytes_do_not_depend_on_the_worker_count(self, workers, tmp_path, monkeypatch,

@@ -9,11 +9,11 @@ and names the vector and the reason.
 
 The toy2d vectors do their arithmetic elementwise or in Python floats, except
 the norm `solve` prints, which goes through a BLAS dot. The small quadratic,
-lasso, logistic and logsumexp `bench` vectors, and the default-size alg2
-`solve` vectors, use BLAS matrix products throughout, in their problems, their
-runs and their reference optima. Another
-numpy or BLAS build may round those differently, so the digests were recorded
-with the build in `RECORDED_WITH`, and a mismatch names both builds.
+lasso, logistic and logsumexp `bench` and alg2 `solve` vectors, and the
+default-size alg2 `solve` vectors, use BLAS matrix products throughout, in
+their problems, their runs and their reference optima. Another numpy or BLAS
+build may round those differently, so the digests were recorded with the
+build in `RECORDED_WITH`, and a mismatch names both builds.
 """
 
 import hashlib
@@ -80,8 +80,8 @@ DIGESTS = {
         "stdout": "24792acc3d233bc53f2eb1fdb01c194f84f0d2181fc6c1ed3acd9badcb901ea1",
         "out.csv": "2a94a7fbca0fddcdb35c753b591542fc16d1fa155acb422b17bdfe8dadb7caeb",
     },
-    # alg2 runs that hand f and grad_g at q to the helper thread on a host with
-    # more than one CPU (`solvers._walk`), recorded before the helper existed
+    # alg2 runs that hand f and grad_g at q to the helper process on a host with
+    # more than one CPU (`solvers._walk`), recorded before any helper existed
     ("solve", "--problem", "quadratic", "--solver", "alg2", "--n", "1000", "--iters", "300",
      "--out", "out.csv"): {
         "stdout": "52115c92252c89deaa776ac58d3432dd1e5e6e22211ba2f4db82e825e8964cf3",
@@ -90,6 +90,27 @@ DIGESTS = {
     ("solve", "--problem", "lasso", "--solver", "alg2", "--iters", "300", "--out", "out.csv"): {
         "stdout": "7c5f4473a1e13213fdcca70feb1942ff4bdf56980eddf083e022ecab064b921f",
         "out.csv": "91cdf010d07880602396fbf71cf83710fe700ceb85d3e52f045227446f0e0502",
+    },
+    # alg2 on the small matrix-family instances, below the helper's gate
+    ("solve", "--problem", "quadratic", "--solver", "alg2", "--n", "30", "--iters", "300",
+     "--out", "out.csv"): {
+        "stdout": "03ca58fe81fe45bffd95381a34f7a3fa120e6d17440eab71680ef23edd26255c",
+        "out.csv": "517d9fe850c965cd2c92d3c6a0aadd3aafa4e62bc17613e4e159f33ebecfdbf7",
+    },
+    ("solve", "--problem", "lasso", "--solver", "alg2", "--m", "20", "--n", "40", "--iters",
+     "300", "--out", "out.csv"): {
+        "stdout": "58d98010c1f382c3ae0adc54161b3ee483a5e134e0fc6467e553f62e662c7f8d",
+        "out.csv": "034a9e63a8130c0c9135005b1ad0f94470eb5f933c03c7b473f481b63a5b76b3",
+    },
+    ("solve", "--problem", "logistic", "--solver", "alg2", "--m", "30", "--n", "20", "--iters",
+     "300", "--out", "out.csv"): {
+        "stdout": "67f3e531805c680dfccdbafc1e3d85606c8fb06c57b33f2accdea42fc33d0fa9",
+        "out.csv": "a036c5a41fcc93a2a77cb63cf1b63ffc9383d2a866b8e44f0f74760a71ef6b0d",
+    },
+    ("solve", "--problem", "logsumexp", "--solver", "alg2", "--k", "30", "--n", "20", "--iters",
+     "300", "--out", "out.csv"): {
+        "stdout": "243549ed4485a5dd29373e7d3a1c44f5c583c33771a5a2ccc4ccc180042469c4",
+        "out.csv": "23d4dc90bacb30875d31f7c9dfe35a4ca2b6b612a9b3fd2f3d6650e52ea2abb5",
     },
     ("verify", "--suite", "anti-oscillation"): {
         "stdout": "c41a139f6a62de48631076e502a64cb3bb656162d4019b3201b2d96ba5040029",
@@ -106,7 +127,19 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("argv", list(DIGESTS), ids=lambda argv: " ".join(argv[:5]))
+def _ids(vectors) -> list[str]:
+    # the first five words name a vector; a later vector that shares them
+    # takes flag-value pairs until its name is new
+    ids = []
+    for argv in vectors:
+        k = 5
+        while " ".join(argv[:k]) in ids:
+            k += 2
+        ids.append(" ".join(argv[:k]))
+    return ids
+
+
+@pytest.mark.parametrize("argv", list(DIGESTS), ids=_ids(DIGESTS))
 def test_output_digests(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(list(argv)) == 0

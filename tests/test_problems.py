@@ -116,8 +116,8 @@ DIRECT = {
 
 class TestSharedProduct:
     def test_matrix_families_record_their_matrix_size(self):
-        # the element count that gates alg2's helper thread, which only
-        # these families' thread-safe oracles are lent
+        # the element count that gates alg2's helper process, which only
+        # these families' oracles are lent
         sizes = {name: FAMILIES[name](Rng(47)).objective._matrix_size for name in FAMILIES}
         assert sizes == {"quadratic": 25 * 25, "lasso": 30 * 40, "logistic": 60 * 20,
                          "logsumexp": 50 * 25, "toy2d-perturbed": 0}
@@ -175,25 +175,6 @@ class TestSharedProduct:
         iters = 200
         run(prob.objective, prob.x0, SolverConfig(method="alg2", max_iter=iters))
         assert 0 < computed["n"] <= 2.0 * iters
-
-    def test_a_product_on_another_thread_does_not_evict_this_threads_point(self):
-        mat = Rng(53).gaussian_matrix(40, 40)
-        computed = []
-
-        class CountedMatrix:
-            def __matmul__(self, x):
-                computed.append(x.tobytes())
-                return mat @ x
-
-        product = problems._shared_product(CountedMatrix())
-        x, y = _probe_points(40, 59, count=2)
-        first = product(x)
-        other = threading.Thread(target=product, args=(y,))
-        other.start()
-        other.join(timeout=10)
-        assert not other.is_alive()
-        assert product(x) is first
-        assert computed == [x.tobytes(), y.tobytes()]
 
     def test_concurrent_callers_each_get_their_own_points_product(self):
         # each thread alternates between two points, so that the points the

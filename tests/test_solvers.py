@@ -1,12 +1,15 @@
-import concurrent.futures
 import dataclasses
 import math
 import os
+import signal
 import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
 
+import l1subgrad._helper as _helper
 import l1subgrad.bench as bench
 import l1subgrad.objective as objective
 import l1subgrad.solvers as solvers
@@ -832,16 +835,35 @@ _OVERLAP_SIZES = {
 }
 
 
-def _thread_safe(obj):
-    """``obj``, lent alg2's helper thread like a built-in matrix family's: a
-    test's wrapper around such a family's oracles is safe on two threads."""
+def _lendable(obj):
+    """``obj``, lent alg2's helper like a built-in matrix family's: a test's
+    wrapper around such a family's oracles may run in the forked helper."""
     object.__setattr__(obj, "_matrix_size", obj.dim * obj.dim)
     return obj
 
 
+def _patient(obj, seconds=2e-4):
+    """``obj``, lendable, with a grad_g that sleeps ``seconds`` first in this
+    process but not in the helper: each lent step then waits long enough for
+    the helper's result, however small the instance."""
+    home = os.getpid()
+
+    def grad_g(x, _grad=obj.grad_g):
+        if os.getpid() == home:
+            time.sleep(seconds)
+        return _grad(x)
+
+    return _lendable(dataclasses.replace(obj, grad_g=grad_g))
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.fixture
 def overlap(monkeypatch):
-    """Gate alg2's helper thread: ``overlap(True)`` lets every walk of this
+    """Gate alg2's helper process: ``overlap(True)`` lets every walk of this
     process start one, whatever its size or the host's CPU count, and
     ``overlap(False)`` lets none. It starts as ``overlap(True)``."""
     monkeypatch.setattr(solvers, "_usable_cpus", lambda: 2)
@@ -855,14 +877,18 @@ def overlap(monkeypatch):
 
 def _spy(monkeypatch):
     """The set of what alg2's steps reach from here on: "crossing", "flip",
-    "cycle", and per step ("helper" or "serial", "kept" or "fell back")."""
+    "cycle", per step ("helper" or "serial", "kept" or "fell back"), and per
+    fallback of a lent step ("taken", True) where the step took the helper's
+    result, ("taken", False) where it computed f and grad_g at q itself."""
     seen = set()
     step, cross = solvers._accelerated_step, solvers._crossing_phase
     directional, period = solvers._directional_from_grad, solvers._Cycle.period
+    take = _helper.Helper.take
 
-    def spied_step(obj, state, h, pool=None):
-        new = step(obj, state, h, pool)
-        seen.add(("helper" if pool else "serial", "fell back" if new.x is new.q else "kept"))
+    def spied_step(obj, state, h, helper=None):
+        new = step(obj, state, h, helper)
+        seen.add(("serial" if helper is None else "helper",
+                  "fell back" if new.x is new.q else "kept"))
         return new
 
     def spied_cross(obj, x, sub, h):
@@ -882,15 +908,33 @@ def _spy(monkeypatch):
             seen.add("cycle")
         return found
 
+    def spied_take(self):
+        lent = take(self)
+        seen.add(("taken", lent is not None))
+        return lent
+
     monkeypatch.setattr(solvers, "_accelerated_step", spied_step)
     monkeypatch.setattr(solvers, "_crossing_phase", spied_cross)
     monkeypatch.setattr(solvers, "_directional_from_grad", spied_directional)
     monkeypatch.setattr(solvers._Cycle, "period", spied_period)
+    monkeypatch.setattr(_helper.Helper, "take", spied_take)
     return seen
 
 
+@pytest.fixture
+def deadline():
+    """Fail a test that runs longer than ``deadline(seconds)`` instead of letting it hang."""
+    def expired(signum, frame):
+        raise TimeoutError("the test ran past its deadline")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    yield signal.alarm
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
 class TestOverlap:
-    """alg2's helper thread (`solvers._walk`) changes no byte and outlives no run."""
+    """alg2's helper process (`solvers._walk`) changes no byte and outlives no walk."""
 
     def test_run_bytes_do_not_depend_on_the_helper(self, overlap, monkeypatch):
         seen = _spy(monkeypatch)
@@ -908,80 +952,101 @@ class TestOverlap:
             assert traces[0].f_values.tobytes() == traces[1].f_values.tobytes()
             assert traces[0].x_final.tobytes() == traces[1].x_final.tobytes()
         assert {"crossing", "flip", "cycle", ("helper", "kept"), ("helper", "fell back")} <= reached
-        assert threading.active_count() == 1
+        _no_children_left()
 
     @pytest.mark.parametrize("family", sorted(_OVERLAP_SIZES))
     def test_steps_that_all_lend_the_helper_keep_their_bytes(self, family, monkeypatch):
-        # `_walk` lends the helper only within runs of fallbacks, which some of
-        # these instances never have; here every step lends it
+        # step by step, the state with the helper, gradient included, is the
+        # state without it
         seen = _spy(monkeypatch)
         prob = build_problem(family, 0, **_OVERLAP_SIZES[family])
-        obj = prob.objective
+        obj = _patient(prob.objective)
         h = 1.0 / obj.lipschitz_L
         lent = alone = SolverState.initial(obj, prob.x0)
-        with concurrent.futures.ThreadPoolExecutor(1) as pool:
+        helper = _helper.Helper(obj)
+        try:
             for _ in range(300):
-                lent = solvers._accelerated_step(obj, lent, h, pool)
+                lent = solvers._accelerated_step(obj, lent, h, helper)
                 alone = solvers._accelerated_step(obj, alone, h)
                 assert lent.key() + lent.grad.tobytes() == alone.key() + alone.grad.tobytes()
                 assert lent.f_x.hex() == alone.f_x.hex()
-        assert {"crossing", "flip", ("helper", "kept"), ("helper", "fell back")} <= seen
+        finally:
+            helper.close()
+        assert {"crossing", "flip", ("helper", "kept"), ("helper", "fell back"),
+                ("taken", True)} <= seen
+        _no_children_left()
 
     @pytest.mark.parametrize("family", ["quadratic", "lasso"])
     def test_reference_value_bits_do_not_depend_on_the_helper(self, family, overlap,
                                                               monkeypatch):
         seen = _spy(monkeypatch)
         prob = build_problem(family, 0, **_OVERLAP_SIZES[family])
+        prob = dataclasses.replace(prob, objective=_patient(prob.objective))
         refs = []
         for on in (True, False):
             overlap(on)
             refs.append(bench.reference_optimum(prob))
             # the walk is left before its budget, with the helper started
-            assert threading.active_count() == 1
+            _no_children_left()
         assert {("helper", "kept"), ("helper", "fell back")} & seen
         assert refs[0].value.hex() == refs[1].value.hex()
         assert refs[0].certified == refs[1].certified
 
-    def test_the_callers_numpy_error_state_holds_on_the_helper(self, overlap):
-        # `run` steps under np.errstate(over="ignore"), on either thread
+    def test_the_callers_numpy_error_state_holds_on_the_helper(self, monkeypatch, capfd):
+        # every eval_g and grad_g call overflows; the helper is forked under
+        # one error state, and the steps run under another. Where they ignore
+        # overflow, the helper's results count; where they warn, the helper
+        # gives none, and each step warns as it does without the helper
         prob = build_problem("quadratic", 0, n=30)
-        seen = set()
 
         def eval_g(x, _eval=prob.objective.eval_g):
-            seen.add((threading.current_thread() is threading.main_thread(), np.geterr()["over"]))
+            np.float64(1e308) * 10.0
             return _eval(x)
 
-        obj = _thread_safe(dataclasses.replace(prob.objective, eval_g=eval_g))
-        run(obj, prob.x0, SolverConfig(method="alg2", max_iter=300))
-        assert (False, "ignore") in seen
-        assert {over for main, over in seen if not main} == {"ignore"}
-
-    def test_no_thread_outlives_a_run_that_fails(self, overlap, monkeypatch):
-        seen = _spy(monkeypatch)
-        prob = build_problem("quadratic", 0, n=30)
-        calls = {"n": 0}
-
-        # from the 200th call on, grad_g is NaN: the step that reads it falls
-        # back to q with a NaN gradient, and the next one fails
         def grad_g(x, _grad=prob.objective.grad_g):
-            calls["n"] += 1
-            return _grad(x) if calls["n"] < 200 else np.full_like(x, np.nan)
+            np.float64(1e308) * 10.0
+            return _grad(x)
 
-        obj = _thread_safe(dataclasses.replace(prob.objective, grad_g=grad_g))
-        with pytest.raises(SolverError, match="^alg2 failed at iteration"):
-            run(obj, prob.x0, SolverConfig(method="alg2", max_iter=1000))
-        assert {("helper", "kept"), ("helper", "fell back")} & seen
-        assert threading.active_count() == 1
+        obj = _patient(dataclasses.replace(prob.objective, eval_g=eval_g, grad_g=grad_g))
+        h = 1.0 / obj.lipschitz_L
+        with np.errstate(over="ignore"):
+            start = SolverState.initial(obj, prob.x0)
+        seen = _spy(monkeypatch)
+        for forked, stepping in (("warn", "ignore"), ("ignore", "warn")):
+            with np.errstate(over=forked):
+                helper = _helper.Helper(obj)
+            seen.clear()
+            outcomes = []
+            try:
+                for lent in (helper, None):
+                    state = start
+                    with warnings.catch_warnings(record=True) as caught, \
+                            np.errstate(over=stepping):
+                        warnings.simplefilter("always")
+                        for _ in range(100):
+                            state = solvers._accelerated_step(obj, state, h, lent)
+                    outcomes.append((state.key() + state.grad.tobytes(), len(caught)))
+            finally:
+                helper.close()
+            assert outcomes[0] == outcomes[1]
+            assert ("helper", "fell back") in seen
+            assert (("taken", True) in seen) == (stepping == "ignore")
+            assert (outcomes[0][1] > 0) == (stepping == "warn")
+        assert capfd.readouterr() == ("", "")
+        _no_children_left()
 
     @staticmethod
     def _lent_steps(prob, monkeypatch):
-        """(fell back, q bytes, q' bytes) of each step of an alg2 run that lent the helper."""
+        """(fell back, q bytes, q' bytes) of each step of an alg2 run that lent
+        the helper and, without it, evaluates grad_g at its q exactly if the
+        step fell back: a kept step whose q is the pinned point x' of its
+        crossing phase, which that phase evaluates, is left out."""
         steps, points = [], []
         step, directional = solvers._accelerated_step, solvers._directional_from_grad
 
-        def recorded(obj, state, h, pool=None):
-            new = step(obj, state, h, pool)
-            if pool is not None:
+        def recorded(obj, state, h, helper=None):
+            new = step(obj, state, h, helper)
+            if helper is not None:
                 steps.append((new.x is new.q, new.q.tobytes(), points[-1]))
             return new
 
@@ -989,16 +1054,80 @@ class TestOverlap:
             points.append(qp.tobytes())
             return directional(grad, q, qp, gamma, prod)
 
+        cfg = SolverConfig(method="alg2", max_iter=300)
         with monkeypatch.context() as patch:
             patch.setattr(solvers, "_accelerated_step", recorded)
             patch.setattr(solvers, "_directional_from_grad", seen_at)
-            run(prob.objective, prob.x0, SolverConfig(method="alg2", max_iter=300))
-        return steps
+            run(prob.objective, prob.x0, cfg)
+        serial = set()
+
+        def grad_g(x, _grad=prob.objective.grad_g):
+            serial.add(x.tobytes())
+            return _grad(x)
+
+        run(dataclasses.replace(prob.objective, grad_g=grad_g), prob.x0, cfg)
+        return [step for step in steps if (step[1] in serial) == step[0]]
+
+    @pytest.mark.parametrize("fell_back", [True, False])
+    @pytest.mark.parametrize("event", ["divide", "warn"])
+    def test_a_warning_at_q_is_given_as_without_the_helper(self, event, fell_back, overlap,
+                                                           monkeypatch, capfd):
+        # grad_g divides by zero, under an error state that warns on division,
+        # or calls warnings.warn, at the q of every lent step that then fell
+        # back, or kept q': the serial step warns at such fallbacks, and never
+        # evaluates at the q of a kept step; the helper, in time to answer,
+        # must not
+        prob = build_problem("quadratic", 0, n=30)
+        targets = {q for back, q, _ in self._lent_steps(prob, monkeypatch) if back == fell_back}
+        assert targets
+
+        def grad_g(x, _grad=prob.objective.grad_g):
+            if x.tobytes() in targets:
+                if event == "divide":
+                    np.float64(1.0) / 0.0
+                else:
+                    warnings.warn("grad_g warns at this point", RuntimeWarning)
+            return _grad(x)
+
+        obj = _patient(dataclasses.replace(prob.objective, grad_g=grad_g))
+        outcomes = []
+        for on in (True, False):
+            overlap(on)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with np.errstate(divide="warn"):
+                    trace = run(obj, prob.x0, SolverConfig(method="alg2", max_iter=300))
+            outcomes.append((trace.f_values.tobytes(), [str(w.message) for w in caught]))
+            _no_children_left()
+        assert outcomes[0] == outcomes[1]
+        assert bool(outcomes[0][1]) == fell_back
+        assert capfd.readouterr() == ("", "")
+
+    def test_no_process_outlives_a_run_that_fails(self, overlap, monkeypatch):
+        # grad_g is NaN at the q of a lent step that falls back: the helper
+        # returns it, and the next step fails, as without the helper
+        prob = build_problem("quadratic", 0, n=30)
+        _, target, _ = [step for step in self._lent_steps(prob, monkeypatch) if step[0]][10]
+
+        def grad_g(x, _grad=prob.objective.grad_g):
+            return np.full_like(x, np.nan) if x.tobytes() == target else _grad(x)
+
+        obj = _patient(dataclasses.replace(prob.objective, grad_g=grad_g))
+        seen = _spy(monkeypatch)
+        errors = []
+        for on in (True, False):
+            overlap(on)
+            with pytest.raises(SolverError, match="^alg2 failed at iteration") as failed:
+                run(obj, prob.x0, SolverConfig(method="alg2", max_iter=300))
+            errors.append(str(failed.value))
+            _no_children_left()
+        assert errors[0] == errors[1]
+        assert ("taken", True) in seen
 
     @pytest.mark.parametrize("at, fell_back", [("q", True), ("q", False), ("q'", True)])
     def test_an_oracle_error_is_raised_as_without_the_helper(self, at, fell_back, overlap,
                                                              monkeypatch):
-        # grad_g fails at the q (on the helper) or the q' (on this thread) of
+        # grad_g fails at the q (in the helper) or the q' (in this process) of
         # the first step that lent the helper and then fell back, or kept q'
         prob = build_problem("quadratic", 0, n=30)
         steps = self._lent_steps(prob, monkeypatch)
@@ -1013,33 +1142,159 @@ class TestOverlap:
                     raise ArithmeticError("grad_g refuses this point")
                 return _grad(x)
 
-            obj = _thread_safe(dataclasses.replace(prob.objective, grad_g=grad_g))
+            obj = _patient(dataclasses.replace(prob.objective, grad_g=grad_g))
             try:
                 trace = run(obj, prob.x0, SolverConfig(method="alg2", max_iter=300))
                 outcomes.append((trace.f_values.tobytes(), trace.x_final.tobytes()))
             except ArithmeticError as exc:
                 outcomes.append((type(exc), str(exc)))
-            assert threading.active_count() == 1
+            _no_children_left()
         # the step that kept q' never evaluates at q, with the helper or without
         assert outcomes[0] == outcomes[1]
         assert (outcomes[0][0] is ArithmeticError) == (at == "q'" or fell_back)
 
+    @pytest.mark.parametrize("how", [signal.SIGSTOP, signal.SIGKILL], ids=["stopped", "killed"])
+    def test_a_helper_that_never_answers_leaves_the_serial_bytes(self, how, overlap, monkeypatch,
+                                                                 deadline):
+        # a stopped helper reads no request: each lent step waits no longer
+        # than it has taken, and once the request pipe is full, not at all; a
+        # killed one breaks the pipe, and no step waits
+        seen = _spy(monkeypatch)
+        started = _helper.Helper.__init__
+
+        def stopped(self, obj):
+            started(self, obj)
+            os.kill(self._pid, how)
+
+        prob = build_problem("lasso", 0, m=20, n=40)
+        obj = prob.objective
+        h = 1.0 / obj.lipschitz_L
+        deadline(60)
+        monkeypatch.setattr(_helper.Helper, "__init__", stopped)
+        cfg = SolverConfig(method="alg2", max_iter=3000)
+        traces = []
+        for on in (True, False):
+            overlap(on)
+            traces.append(run(obj, prob.x0, cfg))
+            _no_children_left()
+        assert traces[0].f_values.tobytes() == traces[1].f_values.tobytes()
+        assert traces[0].x_final.tobytes() == traces[1].x_final.tobytes()
+        assert ("helper", "fell back") in seen and ("taken", True) not in seen
+        # more requests than the pipe holds
+        lent = alone = SolverState.initial(obj, prob.x0)
+        helper = _helper.Helper(obj)
+        try:
+            for _ in range(4000):
+                lent = solvers._accelerated_step(obj, lent, h, helper)
+            for _ in range(4000):
+                alone = solvers._accelerated_step(obj, alone, h)
+        finally:
+            helper.close()
+        assert lent.key() + lent.grad.tobytes() == alone.key() + alone.grad.tobytes()
+        _no_children_left()
+
+    def test_a_helper_that_blocked_wakes_for_the_next_request(self):
+        # after polling for `_SPIN_S` the helper blocks on its pipe; a request
+        # wakes it, and `take` waits as long again as it has been posted
+        prob = build_problem("quadratic", 0, n=30)
+        obj = prob.objective
+        helper = _helper.Helper(obj)
+        try:
+            for x in (Rng(seed).gaussians(obj.dim) for seed in range(3)):
+                time.sleep(5 * _helper._SPIN_S)
+                helper.post(x, None)
+                time.sleep(0.05)
+                f, grad = helper.take()
+                assert (f.hex(), grad.tobytes()) == (obj._value(x).hex(), obj._grad(x).tobytes())
+                helper.post(x, 1.5)  # f(q) known: the helper returns it
+                time.sleep(0.05)
+                assert helper.take()[0] == 1.5
+        finally:
+            helper.close()
+        _no_children_left()
+
+    def test_a_result_for_an_older_request_is_dropped(self):
+        # a kept step leaves its request's result unread; the next step takes
+        # only its own, or none
+        obj = build_problem("quadratic", 0, n=30).objective
+        old, new = (Rng(seed).gaussians(obj.dim) for seed in (7, 8))
+        helper = _helper.Helper(obj)
+        try:
+            helper.post(old, None)
+            time.sleep(0.05)  # the helper has answered it
+            helper.post(new, None)
+            lent = helper.take()
+        finally:
+            helper.close()
+        if lent is not None:
+            assert (lent[0].hex(), lent[1].tobytes()) == (obj._value(new).hex(),
+                                                          obj._grad(new).tobytes())
+        _no_children_left()
+
+    def test_no_process_outlives_an_interrupted_run(self, overlap):
+        prob = build_problem("quadratic", 0, n=30)
+        home, calls = os.getpid(), {"n": 0}
+
+        def grad_g(x, _grad=prob.objective.grad_g):
+            if os.getpid() == home:
+                calls["n"] += 1
+                if calls["n"] == 100:
+                    raise KeyboardInterrupt
+            return _grad(x)
+
+        obj = _lendable(dataclasses.replace(prob.objective, grad_g=grad_g))
+        with pytest.raises(KeyboardInterrupt):
+            run(obj, prob.x0, SolverConfig(method="alg2", max_iter=300))
+        _no_children_left()
+
+    def test_an_interrupt_sent_to_the_helper_leaves_it_serving(self, capfd):
+        # Ctrl-C signals the whole process group: the walk's process handles
+        # it, and the helper, which prints nothing, keeps serving until closed
+        obj = build_problem("quadratic", 0, n=30).objective
+        x = Rng(9).gaussians(obj.dim)
+        helper = _helper.Helper(obj)
+        try:
+            for _ in range(2):  # while the helper starts, then while it waits
+                os.kill(helper._pid, signal.SIGINT)
+                time.sleep(0.05)
+            helper.post(x, None)
+            time.sleep(0.05)
+            lent = helper.take()
+        finally:
+            helper.close()
+        assert lent is not None and lent[1].tobytes() == obj._grad(x).tobytes()
+        assert capfd.readouterr() == ("", "")
+        _no_children_left()
+
+    def test_a_helper_ends_at_the_end_of_its_pipe(self, capfd, deadline):
+        # as when the walk's process is killed: nothing is left running or printed
+        obj = build_problem("quadratic", 0, n=30).objective
+        deadline(60)
+        helper = _helper.Helper(obj)
+        os.close(helper._requests)
+        os.close(helper._results)
+        _, status = os.waitpid(helper._pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert capfd.readouterr() == ("", "")
+        _no_children_left()
+
     def test_forked_workers_start_no_helper(self, overlap, workers, monkeypatch):
         def refuse(*args):
-            raise AssertionError(f"a helper thread started in process {os.getpid()}")
+            raise AssertionError(f"a helper process started from process {os.getpid()}")
 
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(_helper, "Helper", refuse)
         cfg = ExperimentConfig("quadratic", trials=2, solvers=("alg2",), max_iter=50, n=30)
         workers(2)
         run_experiment(cfg)
         workers(1)  # the trials run in this process, which starts one
-        with pytest.raises(AssertionError, match="^a helper thread started in process"):
+        with pytest.raises(AssertionError, match="^a helper process started from process"):
             run_experiment(cfg)
 
     def test_a_custom_objective_runs_on_the_calling_thread_alone(self, overlap, monkeypatch):
         # a one-slot memo that keeps the point and its product in two
-        # variables pairs them wrongly if two threads call it at once; the
-        # walk lends the helper to built-in matrix families only
+        # variables is the user's own; the walk lends the helper to built-in
+        # matrix families only, so such oracles run in this process and
+        # thread, one call at a time, at the points the method reads
         prob = build_problem("quadratic", 0, n=30)
         mat, b = prob.data["matrix"], prob.data["offset"]
         threads, last_x, last_y = [], None, None
@@ -1062,10 +1317,13 @@ class TestOverlap:
         builtin = run(prob.objective, prob.x0, cfg)
         assert ("helper", "fell back") in seen
         seen.clear()
+        started = []
+        monkeypatch.setattr(_helper, "Helper", lambda obj: started.append(obj))
         for obj in (custom, dataclasses.replace(prob.objective, eval_g=custom.eval_g)):
             trace = run(obj, prob.x0, cfg)
             assert trace.f_values.tobytes() == builtin.f_values.tobytes()
             assert trace.x_final.tobytes() == builtin.x_final.tobytes()
         assert {lent for lent, _ in seen - {"crossing", "flip", "cycle"}} == {"serial"}
+        assert started == []
         assert set(threads) == {threading.get_ident()}
-        assert threading.active_count() == 1
+        _no_children_left()

@@ -74,7 +74,7 @@ VECTORS = [
     ("solve", "--problem", "toy2d", "--solver", "classic", "--classic-scale", "1e300",
      "--iters", "5", "--out", "out.csv"),
     # one trial runs in this process, so the reference's alg2 walk (and alg2's run) hands
-    # f and grad_g at q to the helper thread at default sizes on a host with 2 or more CPUs
+    # f and grad_g at q to the helper process at default sizes on a host with 2 or more CPUs
     ("bench", "--experiment", "quadratic", "--trials", "1", "--iters", "300", "--out", "out.csv"),
     ("bench", "--experiment", "lasso", "--solvers", "alg2", "--trials", "1", "--iters", "300",
      "--out", "out.csv"),
