@@ -28,7 +28,6 @@ from .bench import (
     write_trace_csv,
 )
 from .solvers import METHODS, SolverError, run
-from .verify import SUITES
 
 
 def _step_value(text: str):
@@ -109,8 +108,11 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--out", default=None,
                        help="aggregated CSV path; raw rows and metadata are written alongside")
 
+    # `main` loads the suites before building the parser, only for `verify`
+    suites = sys.modules.get(f"{__package__}.verify")
     verify = subs.add_parser("verify", help="run the executable property suites")
-    verify.add_argument("--suite", default="all", choices=sorted(SUITES) + ["all"],
+    verify.add_argument("--suite", default="all",
+                        choices=None if suites is None else sorted(suites.SUITES) + ["all"],
                         help="which suite to run (default all)")
     verify.add_argument("--seed", type=int, default=0, help="seed offset (default 0)")
     return parser
@@ -167,6 +169,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import SUITES
+
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     results = [res for name in names for res in SUITES[name](seed=args.seed)]
     failed = 0
@@ -179,6 +183,12 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    # Only `verify` runs the suites, so only it compiles and holds them. It
+    # loads them before the parser: compiled on top of the parser's heap,
+    # they would raise the process's peak memory.
+    if argv and argv[0] == "verify":
+        from . import verify  # noqa: F401
     args = build_parser().parse_args(argv)
     try:
         if args.command == "solve":

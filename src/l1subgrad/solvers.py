@@ -31,6 +31,7 @@ import os
 from contextlib import closing
 from dataclasses import dataclass
 from itertools import count, islice
+from pathlib import Path
 
 import numpy as np
 
@@ -51,6 +52,13 @@ _OVERLAP_MIN_SIZE = 250_000
 # The process that imported this module; a process forked from it, such as a
 # `bench._fork_map` worker, never starts a helper, since the workers hold every CPU.
 _HOME_PID = os.getpid()
+# Whether BLAS and OpenMP were pinned to one thread when this module was
+# imported, as `import l1subgrad` does before numpy loads. A helper process
+# would compete for the CPUs with a threaded BLAS.
+_BLAS_PINNED = all(os.environ.get(var) == "1"
+                   for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"))
+# The root under which `_cpu_quota` reads /proc and /sys.
+_ROOT = Path("/")
 
 
 class SolverError(RuntimeError):
@@ -70,10 +78,42 @@ def _check_schedule(scale: float, exponent: float):
         raise ValueError(f"classic_step_exponent must be finite and >= 0, got {exponent}")
 
 
+def _cpu_quota() -> int | None:
+    """The CPUs that the CPU quota of this process's cgroup grants, rounded up,
+    or None where no quota is set or none can be read.
+
+    The cgroup comes from /proc/self/cgroup. Its quota is cgroup v2's
+    ``cpu.max`` or v1's ``cpu.cfs_quota_us`` and ``cpu.cfs_period_us``, in
+    the cgroup's directory or, where a container shows its own cgroup as the
+    root of the mount, in the mount's root.
+    """
+    try:
+        for line in (_ROOT / "proc/self/cgroup").read_text().splitlines():
+            _, controllers, path = line.split(":", 2)
+            if controllers == "":
+                mount, files = _ROOT / "sys/fs/cgroup", ("cpu.max",)
+            elif "cpu" in controllers.split(","):
+                mount = _ROOT / "sys/fs/cgroup" / controllers
+                files = ("cpu.cfs_quota_us", "cpu.cfs_period_us")
+            else:
+                continue
+            for where in (mount / path.lstrip("/"), mount):
+                if (where / files[0]).is_file():
+                    text = " ".join((where / name).read_text() for name in files)
+                    # v2's "max" is no int; v1 reads -1 where no quota is set
+                    quota, period = map(int, text.split())
+                    return -(-quota // period) if quota > 0 and period > 0 else None
+    except (OSError, ValueError):
+        pass
+    return None
+
+
 def _usable_cpus() -> int:
-    """The CPUs this process may run on, or 1 without `os.fork` or `os.sched_getaffinity`."""
-    known = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-    return len(os.sched_getaffinity(0)) if known else 1
+    """The CPUs this process may run on (its affinity mask, capped by its
+    cgroup's CPU quota), or 1 without `os.fork` or `os.sched_getaffinity`."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(len(os.sched_getaffinity(0)), _cpu_quota() or math.inf)
 
 
 class _Cycle:
@@ -430,12 +470,12 @@ def _walk(obj: CompositeObjective, x0: np.ndarray, h: float, cfg: SolverConfig):
     lends to each of its steps (`_accelerated_step`). Only a built-in matrix
     family's objective, whose oracles may run in a forked copy of the
     process, with ``obj._matrix_size >= _OVERLAP_MIN_SIZE`` gets one, and
-    only in a process that may use 2 or more CPUs (`_usable_cpus`) and is
-    not forked from the one that imported this module (a `bench._fork_map`
-    worker). It is forked at the first step (where no process can be forked,
-    the walk goes on without it) and killed and reaped when the walk is
-    closed: close the walk rather than drop it. The bytes are those of the
-    walk without it.
+    only in a process that may use 2 or more CPUs (`_usable_cpus`), whose
+    BLAS was pinned to one thread (`_BLAS_PINNED`), and that is not forked
+    from the one that imported this module (a `bench._fork_map` worker). It
+    is forked at the first step (where no process can be forked, the walk
+    goes on without it) and killed and reaped when the walk is closed: close
+    the walk rather than drop it. The bytes are those of the walk without it.
     """
     method = cfg.method
     key = np.ndarray.tobytes
@@ -448,7 +488,7 @@ def _walk(obj: CompositeObjective, x0: np.ndarray, h: float, cfg: SolverConfig):
         state, f = x0.copy(), obj._value(x0)
     cycle = None if method == "classic" else _Cycle(key(state), period_one_only=method == "fista")
     period = 0
-    lend = (method == "alg2" and obj._matrix_size >= _OVERLAP_MIN_SIZE
+    lend = (method == "alg2" and obj._matrix_size >= _OVERLAP_MIN_SIZE and _BLAS_PINNED
             and os.getpid() == _HOME_PID and _usable_cpus() >= 2)
     helper = None
     try:

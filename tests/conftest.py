@@ -20,9 +20,10 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 def _invoke(*args, env=None, program=("-m", "l1subgrad")):
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, **(env or {}), "PYTHONPATH": path}
     return subprocess.run(
         [sys.executable, *program, *args], capture_output=True, text=True,
-        env={**os.environ, **(env or {}), "PYTHONPATH": path},
+        env={var: value for var, value in env.items() if value is not None},
     )
 
 
@@ -31,7 +32,8 @@ def cli():
     """Run ``python -m l1subgrad ARGS`` (or ``program``) in a fresh interpreter.
 
     The checkout's ``src`` goes first on the child's ``PYTHONPATH``, and
-    ``env`` entries are added to its environment. Returns the
+    ``env`` entries are added to its environment (an entry set to None
+    removes that variable). Returns the
     ``subprocess.CompletedProcess`` with text stdout and stderr.
     """
     return _invoke

@@ -542,12 +542,11 @@ class TestVerify:
         assert cli("verify", "--suite", "nonsense").returncode == 2
 
     def test_failure_exits_one(self, capsys, monkeypatch):
-        import l1subgrad.cli as cli
-        from l1subgrad.verify import PropertyResult
+        import l1subgrad.verify as verify
 
         monkeypatch.setitem(
-            cli.SUITES, "anti-oscillation",
-            lambda seed=0: [PropertyResult("anti-oscillation", False, -1.0, "forced")],
+            verify.SUITES, "anti-oscillation",
+            lambda seed=0: [verify.PropertyResult("anti-oscillation", False, -1.0, "forced")],
         )
         assert main(["verify", "--suite", "anti-oscillation"]) == 1
         assert "FAIL" in capsys.readouterr().out
@@ -571,6 +570,23 @@ def test_benchmark_tracer_still_installs(args, tmp_path, cli):
     assert traced.stderr == ""
     assert traced.stdout == plain.stdout
     assert isinstance(json.loads(layers.read_text())["metrics"], dict)
+
+
+def test_solve_and_bench_leave_verify_unloaded(cli):
+    """Only `verify` runs the suites, so only it compiles and holds `l1subgrad.verify`."""
+    script = """if True:
+        import contextlib, io, sys
+        from l1subgrad.cli import main
+        for argv in (["solve", "--problem", "toy2d", "--solver", "alg1", "--iters", "5"],
+                     ["bench", "--experiment", "toy2d", "--trials", "1", "--iters", "5"],
+                     ["verify", "--suite", "anti-oscillation"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            print(argv[0], code, "l1subgrad.verify" in sys.modules)
+    """
+    proc = cli(program=("-c", script))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "solve 0 False\nbench 0 False\nverify 0 True\n"
 
 
 def test_cli_import_leaves_logging_unloaded(cli):

@@ -1327,3 +1327,82 @@ class TestOverlap:
         assert started == []
         assert set(threads) == {threading.get_ident()}
         _no_children_left()
+
+    @pytest.mark.parametrize("pinned", [False, True], ids=["blas-threaded", "blas-pinned"])
+    def test_a_helper_is_lent_only_where_blas_is_pinned(self, pinned, cli):
+        # a program that imports numpy before l1subgrad keeps its BLAS thread
+        # settings; where they are not one thread, the BLAS threads would
+        # compete with the helper for the CPUs, so the walk runs serially
+        if pinned and solvers._usable_cpus() < 2:
+            pytest.skip("a helper needs 2 or more CPUs")
+        script = """if True:
+            import numpy
+            import l1subgrad._helper as _helper
+            from l1subgrad.numerics import Rng
+            from l1subgrad.problems import make_quadratic
+            from l1subgrad.solvers import SolverConfig, run
+
+            started = []
+
+            def recorder(obj):
+                started.append(obj)
+                raise OSError("recorded")  # the walk goes on without a helper
+
+            _helper.Helper = recorder
+            prob = make_quadratic(600, Rng(0))
+            run(prob.objective, prob.x0, SolverConfig(method="alg2", max_iter=5))
+            print(len(started))
+        """
+        blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        proc = cli(program=("-c", script), env=dict.fromkeys(blas, "1" if pinned else None))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ("1\n" if pinned else "0\n")
+
+
+class TestUsableCpus:
+    @pytest.fixture
+    def cgroup(self, tmp_path, monkeypatch):
+        """Write a fake /proc/self/cgroup and cgroup tree under ``tmp_path``:
+        ``cgroup(line, {relative path: text})``. The process's affinity mask
+        holds 4 CPUs."""
+        monkeypatch.setattr(solvers, "_ROOT", tmp_path)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+
+        def write(line, files):
+            for name, text in {"proc/self/cgroup": line + "\n", **files}.items():
+                (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+                (tmp_path / name).write_text(text)
+
+        return write
+
+    @pytest.mark.parametrize("cpu_max, count", [
+        ("200000 100000", 2), ("150000 100000", 2), ("50000 100000", 1),
+        ("max 100000", 4), ("garbage", 4), ("500000 100000", 4),
+    ])
+    def test_a_v2_quota_caps_the_affinity_mask(self, cgroup, cpu_max, count):
+        cgroup("0::/box", {"sys/fs/cgroup/box/cpu.max": cpu_max + "\n"})
+        assert solvers._usable_cpus() == count
+
+    @pytest.mark.parametrize("quota, count", [("200000", 2), ("150000", 2), ("-1", 4)])
+    def test_a_v1_quota_caps_the_affinity_mask(self, cgroup, quota, count):
+        base = "sys/fs/cgroup/cpu,cpuacct/box/"
+        cgroup("5:memory:/box\n4:cpu,cpuacct:/box", {
+            base + "cpu.cfs_quota_us": quota + "\n", base + "cpu.cfs_period_us": "100000\n",
+        })
+        assert solvers._usable_cpus() == count
+
+    def test_a_container_s_own_cgroup_at_the_mount_root_is_read(self, cgroup):
+        cgroup("0::/host/path/of/the/container", {"sys/fs/cgroup/cpu.max": "100000 100000"})
+        assert solvers._usable_cpus() == 1
+
+    @pytest.mark.parametrize("line, files", [
+        ("0::/box", {}),
+        ("4:cpu:/box", {"sys/fs/cgroup/cpu/box/cpu.cfs_quota_us": "100000"}),
+        ("not a cgroup line", {}),
+    ], ids=["no cpu.max", "no period", "unparsable"])
+    def test_a_missing_or_unreadable_quota_is_no_cap(self, cgroup, line, files):
+        cgroup(line, files)
+        assert solvers._usable_cpus() == 4
+
+    def test_no_proc_file_is_no_cap(self, cgroup):
+        assert solvers._usable_cpus() == 4

@@ -78,6 +78,10 @@ VECTORS = [
     ("bench", "--experiment", "quadratic", "--trials", "1", "--iters", "300", "--out", "out.csv"),
     ("bench", "--experiment", "lasso", "--solvers", "alg2", "--trials", "1", "--iters", "300",
      "--out", "out.csv"),
+    # help texts, which solve and bench build without the verify suites loaded,
+    # and an unknown suite (exit 2, usage on stderr)
+    ("--help",), ("solve", "--help"), ("bench", "--help"), ("verify", "--help"),
+    ("verify", "--suite", "nonsense"),
     # usage errors
     ("solve", "--problem", "toy2d", "--solver", "alg1", "--classic-scale", "3"),
     ("bench", "--experiment", "toy2d", "--solvers", "classic", "--step", "0.1"),
