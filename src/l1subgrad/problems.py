@@ -11,7 +11,11 @@ product of their matrix with x once per point: ``eval_g`` and ``grad_g`` read
 it through `_shared_product`, which remembers the last point and its product.
 The solvers often ask for g and its gradient at the same point in turn (f(x)
 after a step, the subgradient at x in the next), and the product dominates
-either call. Each family records its matrix's element count on the objective
+either call. A large matrix multiplies only the columns of x's support where
+x has at most half its components nonzero, as the l1 methods' iterates do
+once their sign pattern settles (`_support_product`); the transposed products
+of the gradients stay full, since the methods read every component of the
+gradient. Each family records its matrix's element count on the objective
 (`CompositeObjective._matrix_size`), which lets a large alg2 walk run its
 oracles in a forked helper process too, on that process's own copy of the
 memo. The 2-D example has no product to share and keeps plain closures.
@@ -28,6 +32,12 @@ import numpy as np
 from .numerics import Rng, logsumexp, random_orthogonal, softmax
 from .objective import CompositeObjective
 
+# The least element count of a matrix whose products skip the columns where
+# x is zero (`_support_product`), from a measured crossover (README): below
+# it the support test and gathers cost more than they save, and a transposed
+# product reading the matrix after the block misses the cache the block took.
+_BLOCK_MIN_SIZE = 300_000
+
 
 def _shared_product(mat: np.ndarray):
     """x -> mat @ x, computed once for repeated calls at the same point.
@@ -37,8 +47,10 @@ def _shared_product(mat: np.ndarray):
     another point's product. The bytes are a copy: mutating the caller's
     array in place cannot make a stale hit. Comparing bytes is exact (it
     tells -0.0 from 0.0) and costs about a microsecond at n = 1000, against
-    hundreds for the product.
+    hundreds for the product. A matrix of at least `_BLOCK_MIN_SIZE`
+    elements computes the product with `_support_product`.
     """
+    compute = mat.__matmul__ if mat.size < _BLOCK_MIN_SIZE else _support_product(mat)
     last = (None, None)
 
     def product(x):
@@ -48,11 +60,41 @@ def _shared_product(mat: np.ndarray):
         last_key, last_y = last
         if key == last_key:
             return last_y
-        y = mat @ x
+        y = compute(x)
         last = (key, y)
         return y
 
     return product
+
+
+def _support_product(mat: np.ndarray):
+    """x -> ``mat[:, S] @ x[S]`` over x's support S (its components other
+    than +-0.0) where S holds at most half of x's components, else mat @ x.
+
+    The block ``mat[:, S]`` is gathered once per support with `take` (a
+    C-ordered copy, cheaper to gather than a mask index) and kept in a
+    one-slot cache keyed by the bytes of S, as one tuple read once, so a
+    block is never paired with another support's key. Which product is
+    computed depends on x alone, and the block's bytes on S alone, so the
+    result is a function of x whatever the cache held, also in a process
+    forked with a copy of it (alg2's helper).
+    """
+    cols = mat.shape[1]
+    block = (None, None)
+
+    def compute(x):
+        nonlocal block
+        support = np.flatnonzero(x)
+        if x.shape != (cols,) or 2 * support.size > cols:
+            return mat @ x
+        key = support.tobytes()
+        block_key, sub = block
+        if key != block_key:
+            sub = mat.take(support, axis=1)
+            block = (key, sub)
+        return sub @ x.take(support)
+
+    return compute
 
 
 @dataclass(frozen=True)

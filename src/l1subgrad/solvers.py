@@ -79,38 +79,52 @@ def _check_schedule(scale: float, exponent: float):
 
 
 def _cpu_quota() -> int | None:
-    """The CPUs that the CPU quota of this process's cgroup grants, rounded up,
-    or None where no quota is set or none can be read.
+    """The CPUs that the least CPU quota on the path from this process's
+    cgroup to the root grants, rounded up, or None where no quota is set or
+    none can be read.
 
-    The cgroup comes from /proc/self/cgroup. Its quota is cgroup v2's
-    ``cpu.max`` or v1's ``cpu.cfs_quota_us`` and ``cpu.cfs_period_us``, in
-    the cgroup's directory or, where a container shows its own cgroup as the
-    root of the mount, in the mount's root.
+    The cgroup comes from /proc/self/cgroup. A quota is cgroup v2's
+    ``cpu.max`` or v1's ``cpu.cfs_quota_us`` and ``cpu.cfs_period_us``, read
+    in the cgroup's directory and in each directory above it up to the
+    mount's root; where a container shows its own cgroup as the root of the
+    mount, the directories below the root are missing and the root holds its
+    quota. A level whose quota is unlimited (v2's ``max``, v1's -1), missing,
+    unreadable or unparsable sets no cap of its own.
     """
     try:
-        for line in (_ROOT / "proc/self/cgroup").read_text().splitlines():
+        lines = (_ROOT / "proc/self/cgroup").read_text().splitlines()
+    except OSError:
+        return None
+    cpus = []
+    for line in lines:
+        try:
             _, controllers, path = line.split(":", 2)
-            if controllers == "":
-                mount, files = _ROOT / "sys/fs/cgroup", ("cpu.max",)
-            elif "cpu" in controllers.split(","):
-                mount = _ROOT / "sys/fs/cgroup" / controllers
-                files = ("cpu.cfs_quota_us", "cpu.cfs_period_us")
-            else:
+        except ValueError:
+            continue
+        if controllers == "":
+            mount, files = _ROOT / "sys/fs/cgroup", ("cpu.max",)
+        elif "cpu" in controllers.split(","):
+            mount = _ROOT / "sys/fs/cgroup" / controllers
+            files = ("cpu.cfs_quota_us", "cpu.cfs_period_us")
+        else:
+            continue
+        parts = [part for part in path.split("/") if part]
+        for depth in range(len(parts), -1, -1):
+            where = mount.joinpath(*parts[:depth])
+            try:
+                text = " ".join((where / name).read_text() for name in files)
+                quota, period = map(int, text.split())
+            except (OSError, ValueError):
                 continue
-            for where in (mount / path.lstrip("/"), mount):
-                if (where / files[0]).is_file():
-                    text = " ".join((where / name).read_text() for name in files)
-                    # v2's "max" is no int; v1 reads -1 where no quota is set
-                    quota, period = map(int, text.split())
-                    return -(-quota // period) if quota > 0 and period > 0 else None
-    except (OSError, ValueError):
-        pass
-    return None
+            if quota > 0 and period > 0:
+                cpus.append(-(-quota // period))
+    return min(cpus, default=None)
 
 
 def _usable_cpus() -> int:
-    """The CPUs this process may run on (its affinity mask, capped by its
-    cgroup's CPU quota), or 1 without `os.fork` or `os.sched_getaffinity`."""
+    """The CPUs this process may run on (its affinity mask, capped by the
+    CPU quotas of its cgroup and the cgroups above it), or 1 without
+    `os.fork` or `os.sched_getaffinity`."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
     return min(len(os.sched_getaffinity(0)), _cpu_quota() or math.inf)

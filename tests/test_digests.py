@@ -81,15 +81,17 @@ DIGESTS = {
         "out.csv": "2a94a7fbca0fddcdb35c753b591542fc16d1fa155acb422b17bdfe8dadb7caeb",
     },
     # alg2 runs that hand f and grad_g at q to the helper process on a host with
-    # more than one CPU (`solvers._walk`), recorded before any helper existed
+    # more than one CPU (`solvers._walk`), and whose products multiply only the
+    # iterate's support once it has at most half the components nonzero
+    # (`problems._shared_product`); the same with the helper and without it
     ("solve", "--problem", "quadratic", "--solver", "alg2", "--n", "1000", "--iters", "300",
      "--out", "out.csv"): {
-        "stdout": "52115c92252c89deaa776ac58d3432dd1e5e6e22211ba2f4db82e825e8964cf3",
-        "out.csv": "89204fcf6f8af2bc8846a1ee8e53ec2b4e87150045be958b5aaa23351d8431b8",
+        "stdout": "b8d057203196813253e67277b68bfae0cef0ddc2172aa2916b31f9a30e37fad9",
+        "out.csv": "52df9dce3ffa8242191a11ba3b30990503bfbfd08608774428f89c83e66efc56",
     },
     ("solve", "--problem", "lasso", "--solver", "alg2", "--iters", "300", "--out", "out.csv"): {
-        "stdout": "7c5f4473a1e13213fdcca70feb1942ff4bdf56980eddf083e022ecab064b921f",
-        "out.csv": "91cdf010d07880602396fbf71cf83710fe700ceb85d3e52f045227446f0e0502",
+        "stdout": "86ae285725881165e52f50ffccc6ec87cdaca718cfae132b7372501daf8cb210",
+        "out.csv": "6af082f9b119f69e344fed6e69b42fdb2d81838d5ec23b5b5cd2e91b602a795b",
     },
     # alg2 on the small matrix-family instances, below the helper's gate
     ("solve", "--problem", "quadratic", "--solver", "alg2", "--n", "30", "--iters", "300",

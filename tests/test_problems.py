@@ -156,53 +156,118 @@ class TestSharedProduct:
         assert np.array_equal(obj.grad_g(x), grad)
         assert obj.eval_g(x) == value
 
+    @pytest.mark.parametrize("block_min_size", [1, problems._BLOCK_MIN_SIZE],
+                             ids=["lowered size constant", "size constant"])
+    def test_block_path_takes_points_with_at_most_half_nonzero(self, monkeypatch,
+                                                                 block_min_size):
+        # below the size constant every point takes the full product
+        shapes = []
+
+        class RecordedMatrix(np.ndarray):
+            def __matmul__(self, x):
+                shapes.append(self.shape)
+                return self.view(np.ndarray) @ x
+
+        monkeypatch.setattr(problems, "_BLOCK_MIN_SIZE", block_min_size)
+        mat = Rng(73).gaussian_matrix(40, 25)
+        product = problems._shared_product(mat.view(RecordedMatrix))
+        for nonzero in (0, 12, 13, 25):
+            x = Rng(79).gaussians(25, 0.0, 2.0)
+            x[nonzero:] = 0.0
+            support = np.flatnonzero(x)
+            block = nonzero <= 12 and block_min_size == 1
+            want = mat.take(support, axis=1) @ x.take(support) if block else mat @ x
+            assert product(x).tobytes() == want.tobytes()
+            assert shapes.pop() == ((40, nonzero) if block else (40, 25))
+
+    @pytest.mark.parametrize("family", sorted(DIRECT))
+    def test_block_cache_changes_no_bits(self, family, monkeypatch):
+        # eval_g and grad_g read the same bits at a point whether the block
+        # cache is cold, warm on the point's support (-x has its support and
+        # other bytes, also where x is all zero) or warm on another support.
+        # The supports are scattered, so that a block product and the full
+        # one round differently and a path chosen by the cache would show.
+        monkeypatch.setattr(problems, "_BLOCK_MIN_SIZE", 1)
+        n = FAMILIES[family](Rng(53)).objective.dim
+        scatter = np.argsort(Rng(83).uniforms(n))
+        for nonzero in (0, n // 2, n // 2 + 1):
+            x, elsewhere = _probe_points(n, 59, count=2)
+            x[scatter[nonzero:]] = 0.0
+            elsewhere[scatter[:n - max(min(nonzero, n // 2), 1)]] = 0.0
+            seen = set()
+            for warm in (None, -x, elsewhere):
+                for eval_first in (True, False):
+                    obj = FAMILIES[family](Rng(53)).objective
+                    if warm is not None:
+                        obj.grad_g(warm)
+                    if eval_first:
+                        value, grad = obj.eval_g(x), obj.grad_g(x)
+                    else:
+                        grad, value = obj.grad_g(x), obj.eval_g(x)
+                    seen.add((np.float64(value).tobytes(), grad.tobytes()))
+            assert len(seen) == 1, (nonzero, len(seen))
+
     def test_alg2_makes_at_most_two_products_per_iteration(self, monkeypatch):
         from l1subgrad.solvers import SolverConfig, run
 
-        computed = {"n": 0}
+        computed = {"full": 0, "block": 0}
 
-        class CountedMatrix:
-            def __init__(self, mat):
-                self.mat = mat
-
+        class CountedMatrix(np.ndarray):
+            # a column block gathered from it (`take`) is one too, so the
+            # products of both paths are counted
             def __matmul__(self, x):
-                computed["n"] += 1
-                return self.mat @ x
+                computed["full" if self.shape == (50, 50) else "block"] += 1
+                return self.view(np.ndarray) @ x
 
         shared = problems._shared_product
-        monkeypatch.setattr(problems, "_shared_product", lambda mat: shared(CountedMatrix(mat)))
-        prob = make_quadratic(50, Rng(0))
+        monkeypatch.setattr(problems, "_shared_product",
+                            lambda mat: shared(mat.view(CountedMatrix)))
         iters = 200
-        run(prob.objective, prob.x0, SolverConfig(method="alg2", max_iter=iters))
-        assert 0 < computed["n"] <= 2.0 * iters
+        for block_min_size in (10**12, 1):  # the full path alone, then both paths
+            monkeypatch.setattr(problems, "_BLOCK_MIN_SIZE", block_min_size)
+            computed.update(full=0, block=0)
+            prob = make_quadratic(50, Rng(0))
+            run(prob.objective, prob.x0, SolverConfig(method="alg2", max_iter=iters))
+            assert 0 < computed["full"] + computed["block"] <= 2.0 * iters
+            assert (computed["block"] > 0) == (block_min_size == 1)
 
-    def test_concurrent_callers_each_get_their_own_points_product(self):
+    def test_concurrent_callers_each_get_their_own_points_product(self, monkeypatch):
         # each thread alternates between two points, so that the points the
-        # threads ask for, hit and store interleave at every switch
+        # threads ask for, hit and store interleave at every switch; on the
+        # block path the points have two supports of one size, so the block
+        # slot is replaced while other threads read it
         mat = Rng(61).gaussian_matrix(60, 60)
-        product = problems._shared_product(mat)
-        points = _probe_points(60, 67, count=2)
-        expected = [mat @ x for x in points]
-        wrong = []
+        for block in (False, True):
+            monkeypatch.setattr(problems, "_BLOCK_MIN_SIZE", 1 if block else 10**12)
+            product = problems._shared_product(mat)
+            points = _probe_points(60, 67, count=2)
+            if block:
+                points[0][::2] = 0.0
+                points[1][1::2] = 0.0
+            expected = [problems._shared_product(mat)(x) for x in points]
+            wrong = []
 
-        def call(offset):
-            for i in range(2000):
-                j = (offset + i) % 2
-                if not np.array_equal(product(points[j]), expected[j]):
-                    wrong.append(j)
+            def call(offset):
+                try:
+                    for i in range(2000):
+                        j = (offset + i) % 2
+                        if not np.array_equal(product(points[j]), expected[j]):
+                            wrong.append(j)
+                except Exception as exc:  # a torn read may also fail to multiply
+                    wrong.append(exc)
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=call, args=(t,)) for t in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert wrong == []
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=call, args=(t,)) for t in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+            assert wrong == [], block
 
 
 class TestQuadratic:

@@ -1395,6 +1395,26 @@ class TestUsableCpus:
         cgroup("0::/host/path/of/the/container", {"sys/fs/cgroup/cpu.max": "100000 100000"})
         assert solvers._usable_cpus() == 1
 
+    @pytest.mark.parametrize("leaf, parent, count", [
+        (None, "100000 100000", 1), ("max 100000", "150000 100000", 2),
+        ("300000 100000", "100000 100000", 1), ("100000 100000", "300000 100000", 1),
+        ("garbage", "200000 100000", 2),
+    ], ids=["parent only", "unlimited leaf", "parent less", "leaf less", "unparsable leaf"])
+    def test_the_least_quota_above_the_cgroup_caps_the_mask(self, cgroup, leaf, parent, count):
+        files = {"sys/fs/cgroup/slice/cpu.max": parent + "\n", "sys/fs/cgroup/cpu.max": "max\n"}
+        if leaf is not None:
+            files["sys/fs/cgroup/slice/box/cpu.max"] = leaf + "\n"
+        cgroup("0::/slice/box", files)
+        assert solvers._usable_cpus() == count
+
+    def test_a_v1_quota_above_the_cgroup_caps_the_mask(self, cgroup):
+        leaf, parent = "sys/fs/cgroup/cpu/slice/box/", "sys/fs/cgroup/cpu/slice/"
+        cgroup("4:cpu:/slice/box", {
+            leaf + "cpu.cfs_quota_us": "-1\n", leaf + "cpu.cfs_period_us": "100000\n",
+            parent + "cpu.cfs_quota_us": "150000\n", parent + "cpu.cfs_period_us": "100000\n",
+        })
+        assert solvers._usable_cpus() == 2
+
     @pytest.mark.parametrize("line, files", [
         ("0::/box", {}),
         ("4:cpu:/box", {"sys/fs/cgroup/cpu/box/cpu.cfs_quota_us": "100000"}),

@@ -8,12 +8,17 @@ parent commit, extracted with ``git archive``); the other tree is this
 checkout's ``src``. Each flag vector in ``VECTORS`` runs as ``python -m
 l1subgrad ...`` once against each tree, both at the same time, each in an
 empty directory of its own with one BLAS/OpenMP thread. Any difference in
-exit code, stdout, stderr or the bytes of a written file is reported. Exit
+exit code, stdout, stderr or the bytes of a written file is reported; a
+differing CSV file is reported with the largest absolute difference between
+its numeric fields, so that a move at the rounding level reads as one. Exit
 status is 0 when every vector matches, 1 otherwise.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import math
 import os
 import subprocess
 import sys
@@ -106,10 +111,38 @@ def _outcome(proc: subprocess.Popen, cwd: Path) -> dict:
     return {"exit code": proc.returncode, "stdout": stdout, "stderr": stderr, "files": files}
 
 
+def _largest_change(a: bytes, b: bytes) -> str:
+    """How far apart the numeric fields of two CSV files lie: the largest
+    absolute difference of fields at the same row and column, or why no such
+    number exists (other rows or columns, a differing text or non-finite
+    field)."""
+    rows_a, rows_b = (list(csv.reader(io.StringIO(data.decode()))) for data in (a, b))
+    if list(map(len, rows_a)) != list(map(len, rows_b)):
+        return "other rows or columns"
+    largest = 0.0
+    pairs = zip((f for row in rows_a for f in row), (f for row in rows_b for f in row))
+    for field_a, field_b in pairs:
+        if field_a == field_b:
+            continue
+        try:
+            change = abs(float(field_a) - float(field_b))
+        except ValueError:
+            return "a text field differs"
+        if not math.isfinite(change):
+            return "a non-finite field differs"
+        largest = max(largest, change)
+    return f"largest |diff| {largest:.2g}"
+
+
 def _differences(a: dict, b: dict) -> list[str]:
     out = [what for what in ("exit code", "stdout", "stderr") if a[what] != b[what]]
     for name in sorted(set(a["files"]) | set(b["files"])):
-        if a["files"].get(name) != b["files"].get(name):
+        data_a, data_b = a["files"].get(name), b["files"].get(name)
+        if data_a == data_b:
+            continue
+        if name.endswith(".csv") and data_a is not None and data_b is not None:
+            out.append(f"file {name} ({_largest_change(data_a, data_b)})")
+        else:
             out.append(f"file {name}")
     return out
 
