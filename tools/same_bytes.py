@@ -83,6 +83,13 @@ VECTORS = [
     ("bench", "--experiment", "quadratic", "--trials", "1", "--iters", "300", "--out", "out.csv"),
     ("bench", "--experiment", "lasso", "--solvers", "alg2", "--trials", "1", "--iters", "300",
      "--out", "out.csv"),
+    # alg2 on matrices of 400 000 elements, above the block products' size constant
+    ("solve", "--problem", "logistic", "--solver", "alg2", "--m", "1000", "--n", "400",
+     "--iters", "300", "--out", "out.csv"),
+    ("solve", "--problem", "logsumexp", "--solver", "alg2", "--k", "1000", "--n", "400",
+     "--iters", "300", "--out", "out.csv"),
+    # default-size lasso past its support's last change (about step 194 at seed 0)
+    ("solve", "--problem", "lasso", "--solver", "alg2", "--iters", "1000", "--out", "out.csv"),
     # help texts, which solve and bench build without the verify suites loaded,
     # and an unknown suite (exit 2, usage on stderr)
     ("--help",), ("solve", "--help"), ("bench", "--help"), ("verify", "--help"),
