@@ -1,4 +1,4 @@
-"""alg2's helper process: f and grad_g at q, while the step computes grad_g at q'.
+"""alg2's helper process: grad_g's rows at q off q's support, while the step computes q'.
 
 `solvers._walk` imports this module only for a walk that lends the helper,
 and closes its `Helper` when the walk is closed.
@@ -6,10 +6,13 @@ and closes its `Helper` when the walk is closed.
 The helper is forked from the walk's process, so it holds the objective, its
 matrix and its code without a copy (the pages are shared copy-on-write), and
 it runs on its own interpreter lock. One anonymous shared mapping, made
-before the fork, holds q for the helper, and f(q) and grad_g(q) for the
-step. Two pipes carry only sequence numbers: down the request pipe, the
-number, a flag word and f(q) when the step knows it; up the result pipe, the
-number and whether a result was computed. Each side writes the mapping
+before the fork, holds q for the helper, and the rows of grad_g(q) that
+the split of the objective (``obj._rows``, a `problems._RowSplit`) puts off
+q's support, T(q), for the step. Two pipes carry only sequence numbers: down
+the request pipe, the number and a flag word; up the result pipe, the number
+and how many rows the mapping holds, or -1 where no result was computed.
+The row partition is decided in `problems` alone: both processes split q
+with the same code. Each side writes the mapping
 first and the pipe after, and reads the pipe first and the mapping after. A
 pipe write and the read that returns its bytes meet in the kernel, behind
 its pipe lock, so the payload written before a number is visible to whoever
@@ -23,13 +26,13 @@ copy of q that such a write tore can only yield a result that is dropped.
 The helper also checks its request pipe after copying q and drops the
 request if a newer one has come.
 
-The helper computes with the functions the step would call, `obj._value` and
-`obj._grad`, on the same bytes, with the same one-thread BLAS, so a result
-it returns is the one the step would compute. It never sends an exception:
-where a call raises, or meets a floating-point event that the caller's
-numpy error state (sent with each request) does not ignore, or any warning,
-it reports no result, and the step computes the pair itself, raising or
-warning as it would without the helper. After each request it polls for the
+The helper computes with the function the step would call,
+``obj._rows.tail``, on the same bytes, with the same one-thread BLAS, so a
+result it returns is the one the step would compute. It never sends an
+exception: where the call raises, or meets a floating-point event that the
+caller's numpy error state (sent with each request) does not ignore, or any
+warning, it reports no result, and the step computes the rows itself,
+raising or warning as it would without the helper. After each request it polls for the
 next for `_SPIN_S`, then blocks on its pipe; it ends at the pipe's end of
 file, so it does not outlive the walk's process, and it leaves through
 `os._exit`, writing nothing to stdout or stderr.
@@ -48,32 +51,29 @@ import warnings
 
 import numpy as np
 
-from .solvers import _value_and_grad
-
 # how long the helper polls for its next request before it blocks on its pipe
 _SPIN_S = 1e-3
-_REQUEST = struct.Struct("<qqd")  # number, flags, f(q) where flags has _KNOWN_F
-_RESULT = struct.Struct("<qq")  # number, 1 if the mapping holds the result, else 0
+_REQUEST = struct.Struct("<qq")  # number, flags
+_RESULT = struct.Struct("<qq")  # number, the rows the mapping holds or -1
 # flag bits 1, 2, 4 and 8: the caller's error state does not ignore the category
 _CATEGORIES = ("divide", "over", "under", "invalid")
-_KNOWN_F = 16
 _DRAIN = 1 << 16  # a whole pipe's worth of messages in one read
 
 
 class Helper:
-    """A forked process that computes ``(f(q), grad_g(q))`` for an alg2 step.
+    """A forked process that computes ``obj._rows.tail(q)`` for an alg2 step.
 
-    `post` hands it q (and f(q) when known) before the step computes
-    grad_g(q'); `take`, on a fallback to q, returns the pair if it arrives
-    within as long again as the step has taken since posting, else None.
+    `post` hands it q before the step computes q' and its test; `take`, on a
+    fallback to q, returns the rows if they arrive within as long again as
+    the step has taken since posting, else None.
     `close` kills and reaps the process. Creating one raises `OSError` where
     the process cannot be forked.
     """
 
     def __init__(self, obj):
         dim = obj.dim
-        shared = np.frombuffer(mmap.mmap(-1, 8 * (2 * dim + 1)), dtype=np.float64)
-        self._q, self._f, self._grad = shared[:dim], shared[dim:dim + 1], shared[dim + 1:]
+        shared = np.frombuffer(mmap.mmap(-1, 8 * 2 * dim), dtype=np.float64)
+        self._q, self._tail = shared[:dim], shared[dim:]
         requests, self._requests = os.pipe()
         self._results, results = os.pipe()
         # a Ctrl-C signals the helper too: it is held until the helper ignores it
@@ -86,7 +86,7 @@ class Helper:
                 os.close(fd)
             raise
         if self._pid == 0:
-            _serve(obj, self._q, self._f, self._grad, requests, results,
+            _serve(obj._rows, self._q, self._tail, requests, results,
                    (self._requests, self._results), mask)
         os.close(requests)
         os.close(results)
@@ -104,26 +104,22 @@ class Helper:
             self.close()
             raise
 
-    def post(self, q: np.ndarray, f_q: float | None):
+    def post(self, q: np.ndarray):
         self._number += 1
         self._q[:] = q
         err = np.geterr()
         flags = sum(1 << i for i, name in enumerate(_CATEGORIES) if err[name] != "ignore")
-        if f_q is None:
-            message = _REQUEST.pack(self._number, flags, 0.0)
-        else:
-            message = _REQUEST.pack(self._number, flags | _KNOWN_F, f_q)
         try:
-            os.write(self._requests, message)
+            os.write(self._requests, _REQUEST.pack(self._number, flags))
             self._sent = True
         except OSError:
             self._sent = False
         self._posted = time.perf_counter()
 
     def take(self):
-        """The posted request's ``(f(q), grad_g(q))``, or None if the helper has
-        none for it by the time the step has waited as long as it has taken
-        since posting."""
+        """The posted request's rows, or None if the helper has none for it
+        by the time the step has waited as long as it has taken since
+        posting."""
         if not self._sent:
             return None
         now = time.perf_counter()
@@ -133,9 +129,9 @@ class Helper:
                 data = os.read(self._results, _DRAIN)
                 if not data:  # the helper has ended
                     return None
-                number, done = _RESULT.unpack_from(data, len(data) - _RESULT.size)
+                number, size = _RESULT.unpack_from(data, len(data) - _RESULT.size)
                 if number == self._number:
-                    return (float(self._f[0]), self._grad.copy()) if done else None
+                    return self._tail[:size].copy() if size >= 0 else None
             elif time.perf_counter() > deadline:
                 return None
 
@@ -146,7 +142,7 @@ class Helper:
         os.waitpid(self._pid, 0)
 
 
-def _serve(obj, q_in, f_out, grad_out, requests, results, inherited, mask):
+def _serve(split, q_in, rows_out, requests, results, inherited, mask):
     """The helper's whole life; see the module docstring."""
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -170,24 +166,23 @@ def _serve(obj, q_in, f_out, grad_out, requests, results, inherited, mask):
             data = os.read(requests, _DRAIN)
             if not data:
                 break
-            number, flags, f_q = _REQUEST.unpack_from(data, len(data) - _REQUEST.size)
+            number, flags = _REQUEST.unpack_from(data, len(data) - _REQUEST.size)
             q = q_in.copy()
             if ready.poll(0):
                 continue  # a newer request, or the end: this one is stale
-            done = 0
+            size = -1
             try:
-                if flags & 15 != errors:
-                    errors = flags & 15
+                if flags != errors:
+                    errors = flags
                     np.seterr(**{name: "raise" if errors >> i & 1 else "ignore"
                                  for i, name in enumerate(_CATEGORIES)})
-                f, grad = _value_and_grad(obj, q, f_q if flags & _KNOWN_F else None)
-                f_out[0] = f
-                grad_out[:] = grad
-                done = 1
+                rows = split.tail(q)
+                rows_out[:rows.size] = rows
+                size = rows.size
             except Exception:
                 pass
             try:
-                os.write(results, _RESULT.pack(number, done))
+                os.write(results, _RESULT.pack(number, size))
             except BlockingIOError:
                 pass
     finally:

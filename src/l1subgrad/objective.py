@@ -71,19 +71,23 @@ class CompositeObjective:
     a Lipschitz constant of grad_g, and mu an optional strong-convexity
     constant of g when one is known.
 
-    On an alg2 walk of a large enough built-in matrix family (`problems`),
-    eval_g and grad_g also run in a helper process forked from the walk's
-    (`solvers._walk`), at the point q that the step may fall back to, also
-    on steps that then keep their move. An objective made here, or with
-    `dataclasses.replace`, is never lent that process: its oracles run in
-    the calling thread alone, one call at a time, at the points the method
-    reads.
+    A large built-in matrix family (`problems`) also carries its gradient's
+    row split (``_rows``, a `problems._RowSplit`). alg2's momentum test then
+    reads grad_g(q') on the rows that cover the support of q' alone, and on
+    an alg2 walk a helper process forked from the walk's (`solvers._walk`)
+    computes grad_g's other rows at the point q that the step may fall back
+    to, also on steps that then keep their move. An objective made here, or
+    with `dataclasses.replace`, has no split and is never lent that process:
+    its oracles run in the calling thread alone, one call at a time, at the
+    points the method reads.
     """
 
     # elements of the matrix whose product with x dominates eval_g and
-    # grad_g; only the built-in matrix families set it (their oracles may
-    # run in a forked copy of the process), and at 0 alg2 lends no helper
+    # grad_g, and the split of grad_g's rows; only the built-in matrix
+    # families set them (their oracles may run in a forked copy of the
+    # process), and without a split alg2 lends no helper
     _matrix_size = 0
+    _rows = None
 
     eval_g: Callable[[np.ndarray], float]
     grad_g: Callable[[np.ndarray], np.ndarray]

@@ -13,12 +13,16 @@ The solvers often ask for g and its gradient at the same point in turn (f(x)
 after a step, the subgradient at x in the next), and the product dominates
 either call. A large matrix multiplies only the columns of x's support where
 x has at most half its components nonzero, as the l1 methods' iterates do
-once their sign pattern settles (`_support_product`); the transposed products
-of the gradients stay full, since the methods read every component of the
-gradient. Each family records its matrix's element count on the objective
-(`CompositeObjective._matrix_size`), which lets a large alg2 walk run its
-oracles in a forked helper process too, on that process's own copy of the
-memo. The 2-D example has no product to share and keeps plain closures.
+once their sign pattern settles (`_support_product`).
+
+A large family also computes its gradient in two row blocks (`_RowSplit`):
+the rows R(x) that cover x's support and every other row, which together
+give ``grad_g(x)`` bit for bit. alg2's momentum test reads only the first,
+and its helper process computes the second. The family records its split on
+the objective (``CompositeObjective._rows``) with its matrix's element count
+(``_matrix_size``); only such an objective is lent the helper, whose process
+keeps its own copy of the memos. The 2-D example has no product to share
+and keeps plain closures.
 """
 
 from __future__ import annotations
@@ -33,10 +37,13 @@ from .numerics import Rng, logsumexp, random_orthogonal, softmax
 from .objective import CompositeObjective
 
 # The least element count of a matrix whose products skip the columns where
-# x is zero (`_support_product`), from a measured crossover (README): below
-# it the support test and gathers cost more than they save, and a transposed
+# x is zero (`_support_product`) and whose family computes its gradient in
+# row blocks (`_RowSplit`), from measured crossovers (README): below it the
+# support test and gathers cost more than they save, and a transposed
 # product reading the matrix after the block misses the cache the block took.
 _BLOCK_MIN_SIZE = 300_000
+# R(x) pads x's support to a multiple of this many rows (`_row_split`)
+_ROW_PAD = 16
 
 
 def _shared_product(mat: np.ndarray):
@@ -47,10 +54,9 @@ def _shared_product(mat: np.ndarray):
     another point's product. The bytes are a copy: mutating the caller's
     array in place cannot make a stale hit. Comparing bytes is exact (it
     tells -0.0 from 0.0) and costs about a microsecond at n = 1000, against
-    hundreds for the product. A matrix of at least `_BLOCK_MIN_SIZE`
-    elements computes the product with `_support_product`.
+    hundreds for the product. The families' matrices below
+    `_BLOCK_MIN_SIZE` use it; larger ones keep their points in `_RowSplit`.
     """
-    compute = mat.__matmul__ if mat.size < _BLOCK_MIN_SIZE else _support_product(mat)
     last = (None, None)
 
     def product(x):
@@ -60,41 +66,251 @@ def _shared_product(mat: np.ndarray):
         last_key, last_y = last
         if key == last_key:
             return last_y
-        y = compute(x)
+        y = mat @ x
         last = (key, y)
         return y
 
     return product
 
 
-def _support_product(mat: np.ndarray):
-    """x -> ``mat[:, S] @ x[S]`` over x's support S (its components other
-    than +-0.0) where S holds at most half of x's components, else mat @ x.
+def _row_split(support: np.ndarray, n: int):
+    """(R, T) for a point with ``support`` of n components: R holds the
+    support, and T every other row, both in increasing order.
 
-    The block ``mat[:, S]`` is gathered once per support with `take` (a
-    C-ordered copy, cheaper to gather than a mask index) and kept in a
-    one-slot cache keyed by the bytes of S, as one tuple read once, so a
-    block is never paired with another support's key. Which product is
-    computed depends on x alone, and the block's bytes on S alone, so the
-    result is a function of x whatever the cache held, also in a process
-    forked with a copy of it (alg2's helper).
+    GEMV computes the rows of a matrix in groups of four, and the last
+    n mod 4 rows on their own, and a row's bits depend on which. So R holds
+    the last n mod 4 rows too, and is padded with the first rows off the
+    support until its other rows are a positive multiple of `_ROW_PAD`.
+    Then both blocks and the whole matrix compute every row alike, and the
+    blocks' products are the whole product's rows bit for bit, for the
+    rows of a C-ordered matrix and for the columns of one used transposed
+    (tested on this numpy and BLAS build). An empty support has an empty R;
+    where too few rows are left to pad, R is all rows.
     """
-    cols = mat.shape[1]
-    block = (None, None)
+    if support.size == 0:
+        return support, np.arange(n)
+    grouped = n - n % 4
+    in_r = np.zeros(n, dtype=bool)
+    in_r[support] = True
+    in_r[grouped:] = True
+    free = np.flatnonzero(~in_r[:grouped])
+    held = grouped - free.size
+    pad = -held % _ROW_PAD if held else _ROW_PAD
+    if pad > free.size:
+        return np.arange(n), support[:0]
+    in_r[free[:pad]] = True
+    return np.flatnonzero(in_r), np.flatnonzero(~in_r)
 
-    def compute(x):
-        nonlocal block
+
+class _Blocks:
+    """One support's rows (`_row_split`) and its two blocks, each gathered
+    when first used."""
+
+    __slots__ = ("support", "rows", "mats")
+
+    def __init__(self, support, rows):
+        self.support = support
+        self.rows = rows  # (R, T), or None where x is more than half nonzero
+        self.mats = [None, None]
+
+
+class _Point:
+    """One point's M x and v(x), and the parts of grad_g computed there."""
+
+    __slots__ = ("blocks", "mx", "v", "parts", "product")
+
+    def __init__(self, blocks, mx, v):
+        self.blocks = blocks
+        self.mx = mx
+        self.v = v
+        self.parts = [None, None]  # W v(x) on R and on T
+        self.product = None  # W v(x) on every row
+
+
+class _RowSplit:
+    """The products of a family whose matrix M has at least
+    `_BLOCK_MIN_SIZE` elements, with grad_g(x) = W v(x) + c computed in two
+    blocks of rows: the rows R(x) that cover x's support, and every other
+    row, T(x) (`_row_split`). Where x has more than half its components
+    nonzero, R is all rows and each product is the whole one.
+
+    `grad` gives grad_g(x) on every row; `padded` gives it on R and zero
+    on T, for alg2's momentum test; `tail` gives W v(x) on T, what alg2's
+    helper computes. Each support's blocks are gathered once, when first
+    used, and kept until the support changes. A one-slot memo keeps the
+    last point's products, so that its g and grad_g share them. Each slot
+    is one tuple read once, so that no reader pairs a point or a support
+    with another's. The bits at a point never depend on what the memos held.
+    """
+
+    _offset = None  # c
+
+    def __init__(self, mat: np.ndarray):
+        self._mat = mat
+        self._blocks = (None, None)
+        self._last = (None, None)
+
+    def _point(self, x: np.ndarray) -> _Point:
+        x = np.asarray(x, dtype=np.float64)
+        key = (x.shape, x.tobytes())
+        last_key, point = self._last
+        if key == last_key:
+            return point
         support = np.flatnonzero(x)
-        if x.shape != (cols,) or 2 * support.size > cols:
-            return mat @ x
-        key = support.tobytes()
-        block_key, sub = block
-        if key != block_key:
-            sub = mat.take(support, axis=1)
-            block = (key, sub)
-        return sub @ x.take(support)
+        support_key = support.tobytes()
+        blocks_key, blocks = self._blocks
+        if support_key != blocks_key:
+            dense = 2 * support.size > x.size
+            blocks = _Blocks(support, None if dense else _row_split(support, x.size))
+            self._blocks = (support_key, blocks)
+        point = self._start(x, blocks)
+        self._last = (key, point)
+        return point
 
-    return compute
+    def _block(self, blocks: _Blocks, i: int) -> np.ndarray:
+        mat = blocks.mats[i]
+        if mat is None:
+            mat = blocks.mats[i] = self._gather(blocks, i)
+        return mat
+
+    def _part(self, point: _Point, i: int) -> np.ndarray:
+        part = point.parts[i]
+        if part is None:
+            part = point.parts[i] = self._times(self._block(point.blocks, i), point.v)
+        return part
+
+    def _product(self, point: _Point) -> np.ndarray:
+        product = point.product
+        if product is None:
+            rows = point.blocks.rows
+            if rows is None:
+                product = self._whole(point.v)
+            else:
+                product = np.empty(rows[0].size + rows[1].size)
+                product[rows[0]] = self._part(point, 0)
+                product[rows[1]] = self._part(point, 1)
+            point.product = product
+        return product
+
+    def grad(self, x, tail: np.ndarray | None = None) -> np.ndarray:
+        """grad_g(x), taking W v(x) on T(x) from ``tail`` where given (the
+        helper's `tail` at x), else from `tail`."""
+        point = self._point(x)
+        rows = point.blocks.rows
+        if rows is not None and point.parts[1] is None:
+            if tail is None or tail.size != rows[1].size:
+                tail = self.tail(x)
+            point.parts[1] = tail
+        product = self._product(point)
+        return product if self._offset is None else product + self._offset
+
+    def covers(self, x, p: np.ndarray) -> bool:
+        """Whether p is zero on every row of T(x)."""
+        rows = self._point(x).blocks.rows
+        return rows is None or np.count_nonzero(p.take(rows[1])) == 0
+
+    def padded(self, x) -> np.ndarray:
+        """grad_g(x) on R(x), and zero on T(x)."""
+        point = self._point(x)
+        rows = point.blocks.rows
+        if rows is None:
+            return self.grad(x)
+        head = self._part(point, 0)
+        out = np.zeros(rows[0].size + rows[1].size)
+        out[rows[0]] = head if self._offset is None else head + self._offset.take(rows[0])
+        return out
+
+    def tail(self, x) -> np.ndarray:
+        """W v(x) on T(x); empty where R is all rows."""
+        point = self._point(x)
+        return point.v[:0] if point.blocks.rows is None else self._part(point, 1)
+
+
+class _QuadraticSplit(_RowSplit):
+    """The quadratic's M x = W v(x): W is M and v(x) is x, and the blocks
+    keep only the support's columns, ``M[R][:, S]`` and ``M[T][:, S]``, so
+    that their rows are those of ``M[:, S] @ x[S]``. c is the offset b."""
+
+    def __init__(self, mat: np.ndarray, offset: np.ndarray):
+        super().__init__(mat)
+        self._offset = offset
+
+    def _start(self, x, blocks):
+        return _Point(blocks, None, x.copy() if blocks.rows is None else x.take(blocks.support))
+
+    def _gather(self, blocks, i):
+        rows = blocks.rows[i]
+        mat = self._mat if rows.size == self._mat.shape[0] else self._mat.take(rows, axis=0)
+        return mat.take(blocks.support, axis=1)
+
+    def _times(self, block, v):
+        return block @ v
+
+    def _whole(self, v):
+        return self._mat @ v
+
+    def mx(self, x) -> np.ndarray:
+        """M x."""
+        return self._product(self._point(x))
+
+
+class _TransposedSplit(_RowSplit):
+    """grad_g(x) = M^T phi(M x), with W = M^T and v(x) = phi(M x): the rows
+    of W are M's columns, gathered as the blocks ``M[:, R]`` and
+    ``M[:, T]`` and used transposed. M x is ``M[:, R] @ x[R]``, from the
+    block that also gives grad_g on R, so that alg2's test reads one block
+    for both products."""
+
+    def __init__(self, mat: np.ndarray, phi):
+        super().__init__(mat)
+        self._phi = phi
+
+    def _start(self, x, blocks):
+        if blocks.rows is None:
+            mx = self._mat @ x
+        else:
+            mx = self._block(blocks, 0) @ x.take(blocks.rows[0])
+        return _Point(blocks, mx, self._phi(mx))
+
+    def _gather(self, blocks, i):
+        rows = blocks.rows[i]
+        return self._mat if rows.size == self._mat.shape[1] else self._mat.take(rows, axis=1)
+
+    def _times(self, block, v):
+        return block.T @ v
+
+    def _whole(self, v):
+        return self._mat.T @ v
+
+    def mx(self, x) -> np.ndarray:
+        """M x."""
+        return self._point(x).mx
+
+    def whole(self, x) -> np.ndarray:
+        """grad_g(x) as the one product ``M.T @ v(x)``, which the blocks give
+        bit for bit, with no block gathered."""
+        return self._whole(self._point(x).v)
+
+
+def _transposed(mat: np.ndarray, phi):
+    """(mx, grad_g, split) of a family whose g reads M x and whose gradient
+    is ``mat.T @ phi(mat @ x)``.
+
+    Below `_BLOCK_MIN_SIZE` the split is None and mx is `_shared_product`'s
+    memo; from it on, both come from `_TransposedSplit`, and grad_g is the
+    one product, which reads no block.
+    """
+    if mat.size < _BLOCK_MIN_SIZE:
+        mx = _shared_product(mat)
+        return mx, lambda x, _m=mat: _m.T @ phi(mx(x)), None
+    rows = _TransposedSplit(mat, phi)
+    return rows.mx, rows.whole, rows
+
+
+def _record(obj: CompositeObjective, mat: np.ndarray, rows: _RowSplit | None):
+    # what alg2's walk reads to lend its helper (`solvers._walk`)
+    object.__setattr__(obj, "_matrix_size", mat.size)
+    object.__setattr__(obj, "_rows", rows)
 
 
 @dataclass(frozen=True)
@@ -146,20 +362,24 @@ def make_quadratic(
     if gamma is None:
         gamma = 0.25 * float(np.max(np.abs(b)))
 
-    mx = _shared_product(m)
+    if m.size < _BLOCK_MIN_SIZE:
+        rows, mx = None, _shared_product(m)
+
+        def grad_g(x, _b=b):
+            return mx(x) + _b
+    else:
+        rows = _QuadraticSplit(m, b)
+        mx, grad_g = rows.mx, rows.grad
 
     def eval_g(x, _b=b):
         return 0.5 * float(x @ mx(x)) + float(_b @ x)
-
-    def grad_g(x, _b=b):
-        return mx(x) + _b
 
     mu = float(np.min(eigs))
     lip = float(np.max(eigs))
     obj = CompositeObjective(
         eval_g=eval_g, grad_g=grad_g, gamma=gamma, lipschitz_L=lip, dim=n, mu=mu
     )
-    object.__setattr__(obj, "_matrix_size", m.size)
+    _record(obj, m, rows)
     return ProblemInstance(
         objective=obj,
         x0=x0,
@@ -195,21 +415,18 @@ def make_lasso(
     if gamma is None:
         gamma = 1.0
 
-    ax = _shared_product(a)
+    ax, grad_g, rows = _transposed(a, lambda t, _b=b: t - _b)
 
     def eval_g(x, _b=b):
         res = ax(x) - _b
         return 0.5 * float(res @ res)
-
-    def grad_g(x, _a=a, _b=b):
-        return _a.T @ (ax(x) - _b)
 
     lip = float(np.max(sigma)) ** 2
     mu = float(np.min(sigma)) ** 2 if m >= n else None
     obj = CompositeObjective(
         eval_g=eval_g, grad_g=grad_g, gamma=gamma, lipschitz_L=lip, dim=n, mu=mu
     )
-    object.__setattr__(obj, "_matrix_size", a.size)
+    _record(obj, a, rows)
     return ProblemInstance(
         objective=obj,
         x0=x0,
@@ -245,21 +462,18 @@ def make_logistic(m: int, n: int, rng: Rng, gamma: float | None = None) -> Probl
     labels = (rng.uniforms(m) < probs).astype(np.float64)
     x0 = rng.gaussians(n, 0.0, 2.0)
 
-    mx = _shared_product(mat)
+    mx, grad_g, rows = _transposed(mat, lambda t, _b=labels: _sigmoid(t) - _b)
 
     def eval_g(x, _nb=1.0 - labels):
         # np.add.reduce is the reduction np.sum runs, without its Python wrapper
         t = mx(x)
         return float(np.add.reduce(_nb * t + np.logaddexp(0.0, -t)))
 
-    def grad_g(x, _m=mat, _b=labels):
-        return _m.T @ (_sigmoid(mx(x)) - _b)
-
     if gamma is None:
         gamma = 0.25 * float(np.max(np.abs(grad_g(np.zeros(n)))))
     lip = 0.25 * float(np.linalg.norm(mat, 2)) ** 2
     obj = CompositeObjective(eval_g=eval_g, grad_g=grad_g, gamma=gamma, lipschitz_L=lip, dim=n)
-    object.__setattr__(obj, "_matrix_size", mat.size)
+    _record(obj, mat, rows)
     return ProblemInstance(
         objective=obj,
         x0=x0,
@@ -288,17 +502,14 @@ def make_logsumexp(
     if gamma is None:
         gamma = 1.0
 
-    mx = _shared_product(mat)
+    mx, grad_g, rows = _transposed(mat, lambda t, _b=b, _r=r: softmax((t - _b) / _r))
 
     def eval_g(x, _b=b, _r=r):
         return _r * logsumexp((mx(x) - _b) / _r)
 
-    def grad_g(x, _m=mat, _b=b, _r=r):
-        return _m.T @ softmax((mx(x) - _b) / _r)
-
     lip = float(np.linalg.norm(mat, 2)) ** 2 / r
     obj = CompositeObjective(eval_g=eval_g, grad_g=grad_g, gamma=gamma, lipschitz_L=lip, dim=n)
-    object.__setattr__(obj, "_matrix_size", mat.size)
+    _record(obj, mat, rows)
     return ProblemInstance(
         objective=obj,
         x0=x0,

@@ -46,8 +46,9 @@ from .objective import (
 METHODS = ("alg1", "alg2", "ista", "fista", "classic")
 
 # The least element count of a built-in family's matrix
-# (`CompositeObjective._matrix_size`) at which an alg2 walk hands f and grad_g
-# at q to a helper process (`_walk`); below it the handoff costs more than it saves.
+# (`CompositeObjective._matrix_size`) at which an alg2 walk hands the rows of
+# grad_g at q off q's support to a helper process (`_walk`); below it the
+# handoff costs more than it saves.
 _OVERLAP_MIN_SIZE = 250_000
 # The process that imported this module; a process forked from it, such as a
 # `bench._fork_map` worker, never starts a helper, since the workers hold every CPU.
@@ -250,27 +251,30 @@ class SolverState:
         return self.x.tobytes() + self.p.tobytes()
 
 
-def _value_and_grad(obj: CompositeObjective, x: np.ndarray, f_x: float | None):
-    # f(x) unless given, then grad_g(x): where f(x) was evaluated just before,
-    # the matrix families reuse its product
-    return (obj._value(x) if f_x is None else f_x), obj._grad(x)
-
-
 def _accelerated_step(
     obj: CompositeObjective, state: SolverState, h: float, helper=None
 ) -> SolverState:
     """`accelerated_step` without the checks.
 
+    Where the objective splits grad_g's rows (``obj._rows``) and p is zero
+    off the rows R(q') that cover the support of q', the momentum test r
+    reads grad_g(q') on R(q') alone, zero elsewhere. The terms off R(q') are
+    then zero as in the whole test, so r and every decision keep their bits;
+    the other rows are computed only where the move is kept, and a
+    non-finite entry there makes the step fall back, as its NaN in r would.
+
     The fallback to q (r > 0) needs f(q) and grad_g(q). A ``helper`` (a
-    `_helper.Helper`) is posted q as soon as the crossing phase has made it,
-    before this step computes q' and grad_g(q'). On a fallback the step
-    takes the pair from it if it comes within as long again as the step has
-    taken since posting; otherwise, and without a helper, the step computes
-    the pair itself. The helper returns only what this step would compute,
-    and no error: those are raised here, where the step computes the pair.
-    Where the move is kept (r <= 0) the helper's work is dropped unread, as
-    the step without it never evaluates at q. The bytes are the same either
-    way.
+    `_helper.Helper`, lent only with a split) is posted q as soon as the
+    crossing phase has made it, before this step computes q' and the test.
+    It computes grad_g(q)'s rows off R(q) (`_RowSplit.tail`); on a fallback
+    the step takes them if they come within as long again as the step has
+    taken since posting, and otherwise, as without a helper, computes them
+    itself. The step computes the rows on R(q) from the blocks it has just
+    read for the test, then f(q) on the assembled product. The helper
+    returns only what this step would compute, and no error: those are
+    raised here, where the step computes the rows. Where the move is kept
+    the helper's work is dropped unread, as the step without it never
+    evaluates at q. The bytes are the same either way.
     """
     x = state.x
     p = state.p
@@ -278,7 +282,7 @@ def _accelerated_step(
 
     q, mask, prime_selected, f_q = _crossing_phase(obj, x, sub, h)
     if helper is not None:
-        helper.post(q, f_q)
+        helper.post(q)
     if mask is None:
         q_old = x
         p = np.where(q == 0.0, 0.0, p)
@@ -299,8 +303,16 @@ def _accelerated_step(
         p = (q_prime - q) / sqrt_h
         prod = None
 
-    grad_qp = obj._grad(q_prime)
-    r = float(_directional_from_grad(grad_qp, q, q_prime, obj.gamma, prod) @ p)
+    rows = obj._rows
+    if rows is not None and rows.covers(q_prime, p):
+        r = float(_directional_from_grad(rows.padded(q_prime), q, q_prime, obj.gamma, prod) @ p)
+        if r <= 0.0:
+            grad_qp = rows.grad(q_prime)
+            if np.count_nonzero(np.isfinite(grad_qp)) != grad_qp.size:
+                r = math.nan
+    else:
+        grad_qp = obj._grad(q_prime)
+        r = float(_directional_from_grad(grad_qp, q, q_prime, obj.gamma, prod) @ p)
     if r <= 0.0:
         p = p + (q - q_old) / sqrt_h
         x_new = q_prime
@@ -309,8 +321,13 @@ def _accelerated_step(
     else:
         x_new = q
         p = (q - q_old) / sqrt_h
-        lent = None if helper is None else helper.take()
-        f_new, grad = _value_and_grad(obj, q, f_q) if lent is None else lent
+        if rows is None:
+            f_new = obj._value(q) if f_q is None else f_q
+            grad = obj._grad(q)
+        else:
+            # the rows first: the quadratic's f(q) then reads their product
+            grad = rows.grad(q, None if helper is None else helper.take())
+            f_new = obj._value(q) if f_q is None else f_q
 
     return SolverState(x=x_new, p=p, f_x=f_new, grad=grad, q=q)
 
@@ -481,9 +498,11 @@ def _walk(obj: CompositeObjective, x0: np.ndarray, h: float, cfg: SolverConfig):
     on stepping after a cycle closes.
 
     An alg2 walk may own one helper process (`_helper.Helper`), which it
-    lends to each of its steps (`_accelerated_step`). Only a built-in matrix
-    family's objective, whose oracles may run in a forked copy of the
-    process, with ``obj._matrix_size >= _OVERLAP_MIN_SIZE`` gets one, and
+    lends to each of its steps (`_accelerated_step`) to compute the rows of
+    grad_g at q off q's support. Only a built-in matrix family's objective
+    that splits grad_g's rows (``obj._rows``; its oracles may run in a
+    forked copy of the process), with ``obj._matrix_size >=
+    _OVERLAP_MIN_SIZE``, gets one, and
     only in a process that may use 2 or more CPUs (`_usable_cpus`), whose
     BLAS was pinned to one thread (`_BLAS_PINNED`), and that is not forked
     from the one that imported this module (a `bench._fork_map` worker). It
@@ -502,8 +521,8 @@ def _walk(obj: CompositeObjective, x0: np.ndarray, h: float, cfg: SolverConfig):
         state, f = x0.copy(), obj._value(x0)
     cycle = None if method == "classic" else _Cycle(key(state), period_one_only=method == "fista")
     period = 0
-    lend = (method == "alg2" and obj._matrix_size >= _OVERLAP_MIN_SIZE and _BLAS_PINNED
-            and os.getpid() == _HOME_PID and _usable_cpus() >= 2)
+    lend = (method == "alg2" and obj._rows is not None and obj._matrix_size >= _OVERLAP_MIN_SIZE
+            and _BLAS_PINNED and os.getpid() == _HOME_PID and _usable_cpus() >= 2)
     helper = None
     try:
         for k in count(1):

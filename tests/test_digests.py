@@ -80,18 +80,19 @@ DIGESTS = {
         "stdout": "24792acc3d233bc53f2eb1fdb01c194f84f0d2181fc6c1ed3acd9badcb901ea1",
         "out.csv": "2a94a7fbca0fddcdb35c753b591542fc16d1fa155acb422b17bdfe8dadb7caeb",
     },
-    # alg2 runs that hand f and grad_g at q to the helper process on a host with
-    # more than one CPU (`solvers._walk`), and whose products multiply only the
-    # iterate's support once it has at most half the components nonzero
-    # (`problems._shared_product`); the same with the helper and without it
+    # alg2 runs that hand the rows of grad_g at q off its support to the helper
+    # process on a host with more than one CPU (`solvers._walk`), and whose
+    # products multiply only the iterate's support once it has at most half
+    # the components nonzero, in two row blocks (`problems._RowSplit`); the
+    # same with the helper and without it
     ("solve", "--problem", "quadratic", "--solver", "alg2", "--n", "1000", "--iters", "300",
      "--out", "out.csv"): {
         "stdout": "b8d057203196813253e67277b68bfae0cef0ddc2172aa2916b31f9a30e37fad9",
         "out.csv": "52df9dce3ffa8242191a11ba3b30990503bfbfd08608774428f89c83e66efc56",
     },
     ("solve", "--problem", "lasso", "--solver", "alg2", "--iters", "300", "--out", "out.csv"): {
-        "stdout": "86ae285725881165e52f50ffccc6ec87cdaca718cfae132b7372501daf8cb210",
-        "out.csv": "6af082f9b119f69e344fed6e69b42fdb2d81838d5ec23b5b5cd2e91b602a795b",
+        "stdout": "a5dc2e0d47a518f2f62541411bd2ae14b145d9c260b10a3a04139cbd5e82289a",
+        "out.csv": "c29650f82211d19b6f4e3c7526b46df55d5e2726900259bd0463296b20500113",
     },
     # alg2 on the small matrix-family instances, below the helper's gate
     ("solve", "--problem", "quadratic", "--solver", "alg2", "--n", "30", "--iters", "300",

@@ -160,7 +160,9 @@ class TestSharedProduct:
                              ids=["lowered size constant", "size constant"])
     def test_block_path_takes_points_with_at_most_half_nonzero(self, monkeypatch,
                                                                  block_min_size):
-        # below the size constant every point takes the full product
+        # below the size constant every point takes the full product; above
+        # it, a point with at most half its components nonzero multiplies
+        # the two row blocks of M[:, S], and any other point M itself
         shapes = []
 
         class RecordedMatrix(np.ndarray):
@@ -169,16 +171,26 @@ class TestSharedProduct:
                 return self.view(np.ndarray) @ x
 
         monkeypatch.setattr(problems, "_BLOCK_MIN_SIZE", block_min_size)
-        mat = Rng(73).gaussian_matrix(40, 25)
-        product = problems._shared_product(mat.view(RecordedMatrix))
-        for nonzero in (0, 12, 13, 25):
-            x = Rng(79).gaussians(25, 0.0, 2.0)
+        monkeypatch.setattr(problems, "_QuadraticSplit", _recorded(problems._QuadraticSplit,
+                                                                   RecordedMatrix))
+        monkeypatch.setattr(problems, "_shared_product", _recorded(problems._shared_product,
+                                                                   RecordedMatrix))
+        prob = make_quadratic(40, Rng(73))
+        mat, offset = prob.data["matrix"], prob.data["offset"]
+        assert (prob.objective._rows is None) == (block_min_size > 1)
+        for nonzero in (0, 12, 20, 21, 40):
+            x = Rng(79).gaussians(40, 0.0, 2.0)
             x[nonzero:] = 0.0
             support = np.flatnonzero(x)
-            block = nonzero <= 12 and block_min_size == 1
+            block = nonzero <= 20 and block_min_size == 1
             want = mat.take(support, axis=1) @ x.take(support) if block else mat @ x
-            assert product(x).tobytes() == want.tobytes()
-            assert shapes.pop() == ((40, nonzero) if block else (40, 25))
+            assert prob.objective.grad_g(x).tobytes() == (want + offset).tobytes()
+            if block:
+                rows = problems._row_split(support, 40)
+                assert sorted(shapes) == sorted([(rows[0].size, nonzero), (rows[1].size, nonzero)])
+            else:
+                assert shapes == [(40, 40)]
+            shapes.clear()
 
     @pytest.mark.parametrize("family", sorted(DIRECT))
     def test_block_cache_changes_no_bits(self, family, monkeypatch):
@@ -208,43 +220,50 @@ class TestSharedProduct:
             assert len(seen) == 1, (nonzero, len(seen))
 
     def test_alg2_makes_at_most_two_products_per_iteration(self, monkeypatch):
+        # counted in elements multiplied, a product with the whole matrix
+        # being one: the row blocks gathered from the matrix (`take`) are
+        # counted matrices too, so the products of every path are counted
         from l1subgrad.solvers import SolverConfig, run
 
         computed = {"full": 0, "block": 0}
 
         class CountedMatrix(np.ndarray):
-            # a column block gathered from it (`take`) is one too, so the
-            # products of both paths are counted
             def __matmul__(self, x):
-                computed["full" if self.shape == (50, 50) else "block"] += 1
+                computed["full" if self.shape == (50, 50) else "block"] += self.size
                 return self.view(np.ndarray) @ x
 
-        shared = problems._shared_product
-        monkeypatch.setattr(problems, "_shared_product",
-                            lambda mat: shared(mat.view(CountedMatrix)))
+        monkeypatch.setattr(problems, "_QuadraticSplit", _recorded(problems._QuadraticSplit,
+                                                                   CountedMatrix))
+        monkeypatch.setattr(problems, "_shared_product", _recorded(problems._shared_product,
+                                                                   CountedMatrix))
         iters = 200
         for block_min_size in (10**12, 1):  # the full path alone, then both paths
             monkeypatch.setattr(problems, "_BLOCK_MIN_SIZE", block_min_size)
             computed.update(full=0, block=0)
             prob = make_quadratic(50, Rng(0))
             run(prob.objective, prob.x0, SolverConfig(method="alg2", max_iter=iters))
-            assert 0 < computed["full"] + computed["block"] <= 2.0 * iters
+            assert 0 < computed["full"] + computed["block"] <= 2.0 * iters * 50 * 50
             assert (computed["block"] > 0) == (block_min_size == 1)
 
-    def test_concurrent_callers_each_get_their_own_points_product(self, monkeypatch):
+    def test_concurrent_callers_each_get_their_own_points_product(self):
         # each thread alternates between two points, so that the points the
-        # threads ask for, hit and store interleave at every switch; on the
-        # block path the points have two supports of one size, so the block
+        # threads ask for, hit and store interleave at every switch; with the
+        # row split the points have two supports of one size, so the block
         # slot is replaced while other threads read it
         mat = Rng(61).gaussian_matrix(60, 60)
-        for block in (False, True):
-            monkeypatch.setattr(problems, "_BLOCK_MIN_SIZE", 1 if block else 10**12)
-            product = problems._shared_product(mat)
+        offset = Rng(62).gaussians(60)
+        for split in (False, True):
+            def build():
+                if split:
+                    return problems._QuadraticSplit(mat, offset).grad
+                return problems._shared_product(mat)
+
+            product = build()
             points = _probe_points(60, 67, count=2)
-            if block:
+            if split:
                 points[0][::2] = 0.0
                 points[1][1::2] = 0.0
-            expected = [problems._shared_product(mat)(x) for x in points]
+            expected = [build()(x) for x in points]
             wrong = []
 
             def call(offset):
@@ -267,7 +286,94 @@ class TestSharedProduct:
             finally:
                 sys.setswitchinterval(interval)
             assert not any(t.is_alive() for t in threads)
-            assert wrong == [], block
+            assert wrong == [], split
+
+
+def _recorded(build, matrix_class):
+    """``build`` with its matrix argument viewed as ``matrix_class``."""
+    return lambda mat, *args: build(mat.view(matrix_class), *args)
+
+
+# each matrix family with its gradient's row count n a multiple of 4 and not
+# one, so that GEMV's last n mod 4 rows take its remainder path
+SPLIT_FAMILIES = {
+    "quadratic-120": lambda rng: make_quadratic(120, rng),
+    "quadratic-118": lambda rng: make_quadratic(118, rng),
+    "lasso-40": lambda rng: make_lasso(30, 40, rng),
+    "lasso-39": lambda rng: make_lasso(30, 39, rng),
+    "logistic-44": lambda rng: make_logistic(60, 44, rng),
+    "logistic-37": lambda rng: make_logistic(60, 37, rng),
+    "logsumexp-48": lambda rng: make_logsumexp(50, 48, rng),
+    "logsumexp-41": lambda rng: make_logsumexp(50, 41, rng),
+}
+
+
+def _one_product(prob, x):
+    """grad_g(x) as one product: ``M[:, S] @ x[S] + b`` (``M @ x + b`` where
+    x is more than half nonzero) for the quadratic, ``M.T @ v(x)`` for the
+    others, with v(x) as the split computes it."""
+    obj = prob.objective
+    if prob.label == "quadratic":
+        m, b = prob.data["matrix"], prob.data["offset"]
+        support = np.flatnonzero(x)
+        if 2 * support.size > x.size:
+            return m @ x + b
+        return m.take(support, axis=1) @ x.take(support) + b
+    return prob.data["design"].T @ obj._rows._point(x).v
+
+
+@pytest.mark.parametrize("family", sorted(SPLIT_FAMILIES))
+class TestRowSplit:
+    """The two row blocks of a family at or above the size constant give
+    grad_g bit for bit."""
+
+    @staticmethod
+    def _points(n):
+        # supports of 4 to 7 and of n/2 - 3 to n/2 components (each size mod
+        # 4), scattered and holding the last row, an empty one and a dense point
+        scatter = np.argsort(Rng(83).uniforms(n))
+        scatter = np.concatenate(([n - 1], scatter[scatter != n - 1]))
+        base = Rng(89).gaussians(n, 0.0, 2.0)
+        for size in (4, 5, 6, 7, n // 2 - 3, n // 2 - 2, n // 2 - 1, n // 2, 0, n):
+            x = np.zeros(n)
+            x[scatter[:size]] = base[scatter[:size]]
+            yield x
+
+    def test_the_blocks_assemble_to_grad_g_bit_for_bit(self, family, monkeypatch):
+        monkeypatch.setattr(problems, "_BLOCK_MIN_SIZE", 1)
+        prob = SPLIT_FAMILIES[family](Rng(97))
+        obj, rows = prob.objective, prob.objective._rows
+        offset = prob.data["offset"] if prob.label == "quadratic" else np.zeros(obj.dim)
+        for x in self._points(obj.dim):
+            want = _one_product(prob, x).tobytes()
+            support = np.flatnonzero(x)
+            dense = 2 * support.size > x.size
+            head, tail = (np.arange(x.size), support[:0]) if dense else \
+                problems._row_split(support, x.size)
+            assert set(support) <= set(head)
+            assembled = rows.padded(x)
+            assert not np.count_nonzero(assembled[tail])
+            assembled[tail] = rows.tail(x) + offset[tail]
+            assert assembled.tobytes() == want, support.size
+            assert obj.grad_g(x).tobytes() == want
+            assert rows.grad(x).tobytes() == want
+
+    def test_the_bits_do_not_depend_on_the_cache(self, family, monkeypatch):
+        # the blocks' bits at a point are the same with the cache cold, warm
+        # on the point's support (-x has its support and other bytes) and
+        # warm on another support
+        monkeypatch.setattr(problems, "_BLOCK_MIN_SIZE", 1)
+        n = SPLIT_FAMILIES[family](Rng(97)).objective.dim
+        points = list(self._points(n))
+        for x in points:
+            seen = set()
+            for warm in (None, -x, points[0] if x is not points[0] else points[1]):
+                rows = SPLIT_FAMILIES[family](Rng(97)).objective._rows
+                if warm is not None:
+                    rows.grad(warm)
+                seen.add((rows.padded(x).tobytes(), rows.tail(x).tobytes(),
+                          rows.grad(x).tobytes(), rows.mx(x).tobytes()))
+            assert len(seen) == 1, np.count_nonzero(x)
 
 
 class TestQuadratic:

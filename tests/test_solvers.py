@@ -6,12 +6,15 @@ import threading
 import time
 import warnings
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 import l1subgrad._helper as _helper
 import l1subgrad.bench as bench
 import l1subgrad.objective as objective
+import l1subgrad.problems as problems
 import l1subgrad.solvers as solvers
 from l1subgrad.bench import EXPERIMENTS, ExperimentConfig, build_problem, run_experiment
 from l1subgrad.numerics import Rng, as_vector
@@ -828,37 +831,142 @@ class TestKernelsMatchReference:
 # alg2 on a small instance of each matrix family; together their walks reach
 # crossings, flips, kept moves and fallbacks with the helper lent, and cycles
 _OVERLAP_SIZES = {
-    "quadratic": dict(n=30),
+    "quadratic": dict(n=30, gamma=3.0),
     "lasso": dict(m=20, n=40),
     "logistic": dict(m=30, n=20),
     "logsumexp": dict(k=30, n=20, gamma=0.1),
 }
 
 
-def _lendable(obj):
-    """``obj``, lent alg2's helper like a built-in matrix family's: a test's
-    wrapper around such a family's oracles may run in the forked helper."""
-    object.__setattr__(obj, "_matrix_size", obj.dim * obj.dim)
+def _split(family, seed=0, **sizes):
+    """``build_problem(family, seed, **sizes)`` with the size constant
+    lowered, so that the instance splits its gradient's rows
+    (`problems._RowSplit`) and alg2 may lend it the helper."""
+    with mock.patch.object(problems, "_BLOCK_MIN_SIZE", 1):
+        return build_problem(family, seed, **sizes)
+
+
+def _wrap(obj, name, fn):
+    """Replace the method ``name`` of ``obj``'s row split by ``fn(method, x)``,
+    in this process and, after the fork, in the helper's."""
+    rows = obj._rows
+    method = getattr(rows, name)
+    setattr(rows, name, lambda x, *args: fn(method, x, *args))
     return obj
 
 
 def _patient(obj, seconds=2e-4):
-    """``obj``, lendable, with a grad_g that sleeps ``seconds`` first in this
-    process but not in the helper: each lent step then waits long enough for
-    the helper's result, however small the instance."""
+    """``obj`` with a momentum test that sleeps ``seconds`` first in this
+    process: each lent step then waits long enough for the helper's result,
+    however small the instance."""
     home = os.getpid()
 
-    def grad_g(x, _grad=obj.grad_g):
+    def padded(method, x):
         if os.getpid() == home:
             time.sleep(seconds)
-        return _grad(x)
+        return method(x)
 
-    return _lendable(dataclasses.replace(obj, grad_g=grad_g))
+    return _wrap(obj, "padded", padded)
 
 
 def _no_children_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _split_states():
+    """Seeded (family, alg2 state, h) on each matrix family with its rows
+    split: random states with zeros and momentum of every scale, then the
+    states along an alg2 run."""
+    rng = Rng(101)
+    for family, sizes in _OVERLAP_SIZES.items():
+        prob = _split(family, **sizes)
+        obj = prob.objective
+        n = obj.dim
+        for _ in range(100):
+            x = np.where(rng.uniforms(n) < 0.6, 0.0, rng.gaussians(n, 0.0, 2.0))
+            p = np.where(rng.uniforms(n) < 0.3, 0.0,
+                         rng.gaussians(n, 0.0, 10.0 ** rng.uniform(-3.0, 1.0)))
+            h = rng.uniform(0.1, 2.0) / obj.lipschitz_L
+            yield family, SolverState(x=x, p=p, f_x=obj.value(x), grad=obj.smooth_grad(x)), h
+        h = 1.0 / obj.lipschitz_L
+        state = SolverState.initial(obj, prob.x0)
+        for _ in range(150):
+            yield family, state, h
+            state = solvers._accelerated_step(obj, state, h)
+
+
+class TestSupportRowTest:
+    """alg2's momentum test on the rows R(q') alone keeps or falls back as
+    the test on the whole gradient does (`_reference_accelerated_step`)."""
+
+    @staticmethod
+    def _assert_same(got, ref):
+        for name in ("x", "p", "q", "grad"):
+            assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert np.float64(got.f_x).tobytes() == np.float64(ref.f_x).tobytes()
+
+    def test_the_step_keeps_or_falls_back_as_the_whole_test_does(self):
+        seen = dict.fromkeys(("plain", "x' wins", "x'' wins", "flip", "accept", "reject"), 0)
+        paths = set()
+        for family, state, h in _split_states():
+            obj = _split(family, **_OVERLAP_SIZES[family]).objective
+            rows = obj._rows
+
+            def covers(method, x, p):
+                covered = method(x, p)
+                paths.add(("covered" if covered else "not covered",
+                           bool(np.count_nonzero((x == 0.0) & (p != 0.0)))))
+                return covered
+
+            _wrap(obj, "covers", covers)
+            got = solvers._accelerated_step(obj, state, h)
+            whole = dataclasses.replace(obj, grad_g=rows.grad)  # no split: the whole test
+            ref = _reference_accelerated_step(whole, state, h, seen)
+            self._assert_same(got, ref)
+        assert all(seen[name] for name in ("flip", "accept", "reject")), seen
+        # R(q') covers supp(p) on most steps; a flip that zeroes q' where p
+        # stays nonzero, off R(q'), makes the step read the whole gradient
+        assert {("covered", False), ("not covered", True)} <= paths, paths
+
+    def test_a_non_finite_row_off_the_support_makes_the_step_fall_back(self):
+        # at the q' of steps that keep their move, one row of grad_g(q') off
+        # R(q') is NaN or inf: the whole test reads r = NaN and falls back,
+        # and so must the step that read only R(q')
+        planted = 0
+        for family, state, h in _split_states():
+            tested = set()
+
+            def padded(method, x):
+                tested.add(x.tobytes())
+                return method(x)
+
+            obj = _wrap(_split(family, **_OVERLAP_SIZES[family]).objective, "padded", padded)
+            kept = solvers._accelerated_step(obj, state, h)
+            target = kept.x.tobytes()
+            if (kept.x is kept.q or target not in tested or target == kept.q.tobytes()
+                    or not obj._rows.tail(kept.x).size):
+                continue
+            value = (np.nan, np.inf)[planted % 2]
+
+            def tail(method, x):
+                rows = method(x)
+                if x.tobytes() == target:
+                    rows = rows.copy()
+                    rows[planted % rows.size] = value
+                return rows
+
+            fresh = _wrap(_split(family, **_OVERLAP_SIZES[family]).objective, "tail", tail)
+            got = solvers._accelerated_step(fresh, state, h)
+            whole = _wrap(_split(family, **_OVERLAP_SIZES[family]).objective, "tail", tail)
+            with np.errstate(invalid="ignore"):  # r is NaN
+                ref = _reference_accelerated_step(
+                    dataclasses.replace(whole, grad_g=whole._rows.grad), state, h,
+                    dict.fromkeys(("plain", "x' wins", "x'' wins", "flip", "accept", "reject"), 0))
+            assert got.x is got.q
+            self._assert_same(got, ref)
+            planted += 1
+        assert planted >= 8
 
 
 @pytest.fixture
@@ -940,7 +1048,7 @@ class TestOverlap:
         seen = _spy(monkeypatch)
         reached = set()
         for family, sizes in _OVERLAP_SIZES.items():
-            prob = build_problem(family, 0, **sizes)
+            prob = _split(family, **sizes)
             cfg = SolverConfig(method="alg2", max_iter=3000)
             traces = []
             for on in (True, False):
@@ -959,7 +1067,7 @@ class TestOverlap:
         # step by step, the state with the helper, gradient included, is the
         # state without it
         seen = _spy(monkeypatch)
-        prob = build_problem(family, 0, **_OVERLAP_SIZES[family])
+        prob = _split(family, **_OVERLAP_SIZES[family])
         obj = _patient(prob.objective)
         h = 1.0 / obj.lipschitz_L
         lent = alone = SolverState.initial(obj, prob.x0)
@@ -980,8 +1088,8 @@ class TestOverlap:
     def test_reference_value_bits_do_not_depend_on_the_helper(self, family, overlap,
                                                               monkeypatch):
         seen = _spy(monkeypatch)
-        prob = build_problem(family, 0, **_OVERLAP_SIZES[family])
-        prob = dataclasses.replace(prob, objective=_patient(prob.objective))
+        prob = _split(family, **_OVERLAP_SIZES[family])
+        _patient(prob.objective)
         refs = []
         for on in (True, False):
             overlap(on)
@@ -993,21 +1101,17 @@ class TestOverlap:
         assert refs[0].certified == refs[1].certified
 
     def test_the_callers_numpy_error_state_holds_on_the_helper(self, monkeypatch, capfd):
-        # every eval_g and grad_g call overflows; the helper is forked under
+        # every row the split computes overflows; the helper is forked under
         # one error state, and the steps run under another. Where they ignore
         # overflow, the helper's results count; where they warn, the helper
         # gives none, and each step warns as it does without the helper
-        prob = build_problem("quadratic", 0, n=30)
+        prob = _split("quadratic", **_OVERLAP_SIZES["quadratic"])
 
-        def eval_g(x, _eval=prob.objective.eval_g):
+        def overflowing(method, x):
             np.float64(1e308) * 10.0
-            return _eval(x)
+            return method(x)
 
-        def grad_g(x, _grad=prob.objective.grad_g):
-            np.float64(1e308) * 10.0
-            return _grad(x)
-
-        obj = _patient(dataclasses.replace(prob.objective, eval_g=eval_g, grad_g=grad_g))
+        obj = _patient(_wrap(_wrap(prob.objective, "tail", overflowing), "padded", overflowing))
         h = 1.0 / obj.lipschitz_L
         with np.errstate(over="ignore"):
             start = SolverState.initial(obj, prob.x0)
@@ -1038,9 +1142,9 @@ class TestOverlap:
     @staticmethod
     def _lent_steps(prob, monkeypatch):
         """(fell back, q bytes, q' bytes) of each step of an alg2 run that lent
-        the helper and, without it, evaluates grad_g at its q exactly if the
-        step fell back: a kept step whose q is the pinned point x' of its
-        crossing phase, which that phase evaluates, is left out."""
+        the helper and, without it, computes the rows of grad_g off R(q) at
+        its q exactly if the step fell back: a kept step whose q is the pinned
+        point x' of its crossing phase, which that phase evaluates, is left out."""
         steps, points = [], []
         step, directional = solvers._accelerated_step, solvers._directional_from_grad
 
@@ -1061,38 +1165,41 @@ class TestOverlap:
             run(prob.objective, prob.x0, cfg)
         serial = set()
 
-        def grad_g(x, _grad=prob.objective.grad_g):
+        def tail(method, x):
             serial.add(x.tobytes())
-            return _grad(x)
+            return method(x)
 
-        run(dataclasses.replace(prob.objective, grad_g=grad_g), prob.x0, cfg)
+        fresh = _split(prob.label, **_OVERLAP_SIZES[prob.label])
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "_OVERLAP_MIN_SIZE", 10**12)
+            run(_wrap(fresh.objective, "tail", tail), fresh.x0, cfg)
         return [step for step in steps if (step[1] in serial) == step[0]]
 
     @pytest.mark.parametrize("fell_back", [True, False])
     @pytest.mark.parametrize("event", ["divide", "warn"])
     def test_a_warning_at_q_is_given_as_without_the_helper(self, event, fell_back, overlap,
                                                            monkeypatch, capfd):
-        # grad_g divides by zero, under an error state that warns on division,
-        # or calls warnings.warn, at the q of every lent step that then fell
-        # back, or kept q': the serial step warns at such fallbacks, and never
-        # evaluates at the q of a kept step; the helper, in time to answer,
-        # must not
-        prob = build_problem("quadratic", 0, n=30)
+        # the rows off R(q) divide by zero, under an error state that warns on
+        # division, or call warnings.warn, at the q of every lent step that
+        # then fell back, or kept q': the serial step warns at such fallbacks,
+        # and never computes them at the q of a kept step; the helper, in time
+        # to answer, must not
+        prob = _split("quadratic", **_OVERLAP_SIZES["quadratic"])
         targets = {q for back, q, _ in self._lent_steps(prob, monkeypatch) if back == fell_back}
         assert targets
 
-        def grad_g(x, _grad=prob.objective.grad_g):
+        def tail(method, x):
             if x.tobytes() in targets:
                 if event == "divide":
                     np.float64(1.0) / 0.0
                 else:
                     warnings.warn("grad_g warns at this point", RuntimeWarning)
-            return _grad(x)
+            return method(x)
 
-        obj = _patient(dataclasses.replace(prob.objective, grad_g=grad_g))
         outcomes = []
         for on in (True, False):
             overlap(on)
+            obj = _patient(_wrap(_split("quadratic", **_OVERLAP_SIZES["quadratic"]).objective, "tail", tail))
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 with np.errstate(divide="warn"):
@@ -1104,19 +1211,21 @@ class TestOverlap:
         assert capfd.readouterr() == ("", "")
 
     def test_no_process_outlives_a_run_that_fails(self, overlap, monkeypatch):
-        # grad_g is NaN at the q of a lent step that falls back: the helper
-        # returns it, and the next step fails, as without the helper
-        prob = build_problem("quadratic", 0, n=30)
+        # the rows off R(q) are NaN at the q of a lent step that falls back:
+        # the helper returns them, and the next step fails, as without the
+        # helper (lasso's f(q) reads none of them, so it stays finite)
+        prob = _split("lasso", **_OVERLAP_SIZES["lasso"])
         _, target, _ = [step for step in self._lent_steps(prob, monkeypatch) if step[0]][10]
 
-        def grad_g(x, _grad=prob.objective.grad_g):
-            return np.full_like(x, np.nan) if x.tobytes() == target else _grad(x)
+        def tail(method, x):
+            rows = method(x)
+            return np.full_like(rows, np.nan) if x.tobytes() == target else rows
 
-        obj = _patient(dataclasses.replace(prob.objective, grad_g=grad_g))
         seen = _spy(monkeypatch)
         errors = []
         for on in (True, False):
             overlap(on)
+            obj = _patient(_wrap(_split("lasso", **_OVERLAP_SIZES["lasso"]).objective, "tail", tail))
             with pytest.raises(SolverError, match="^alg2 failed at iteration") as failed:
                 run(obj, prob.x0, SolverConfig(method="alg2", max_iter=300))
             errors.append(str(failed.value))
@@ -1127,9 +1236,10 @@ class TestOverlap:
     @pytest.mark.parametrize("at, fell_back", [("q", True), ("q", False), ("q'", True)])
     def test_an_oracle_error_is_raised_as_without_the_helper(self, at, fell_back, overlap,
                                                              monkeypatch):
-        # grad_g fails at the q (in the helper) or the q' (in this process) of
-        # the first step that lent the helper and then fell back, or kept q'
-        prob = build_problem("quadratic", 0, n=30)
+        # the split fails on the rows off R(q) at the q (in the helper), or on
+        # any rows at the q' (in this process, for the momentum test), of the
+        # first step that lent the helper and then fell back, or kept q'
+        prob = _split("quadratic", **_OVERLAP_SIZES["quadratic"])
         steps = self._lent_steps(prob, monkeypatch)
         _, q, q_prime = next(step for step in steps if step[0] == fell_back)
         target = q if at == "q" else q_prime
@@ -1137,12 +1247,13 @@ class TestOverlap:
         for on in (True, False):
             overlap(on)
 
-            def grad_g(x, _grad=prob.objective.grad_g):
+            def refuse(method, x):
                 if x.tobytes() == target:
                     raise ArithmeticError("grad_g refuses this point")
-                return _grad(x)
+                return method(x)
 
-            obj = _patient(dataclasses.replace(prob.objective, grad_g=grad_g))
+            obj = _wrap(_split("quadratic", **_OVERLAP_SIZES["quadratic"]).objective, "tail", refuse)
+            obj = _patient(obj if at == "q" else _wrap(obj, "padded", refuse))
             try:
                 trace = run(obj, prob.x0, SolverConfig(method="alg2", max_iter=300))
                 outcomes.append((trace.f_values.tobytes(), trace.x_final.tobytes()))
@@ -1166,7 +1277,7 @@ class TestOverlap:
             started(self, obj)
             os.kill(self._pid, how)
 
-        prob = build_problem("lasso", 0, m=20, n=40)
+        prob = _split("lasso", m=20, n=40)
         obj = prob.objective
         h = 1.0 / obj.lipschitz_L
         deadline(60)
@@ -1196,19 +1307,20 @@ class TestOverlap:
     def test_a_helper_that_blocked_wakes_for_the_next_request(self):
         # after polling for `_SPIN_S` the helper blocks on its pipe; a request
         # wakes it, and `take` waits as long again as it has been posted
-        prob = build_problem("quadratic", 0, n=30)
-        obj = prob.objective
+        obj = _split("quadratic", **_OVERLAP_SIZES["quadratic"]).objective
         helper = _helper.Helper(obj)
         try:
             for x in (Rng(seed).gaussians(obj.dim) for seed in range(3)):
+                x[::2] = 0.0  # half nonzero: the helper's rows are those off R(x)
                 time.sleep(5 * _helper._SPIN_S)
-                helper.post(x, None)
+                helper.post(x)
                 time.sleep(0.05)
-                f, grad = helper.take()
-                assert (f.hex(), grad.tobytes()) == (obj._value(x).hex(), obj._grad(x).tobytes())
-                helper.post(x, 1.5)  # f(q) known: the helper returns it
+                rows = helper.take()
+                assert 0 < rows.size < obj.dim
+                assert rows.tobytes() == obj._rows.tail(x).tobytes()
+                helper.post(-np.abs(x) - 1.0)  # no zero: every row is R's
                 time.sleep(0.05)
-                assert helper.take()[0] == 1.5
+                assert helper.take().size == 0
         finally:
             helper.close()
         _no_children_left()
@@ -1216,59 +1328,62 @@ class TestOverlap:
     def test_a_result_for_an_older_request_is_dropped(self):
         # a kept step leaves its request's result unread; the next step takes
         # only its own, or none
-        obj = build_problem("quadratic", 0, n=30).objective
+        obj = _split("quadratic", **_OVERLAP_SIZES["quadratic"]).objective
         old, new = (Rng(seed).gaussians(obj.dim) for seed in (7, 8))
+        old[1::2] = 0.0
+        new[::2] = 0.0
         helper = _helper.Helper(obj)
         try:
-            helper.post(old, None)
+            helper.post(old)
             time.sleep(0.05)  # the helper has answered it
-            helper.post(new, None)
+            helper.post(new)
             lent = helper.take()
         finally:
             helper.close()
         if lent is not None:
-            assert (lent[0].hex(), lent[1].tobytes()) == (obj._value(new).hex(),
-                                                          obj._grad(new).tobytes())
+            assert lent.tobytes() == obj._rows.tail(new).tobytes()
         _no_children_left()
 
     def test_no_process_outlives_an_interrupted_run(self, overlap):
-        prob = build_problem("quadratic", 0, n=30)
         home, calls = os.getpid(), {"n": 0}
 
-        def grad_g(x, _grad=prob.objective.grad_g):
+        def padded(method, x):
             if os.getpid() == home:
                 calls["n"] += 1
-                if calls["n"] == 100:
+                if calls["n"] == 20:
                     raise KeyboardInterrupt
-            return _grad(x)
+            return method(x)
 
-        obj = _lendable(dataclasses.replace(prob.objective, grad_g=grad_g))
+        prob = _split("quadratic", **_OVERLAP_SIZES["quadratic"])
+        obj = _wrap(prob.objective, "padded", padded)
         with pytest.raises(KeyboardInterrupt):
             run(obj, prob.x0, SolverConfig(method="alg2", max_iter=300))
+        assert calls["n"] == 20
         _no_children_left()
 
     def test_an_interrupt_sent_to_the_helper_leaves_it_serving(self, capfd):
         # Ctrl-C signals the whole process group: the walk's process handles
         # it, and the helper, which prints nothing, keeps serving until closed
-        obj = build_problem("quadratic", 0, n=30).objective
+        obj = _split("quadratic", **_OVERLAP_SIZES["quadratic"]).objective
         x = Rng(9).gaussians(obj.dim)
+        x[::3] = 0.0
         helper = _helper.Helper(obj)
         try:
             for _ in range(2):  # while the helper starts, then while it waits
                 os.kill(helper._pid, signal.SIGINT)
                 time.sleep(0.05)
-            helper.post(x, None)
+            helper.post(x)
             time.sleep(0.05)
             lent = helper.take()
         finally:
             helper.close()
-        assert lent is not None and lent[1].tobytes() == obj._grad(x).tobytes()
+        assert lent is not None and lent.tobytes() == obj._rows.tail(x).tobytes()
         assert capfd.readouterr() == ("", "")
         _no_children_left()
 
     def test_a_helper_ends_at_the_end_of_its_pipe(self, capfd, deadline):
         # as when the walk's process is killed: nothing is left running or printed
-        obj = build_problem("quadratic", 0, n=30).objective
+        obj = _split("quadratic", **_OVERLAP_SIZES["quadratic"]).objective
         deadline(60)
         helper = _helper.Helper(obj)
         os.close(helper._requests)
@@ -1283,6 +1398,7 @@ class TestOverlap:
             raise AssertionError(f"a helper process started from process {os.getpid()}")
 
         monkeypatch.setattr(_helper, "Helper", refuse)
+        monkeypatch.setattr(problems, "_BLOCK_MIN_SIZE", 1)
         cfg = ExperimentConfig("quadratic", trials=2, solvers=("alg2",), max_iter=50, n=30)
         workers(2)
         run_experiment(cfg)
@@ -1295,8 +1411,9 @@ class TestOverlap:
         # variables is the user's own; the walk lends the helper to built-in
         # matrix families only, so such oracles run in this process and
         # thread, one call at a time, at the points the method reads
-        prob = build_problem("quadratic", 0, n=30)
-        mat, b = prob.data["matrix"], prob.data["offset"]
+        prob = _split("quadratic", **_OVERLAP_SIZES["quadratic"])
+        b = prob.data["offset"]
+        rows = problems._QuadraticSplit(prob.data["matrix"], b)
         threads, last_x, last_y = [], None, None
 
         def product(x):
@@ -1304,7 +1421,7 @@ class TestOverlap:
             threads.append(threading.get_ident())
             if last_x is None or last_x.tobytes() != x.tobytes():
                 last_x = x.copy()
-                last_y = mat @ x
+                last_y = rows.mx(x)
             return last_y
 
         custom = CompositeObjective(
