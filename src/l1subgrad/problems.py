@@ -7,19 +7,20 @@ gradient's variation from above (planted where the spectrum is built in, from
 the exact LAPACK spectral norm otherwise).
 
 The matrix families (quadratic, lasso, logistic, logsumexp) compute the
-product of their matrix with x once per point: ``eval_g`` and ``grad_g`` read
-it through `_shared_product`, which remembers the last point and its product.
-The solvers often ask for g and its gradient at the same point in turn (f(x)
-after a step, the subgradient at x in the next), and the product dominates
-either call. A large matrix multiplies only the columns of x's support where
-x has at most half its components nonzero, as the l1 methods' iterates do
-once their sign pattern settles (`_support_product`).
+product of their matrix with x once per point, and ``eval_g`` and ``grad_g``
+share it. The solvers often ask for g and its gradient at the same point in
+turn (f(x) after a step, the subgradient at x in the next), and the product
+dominates either call. Below `_BLOCK_MIN_SIZE` elements a family reads it
+through `_shared_product`, which remembers the last point and its product.
 
-A large family also computes its gradient in two row blocks (`_RowSplit`):
-the rows R(x) that cover x's support and every other row, which together
-give ``grad_g(x)`` bit for bit. alg2's momentum test reads only the first,
-and its helper process computes the second. The family records its split on
-the objective (``CompositeObjective._rows``) with its matrix's element count
+From `_BLOCK_MIN_SIZE` on, a family computes its products in `_RowSplit`.
+Where x has at most half its components nonzero, as the l1 methods'
+iterates do once their sign pattern settles, the products read only the
+columns of x's support, and the gradient comes in two row blocks: the rows
+R(x) that cover x's support and every other row, which together give
+``grad_g(x)`` bit for bit. alg2's momentum test reads only the first, and
+its helper process computes the second. The family records its split on the
+objective (``CompositeObjective._rows``) with its matrix's element count
 (``_matrix_size``); only such an objective is lent the helper, whose process
 keeps its own copy of the memos. The 2-D example has no product to share
 and keeps plain closures.
@@ -37,10 +38,9 @@ from .numerics import Rng, logsumexp, random_orthogonal, softmax
 from .objective import CompositeObjective
 
 # The least element count of a matrix whose products skip the columns where
-# x is zero (`_support_product`) and whose family computes its gradient in
-# row blocks (`_RowSplit`), from measured crossovers (README): below it the
-# support test and gathers cost more than they save, and a transposed
-# product reading the matrix after the block misses the cache the block took.
+# x is zero and whose family computes its gradient in row blocks
+# (`_RowSplit`), from measured crossovers (README): below it the support
+# test and gathers cost more than they save.
 _BLOCK_MIN_SIZE = 300_000
 # R(x) pads x's support to a multiple of this many rows (`_row_split`)
 _ROW_PAD = 16
@@ -192,15 +192,16 @@ class _RowSplit:
             point.product = product
         return product
 
-    def grad(self, x, tail: np.ndarray | None = None) -> np.ndarray:
-        """grad_g(x), taking W v(x) on T(x) from ``tail`` where given (the
-        helper's `tail` at x), else from `tail`."""
+    def grad(self, x, lent=None) -> np.ndarray:
+        """grad_g(x). W v(x) on R(x) comes first; then W v(x) on T(x) comes
+        from ``lent()`` where it gives it (alg2's helper, with its `tail` at
+        x), else from `tail`."""
         point = self._point(x)
         rows = point.blocks.rows
         if rows is not None and point.parts[1] is None:
-            if tail is None or tail.size != rows[1].size:
-                tail = self.tail(x)
-            point.parts[1] = tail
+            self._part(point, 0)
+            tail = None if lent is None else lent()
+            point.parts[1] = tail if tail is not None and tail.size == rows[1].size else self.tail(x)
         product = self._product(point)
         return product if self._offset is None else product + self._offset
 

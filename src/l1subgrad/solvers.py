@@ -326,7 +326,7 @@ def _accelerated_step(
             grad = obj._grad(q)
         else:
             # the rows first: the quadratic's f(q) then reads their product
-            grad = rows.grad(q, None if helper is None else helper.take())
+            grad = rows.grad(q, None if helper is None else helper.take)
             f_new = obj._value(q) if f_q is None else f_q
 
     return SolverState(x=x_new, p=p, f_x=f_new, grad=grad, q=q)

@@ -834,7 +834,7 @@ _OVERLAP_SIZES = {
     "quadratic": dict(n=30, gamma=3.0),
     "lasso": dict(m=20, n=40),
     "logistic": dict(m=30, n=20),
-    "logsumexp": dict(k=30, n=20, gamma=0.1),
+    "logsumexp": dict(k=30, n=20, gamma=0.2),
 }
 
 
