@@ -41,7 +41,7 @@ from .objective import CompositeObjective
 # x is zero and whose family computes its gradient in row blocks
 # (`_RowSplit`), from measured crossovers (README): below it the support
 # test and gathers cost more than they save.
-_BLOCK_MIN_SIZE = 300_000
+_BLOCK_MIN_SIZE = 150_000
 # R(x) pads x's support to a multiple of this many rows (`_row_split`)
 _ROW_PAD = 16
 
