@@ -72,7 +72,7 @@ class Helper:
 
     def __init__(self, obj):
         dim = obj.dim
-        shared = np.frombuffer(mmap.mmap(-1, 8 * 2 * dim), dtype=np.float64)
+        shared = np.frombuffer(mmap.mmap(-1, 8 * (2 * dim + obj._rows.lead)), dtype=np.float64)
         self._q, self._tail = shared[:dim], shared[dim:]
         requests, self._requests = os.pipe()
         self._results, results = os.pipe()

@@ -106,23 +106,27 @@ class _Blocks:
     """One support's rows (`_row_split`) and its two blocks, each gathered
     when first used."""
 
-    __slots__ = ("support", "rows", "mats")
+    __slots__ = ("support", "dense", "rows", "mats")
 
-    def __init__(self, support, rows):
+    def __init__(self, support, n):
         self.support = support
-        self.rows = rows  # (R, T), or None where x is more than half nonzero
+        # more than half nonzero: R is empty and T is every row, whose block
+        # is the whole matrix
+        self.dense = 2 * support.size > n
+        self.rows = (support[:0], np.arange(n)) if self.dense else _row_split(support, n)
         self.mats = [None, None]
 
 
 class _Point:
     """One point's M x and v(x), and the parts of grad_g computed there."""
 
-    __slots__ = ("blocks", "mx", "v", "parts", "product")
+    __slots__ = ("blocks", "x", "mx", "v", "parts", "product")
 
-    def __init__(self, blocks, mx, v):
+    def __init__(self, blocks, x):
         self.blocks = blocks
-        self.mx = mx
-        self.v = v
+        self.x = x
+        self.mx = None
+        self.v = None
         self.parts = [None, None]  # W v(x) on R and on T
         self.product = None  # W v(x) on every row
 
@@ -132,18 +136,21 @@ class _RowSplit:
     `_BLOCK_MIN_SIZE` elements, with grad_g(x) = W v(x) + c computed in two
     blocks of rows: the rows R(x) that cover x's support, and every other
     row, T(x) (`_row_split`). Where x has more than half its components
-    nonzero, R is all rows and each product is the whole one.
+    nonzero, R is empty, T is every row, and each product is the whole one.
 
     `grad` gives grad_g(x) on every row; `padded` gives it on R and zero
-    on T, for alg2's momentum test; `tail` gives W v(x) on T, what alg2's
-    helper computes. Each support's blocks are gathered once, when first
-    used, and kept until the support changes. A one-slot memo keeps the
-    last point's products, so that its g and grad_g share them. Each slot
-    is one tuple read once, so that no reader pairs a point or a support
-    with another's. The bits at a point never depend on what the memos held.
+    on T, for alg2's momentum test; `tail` gives what alg2's helper
+    computes: M x where the family's g reads it apart from W v(x) (``lead``
+    values), then W v(x) on T. Each support's blocks are gathered once,
+    when first used, and kept until the support changes. A one-slot memo
+    keeps the last point's products, so that its g and grad_g share them.
+    Each slot is one tuple read once, so that no reader pairs a point or a
+    support with another's. The bits at a point never depend on what the
+    memos held.
     """
 
     _offset = None  # c
+    lead = 0
 
     def __init__(self, mat: np.ndarray):
         self._mat = mat
@@ -160,10 +167,9 @@ class _RowSplit:
         support_key = support.tobytes()
         blocks_key, blocks = self._blocks
         if support_key != blocks_key:
-            dense = 2 * support.size > x.size
-            blocks = _Blocks(support, None if dense else _row_split(support, x.size))
+            blocks = _Blocks(support, x.size)
             self._blocks = (support_key, blocks)
-        point = self._start(x, blocks)
+        point = _Point(blocks, x.copy())
         self._last = (key, point)
         return point
 
@@ -176,79 +182,86 @@ class _RowSplit:
     def _part(self, point: _Point, i: int) -> np.ndarray:
         part = point.parts[i]
         if part is None:
-            part = point.parts[i] = self._times(self._block(point.blocks, i), point.v)
+            part = point.parts[i] = self._times(self._block(point.blocks, i), self._v(point))
         return part
 
     def _product(self, point: _Point) -> np.ndarray:
         product = point.product
         if product is None:
-            rows = point.blocks.rows
-            if rows is None:
-                product = self._whole(point.v)
+            head, rest = point.blocks.rows
+            if head.size:
+                product = np.empty(head.size + rest.size)
+                product[head] = self._part(point, 0)
+                product[rest] = self._part(point, 1)
             else:
-                product = np.empty(rows[0].size + rows[1].size)
-                product[rows[0]] = self._part(point, 0)
-                product[rows[1]] = self._part(point, 1)
+                product = self._part(point, 1)
             point.product = product
         return product
 
     def grad(self, x, lent=None) -> np.ndarray:
-        """grad_g(x). W v(x) on R(x) comes first; then W v(x) on T(x) comes
-        from ``lent()`` where it gives it (alg2's helper, with its `tail` at
-        x), else from `tail`."""
+        """grad_g(x). W v(x) on R(x) comes first; then what `tail` gives at
+        x comes from ``lent()`` where it gives it (alg2's helper), else from
+        `tail`."""
         point = self._point(x)
-        rows = point.blocks.rows
-        if rows is not None and point.parts[1] is None:
-            self._part(point, 0)
+        if point.parts[1] is None:
+            if point.blocks.rows[0].size:
+                self._part(point, 0)
             tail = None if lent is None else lent()
-            point.parts[1] = tail if tail is not None and tail.size == rows[1].size else self.tail(x)
+            if tail is None or tail.size != self.lead + point.blocks.rows[1].size:
+                tail = self.tail(x)
+            if point.mx is None and self.lead:
+                point.mx = tail[:self.lead]
+            point.parts[1] = tail[self.lead:]
         product = self._product(point)
         return product if self._offset is None else product + self._offset
 
     def covers(self, x, p: np.ndarray) -> bool:
         """Whether p is zero on every row of T(x)."""
-        rows = self._point(x).blocks.rows
-        return rows is None or np.count_nonzero(p.take(rows[1])) == 0
+        return np.count_nonzero(p.take(self._point(x).blocks.rows[1])) == 0
 
     def padded(self, x) -> np.ndarray:
         """grad_g(x) on R(x), and zero on T(x)."""
         point = self._point(x)
-        rows = point.blocks.rows
-        if rows is None:
-            return self.grad(x)
-        head = self._part(point, 0)
-        out = np.zeros(rows[0].size + rows[1].size)
-        out[rows[0]] = head if self._offset is None else head + self._offset.take(rows[0])
+        head, rest = point.blocks.rows
+        out = np.zeros(head.size + rest.size)
+        if head.size:
+            part = self._part(point, 0)
+            out[head] = part if self._offset is None else part + self._offset.take(head)
         return out
 
     def tail(self, x) -> np.ndarray:
-        """W v(x) on T(x); empty where R is all rows."""
+        """M x where the family has ``lead`` values of it, then W v(x) on
+        T(x)."""
         point = self._point(x)
-        return point.v[:0] if point.blocks.rows is None else self._part(point, 1)
+        part = self._part(point, 1)
+        return np.concatenate((self._mx(point), part)) if self.lead else part
 
 
 class _QuadraticSplit(_RowSplit):
     """The quadratic's M x = W v(x): W is M and v(x) is x, and the blocks
     keep only the support's columns, ``M[R][:, S]`` and ``M[T][:, S]``, so
-    that their rows are those of ``M[:, S] @ x[S]``. c is the offset b."""
+    that their rows are those of ``M[:, S] @ x[S]``; where x is more than
+    half nonzero, the one block is M and v(x) all of x. c is the offset b."""
 
     def __init__(self, mat: np.ndarray, offset: np.ndarray):
         super().__init__(mat)
         self._offset = offset
 
-    def _start(self, x, blocks):
-        return _Point(blocks, None, x.copy() if blocks.rows is None else x.take(blocks.support))
+    def _v(self, point):
+        if point.v is None:
+            blocks = point.blocks
+            point.v = point.x if blocks.dense else point.x.take(blocks.support)
+        return point.v
 
     def _gather(self, blocks, i):
+        if blocks.dense:
+            return self._mat
         rows = blocks.rows[i]
         mat = self._mat if rows.size == self._mat.shape[0] else self._mat.take(rows, axis=0)
         return mat.take(blocks.support, axis=1)
 
     def _times(self, block, v):
         return block @ v
-
-    def _whole(self, v):
-        return self._mat @ v
 
     def mx(self, x) -> np.ndarray:
         """M x."""
@@ -260,18 +273,26 @@ class _TransposedSplit(_RowSplit):
     of W are M's columns, gathered as the blocks ``M[:, R]`` and
     ``M[:, T]`` and used transposed. M x is ``M[:, R] @ x[R]``, from the
     block that also gives grad_g on R, so that alg2's test reads one block
-    for both products."""
+    for both products (``M @ x`` where x is more than half nonzero)."""
 
     def __init__(self, mat: np.ndarray, phi):
         super().__init__(mat)
         self._phi = phi
+        self.lead = mat.shape[0]
 
-    def _start(self, x, blocks):
-        if blocks.rows is None:
-            mx = self._mat @ x
-        else:
-            mx = self._block(blocks, 0) @ x.take(blocks.rows[0])
-        return _Point(blocks, mx, self._phi(mx))
+    def _mx(self, point):
+        if point.mx is None:
+            blocks = point.blocks
+            if blocks.dense:
+                point.mx = self._mat @ point.x
+            else:
+                point.mx = self._block(blocks, 0) @ point.x.take(blocks.rows[0])
+        return point.mx
+
+    def _v(self, point):
+        if point.v is None:
+            point.v = self._phi(self._mx(point))
+        return point.v
 
     def _gather(self, blocks, i):
         rows = blocks.rows[i]
@@ -280,17 +301,14 @@ class _TransposedSplit(_RowSplit):
     def _times(self, block, v):
         return block.T @ v
 
-    def _whole(self, v):
-        return self._mat.T @ v
-
     def mx(self, x) -> np.ndarray:
         """M x."""
-        return self._point(x).mx
+        return self._mx(self._point(x))
 
     def whole(self, x) -> np.ndarray:
         """grad_g(x) as the one product ``M.T @ v(x)``, which the blocks give
         bit for bit, with no block gathered."""
-        return self._whole(self._point(x).v)
+        return self._mat.T @ self._v(self._point(x))
 
 
 def _transposed(mat: np.ndarray, phi):

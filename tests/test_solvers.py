@@ -944,8 +944,8 @@ class TestSupportRowTest:
             obj = _wrap(_split(family, **_OVERLAP_SIZES[family]).objective, "padded", padded)
             kept = solvers._accelerated_step(obj, state, h)
             target = kept.x.tobytes()
-            if (kept.x is kept.q or target not in tested or target == kept.q.tobytes()
-                    or not obj._rows.tail(kept.x).size):
+            rest = obj._rows.tail(kept.x).size - obj._rows.lead
+            if kept.x is kept.q or target not in tested or target == kept.q.tobytes() or not rest:
                 continue
             value = (np.nan, np.inf)[planted % 2]
 
@@ -953,7 +953,7 @@ class TestSupportRowTest:
                 rows = method(x)
                 if x.tobytes() == target:
                     rows = rows.copy()
-                    rows[planted % rows.size] = value
+                    rows[obj._rows.lead + planted % rest] = value
                 return rows
 
             fresh = _wrap(_split(family, **_OVERLAP_SIZES[family]).objective, "tail", tail)
@@ -1318,9 +1318,12 @@ class TestOverlap:
                 rows = helper.take()
                 assert 0 < rows.size < obj.dim
                 assert rows.tobytes() == obj._rows.tail(x).tobytes()
-                helper.post(-np.abs(x) - 1.0)  # no zero: every row is R's
+                dense = -np.abs(x) - 1.0  # no zero: every row is the helper's
+                helper.post(dense)
                 time.sleep(0.05)
-                assert helper.take().size == 0
+                rows = helper.take()
+                assert rows.size == obj.dim
+                assert rows.tobytes() == obj._rows.tail(dense).tobytes()
         finally:
             helper.close()
         _no_children_left()
