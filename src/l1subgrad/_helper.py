@@ -6,14 +6,15 @@ and closes its `Helper` when the walk is closed.
 The helper is forked from the walk's process, so it holds the objective, its
 matrix and its code without a copy (the pages are shared copy-on-write), and
 it runs on its own interpreter lock. One anonymous shared mapping, made
-before the fork, holds q for the helper, and the rows of grad_g(q) that
-the split of the objective (``obj._rows``, a `problems._RowSplit`) puts off
-q's support, T(q), for the step. Two pipes carry only sequence numbers: down
+before the fork, holds q for the helper, and for the step what the split of
+the objective (``obj._rows``, a `problems._RowSplit`) gives as its tail at
+q: the rows of grad_g(q) off q's support, T(q), after M q for the families
+whose g reads it. Two pipes carry only sequence numbers: down
 the request pipe, the number and a flag word; up the result pipe, the number
-and how many rows the mapping holds, or -1 where no result was computed.
+and how many values the mapping holds, or -1 where no result was computed.
 The row partition is decided in `problems` alone: both processes split q
-with the same code. Each side writes the mapping
-first and the pipe after, and reads the pipe first and the mapping after. A
+with the same code. Each side writes the mapping first and the pipe after,
+and reads the pipe first and the mapping after. A
 pipe write and the read that returns its bytes meet in the kernel, behind
 its pipe lock, so the payload written before a number is visible to whoever
 reads that number, on any processor; no ordering of plain loads and stores
@@ -32,10 +33,10 @@ result it returns is the one the step would compute. It never sends an
 exception: where the call raises, or meets a floating-point event that the
 caller's numpy error state (sent with each request) does not ignore, or any
 warning, it reports no result, and the step computes the rows itself,
-raising or warning as it would without the helper. After each request it polls for the
-next for `_SPIN_S`, then blocks on its pipe; it ends at the pipe's end of
-file, so it does not outlive the walk's process, and it leaves through
-`os._exit`, writing nothing to stdout or stderr.
+raising or warning as it would without the helper. After each request it
+polls for the next for `_SPIN_S`, then blocks on its pipe; it ends at the
+pipe's end of file, so it does not outlive the walk's process, and it
+leaves through `os._exit`, writing nothing to stdout or stderr.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ import numpy as np
 # how long the helper polls for its next request before it blocks on its pipe
 _SPIN_S = 1e-3
 _REQUEST = struct.Struct("<qq")  # number, flags
-_RESULT = struct.Struct("<qq")  # number, the rows the mapping holds or -1
+_RESULT = struct.Struct("<qq")  # number, the values the mapping holds or -1
 # flag bits 1, 2, 4 and 8: the caller's error state does not ignore the category
 _CATEGORIES = ("divide", "over", "under", "invalid")
 _DRAIN = 1 << 16  # a whole pipe's worth of messages in one read
@@ -117,7 +118,7 @@ class Helper:
         self._posted = time.perf_counter()
 
     def take(self):
-        """The posted request's rows, or None if the helper has none for it
+        """The posted request's tail, or None if the helper has none for it
         by the time the step has waited as long as it has taken since
         posting."""
         if not self._sent:
