@@ -7,7 +7,7 @@ The helper is forked from the walk's process, so it holds the objective, its
 matrix and its code without a copy (the pages are shared copy-on-write), and
 it runs on its own interpreter lock. One anonymous shared mapping, made
 before the fork, holds q for the helper, and for the step what the split of
-the objective (``obj._rows``, a `problems._RowSplit`) gives as its tail at
+the objective (``obj._rows``, a `_rowsplit.RowSplit`) gives as its tail at
 q: the rows of grad_g(q) off q's support, T(q), after M q for the families
 whose g reads it. Two pipes carry only sequence numbers: down
 the request pipe, the number and a flag word; up the result pipe, the number

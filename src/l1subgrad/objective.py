@@ -72,7 +72,7 @@ class CompositeObjective:
     constant of g when one is known.
 
     A large built-in matrix family (`problems`) also carries its gradient's
-    row split (``_rows``, a `problems._RowSplit`). alg2's momentum test then
+    row split (``_rows``, a `_rowsplit.RowSplit`). alg2's momentum test then
     reads grad_g(q') on the rows that cover the support of q' alone, and on
     an alg2 walk a helper process forked from the walk's (`solvers._walk`)
     computes grad_g's other rows at the point q that the step may fall back

@@ -13,7 +13,7 @@ turn (f(x) after a step, the subgradient at x in the next), and the product
 dominates either call. Below `_BLOCK_MIN_SIZE` elements a family reads it
 through `_shared_product`, which remembers the last point and its product.
 
-From `_BLOCK_MIN_SIZE` on, a family computes its products in `_RowSplit`.
+From `_BLOCK_MIN_SIZE` on, a family computes its products in `_rowsplit`.
 Where x has at most half its components nonzero, as the l1 methods'
 iterates do once their sign pattern settles, the products read only the
 columns of x's support, and the gradient comes in two row blocks: the rows
@@ -39,11 +39,9 @@ from .objective import CompositeObjective
 
 # The least element count of a matrix whose products skip the columns where
 # x is zero and whose family computes its gradient in row blocks
-# (`_RowSplit`), from measured crossovers (README): below it the support
+# (`_rowsplit`), from measured crossovers (README): below it the support
 # test and gathers cost more than they save.
 _BLOCK_MIN_SIZE = 150_000
-# R(x) pads x's support to a multiple of this many rows (`_row_split`)
-_ROW_PAD = 16
 
 
 def _shared_product(mat: np.ndarray):
@@ -55,7 +53,7 @@ def _shared_product(mat: np.ndarray):
     array in place cannot make a stale hit. Comparing bytes is exact (it
     tells -0.0 from 0.0) and costs about a microsecond at n = 1000, against
     hundreds for the product. The families' matrices below
-    `_BLOCK_MIN_SIZE` use it; larger ones keep their points in `_RowSplit`.
+    `_BLOCK_MIN_SIZE` use it; larger ones keep their points in `_rowsplit`.
     """
     last = (None, None)
 
@@ -73,260 +71,24 @@ def _shared_product(mat: np.ndarray):
     return product
 
 
-def _row_split(support: np.ndarray, n: int):
-    """(R, T) for a point with ``support`` of n components: R holds the
-    support, and T every other row, both in increasing order.
-
-    GEMV computes the rows of a matrix in groups of four, and the last
-    n mod 4 rows on their own, and a row's bits depend on which. So R holds
-    the last n mod 4 rows too, and is padded with the first rows off the
-    support until its other rows are a positive multiple of `_ROW_PAD`.
-    Then both blocks and the whole matrix compute every row alike, and the
-    blocks' products are the whole product's rows bit for bit, for the
-    rows of a C-ordered matrix and for the columns of one used transposed
-    (tested on this numpy and BLAS build). An empty support has an empty R;
-    where too few rows are left to pad, R is all rows.
-    """
-    if support.size == 0:
-        return support, np.arange(n)
-    grouped = n - n % 4
-    in_r = np.zeros(n, dtype=bool)
-    in_r[support] = True
-    in_r[grouped:] = True
-    free = np.flatnonzero(~in_r[:grouped])
-    held = grouped - free.size
-    pad = -held % _ROW_PAD if held else _ROW_PAD
-    if pad > free.size:
-        return np.arange(n), support[:0]
-    in_r[free[:pad]] = True
-    return np.flatnonzero(in_r), np.flatnonzero(~in_r)
-
-
-class _Blocks:
-    """One support's rows (`_row_split`) and its two blocks, each gathered
-    when first used."""
-
-    __slots__ = ("support", "dense", "rows", "mats")
-
-    def __init__(self, support, n):
-        self.support = support
-        # more than half nonzero: R is empty and T is every row, whose block
-        # is the whole matrix
-        self.dense = 2 * support.size > n
-        self.rows = (support[:0], np.arange(n)) if self.dense else _row_split(support, n)
-        self.mats = [None, None]
-
-
-class _Point:
-    """One point's M x and v(x), and the parts of grad_g computed there."""
-
-    __slots__ = ("blocks", "x", "mx", "v", "parts", "product")
-
-    def __init__(self, blocks, x):
-        self.blocks = blocks
-        self.x = x
-        self.mx = None
-        self.v = None
-        self.parts = [None, None]  # W v(x) on R and on T
-        self.product = None  # W v(x) on every row
-
-
-class _RowSplit:
-    """The products of a family whose matrix M has at least
-    `_BLOCK_MIN_SIZE` elements, with grad_g(x) = W v(x) + c computed in two
-    blocks of rows: the rows R(x) that cover x's support, and every other
-    row, T(x) (`_row_split`). Where x has more than half its components
-    nonzero, R is empty, T is every row, and each product is the whole one.
-
-    `grad` gives grad_g(x) on every row; `padded` gives it on R and zero
-    on T, for alg2's momentum test; `tail` gives what alg2's helper
-    computes: M x where the family's g reads it apart from W v(x) (``lead``
-    values), then W v(x) on T. Each support's blocks are gathered once,
-    when first used, and kept until the support changes. A one-slot memo
-    keeps the last point's products, so that its g and grad_g share them.
-    Each slot is one tuple read once, so that no reader pairs a point or a
-    support with another's. The bits at a point never depend on what the
-    memos held.
-    """
-
-    _offset = None  # c
-    lead = 0
-
-    def __init__(self, mat: np.ndarray):
-        self._mat = mat
-        self._blocks = (None, None)
-        self._last = (None, None)
-
-    def _point(self, x: np.ndarray) -> _Point:
-        x = np.asarray(x, dtype=np.float64)
-        key = (x.shape, x.tobytes())
-        last_key, point = self._last
-        if key == last_key:
-            return point
-        support = np.flatnonzero(x)
-        support_key = support.tobytes()
-        blocks_key, blocks = self._blocks
-        if support_key != blocks_key:
-            blocks = _Blocks(support, x.size)
-            self._blocks = (support_key, blocks)
-        point = _Point(blocks, x.copy())
-        self._last = (key, point)
-        return point
-
-    def _block(self, blocks: _Blocks, i: int) -> np.ndarray:
-        mat = blocks.mats[i]
-        if mat is None:
-            mat = blocks.mats[i] = self._gather(blocks, i)
-        return mat
-
-    def _part(self, point: _Point, i: int) -> np.ndarray:
-        part = point.parts[i]
-        if part is None:
-            part = point.parts[i] = self._times(self._block(point.blocks, i), self._v(point))
-        return part
-
-    def _product(self, point: _Point) -> np.ndarray:
-        product = point.product
-        if product is None:
-            head, rest = point.blocks.rows
-            if head.size:
-                product = np.empty(head.size + rest.size)
-                product[head] = self._part(point, 0)
-                product[rest] = self._part(point, 1)
-            else:
-                product = self._part(point, 1)
-            point.product = product
-        return product
-
-    def grad(self, x, lent=None) -> np.ndarray:
-        """grad_g(x). W v(x) on R(x) comes first; then what `tail` gives at
-        x comes from ``lent()`` where it gives it (alg2's helper), else from
-        `tail`."""
-        point = self._point(x)
-        if point.parts[1] is None:
-            if point.blocks.rows[0].size:
-                self._part(point, 0)
-            tail = None if lent is None else lent()
-            if tail is None or tail.size != self.lead + point.blocks.rows[1].size:
-                tail = self.tail(x)
-            if point.mx is None and self.lead:
-                point.mx = tail[:self.lead]
-            point.parts[1] = tail[self.lead:]
-        product = self._product(point)
-        return product if self._offset is None else product + self._offset
-
-    def covers(self, x, p: np.ndarray) -> bool:
-        """Whether p is zero on every row of T(x)."""
-        return np.count_nonzero(p.take(self._point(x).blocks.rows[1])) == 0
-
-    def padded(self, x) -> np.ndarray:
-        """grad_g(x) on R(x), and zero on T(x)."""
-        point = self._point(x)
-        head, rest = point.blocks.rows
-        out = np.zeros(head.size + rest.size)
-        if head.size:
-            part = self._part(point, 0)
-            out[head] = part if self._offset is None else part + self._offset.take(head)
-        return out
-
-    def tail(self, x) -> np.ndarray:
-        """M x where the family has ``lead`` values of it, then W v(x) on
-        T(x)."""
-        point = self._point(x)
-        part = self._part(point, 1)
-        return np.concatenate((self._mx(point), part)) if self.lead else part
-
-
-class _QuadraticSplit(_RowSplit):
-    """The quadratic's M x = W v(x): W is M and v(x) is x, and the blocks
-    keep only the support's columns, ``M[R][:, S]`` and ``M[T][:, S]``, so
-    that their rows are those of ``M[:, S] @ x[S]``; where x is more than
-    half nonzero, the one block is M and v(x) all of x. c is the offset b."""
-
-    def __init__(self, mat: np.ndarray, offset: np.ndarray):
-        super().__init__(mat)
-        self._offset = offset
-
-    def _v(self, point):
-        if point.v is None:
-            blocks = point.blocks
-            point.v = point.x if blocks.dense else point.x.take(blocks.support)
-        return point.v
-
-    def _gather(self, blocks, i):
-        if blocks.dense:
-            return self._mat
-        rows = blocks.rows[i]
-        mat = self._mat if rows.size == self._mat.shape[0] else self._mat.take(rows, axis=0)
-        return mat.take(blocks.support, axis=1)
-
-    def _times(self, block, v):
-        return block @ v
-
-    def mx(self, x) -> np.ndarray:
-        """M x."""
-        return self._product(self._point(x))
-
-
-class _TransposedSplit(_RowSplit):
-    """grad_g(x) = M^T phi(M x), with W = M^T and v(x) = phi(M x): the rows
-    of W are M's columns, gathered as the blocks ``M[:, R]`` and
-    ``M[:, T]`` and used transposed. M x is ``M[:, R] @ x[R]``, from the
-    block that also gives grad_g on R, so that alg2's test reads one block
-    for both products (``M @ x`` where x is more than half nonzero)."""
-
-    def __init__(self, mat: np.ndarray, phi):
-        super().__init__(mat)
-        self._phi = phi
-        self.lead = mat.shape[0]
-
-    def _mx(self, point):
-        if point.mx is None:
-            blocks = point.blocks
-            if blocks.dense:
-                point.mx = self._mat @ point.x
-            else:
-                point.mx = self._block(blocks, 0) @ point.x.take(blocks.rows[0])
-        return point.mx
-
-    def _v(self, point):
-        if point.v is None:
-            point.v = self._phi(self._mx(point))
-        return point.v
-
-    def _gather(self, blocks, i):
-        rows = blocks.rows[i]
-        return self._mat if rows.size == self._mat.shape[1] else self._mat.take(rows, axis=1)
-
-    def _times(self, block, v):
-        return block.T @ v
-
-    def mx(self, x) -> np.ndarray:
-        """M x."""
-        return self._mx(self._point(x))
-
-    def whole(self, x) -> np.ndarray:
-        """grad_g(x) as the one product ``M.T @ v(x)``, which the blocks give
-        bit for bit, with no block gathered."""
-        return self._mat.T @ self._v(self._point(x))
-
-
 def _transposed(mat: np.ndarray, phi):
     """(mx, grad_g, split) of a family whose g reads M x and whose gradient
     is ``mat.T @ phi(mat @ x)``.
 
     Below `_BLOCK_MIN_SIZE` the split is None and mx is `_shared_product`'s
-    memo; from it on, both come from `_TransposedSplit`, and grad_g is the
-    one product, which reads no block.
+    memo; from it on, both come from `_rowsplit.TransposedSplit`, and grad_g
+    is the one product, which reads no block.
     """
     if mat.size < _BLOCK_MIN_SIZE:
         mx = _shared_product(mat)
         return mx, lambda x, _m=mat: _m.T @ phi(mx(x)), None
-    rows = _TransposedSplit(mat, phi)
+    from ._rowsplit import TransposedSplit
+
+    rows = TransposedSplit(mat, phi)
     return rows.mx, rows.whole, rows
 
 
-def _record(obj: CompositeObjective, mat: np.ndarray, rows: _RowSplit | None):
+def _record(obj: CompositeObjective, mat: np.ndarray, rows):
     # what alg2's walk reads to lend its helper (`solvers._walk`)
     object.__setattr__(obj, "_matrix_size", mat.size)
     object.__setattr__(obj, "_rows", rows)
@@ -387,7 +149,9 @@ def make_quadratic(
         def grad_g(x, _b=b):
             return mx(x) + _b
     else:
-        rows = _QuadraticSplit(m, b)
+        from ._rowsplit import QuadraticSplit
+
+        rows = QuadraticSplit(m, b)
         mx, grad_g = rows.mx, rows.grad
 
     def eval_g(x, _b=b):

@@ -266,12 +266,12 @@ def _accelerated_step(
     The fallback to q (r > 0) needs f(q) and grad_g(q). A ``helper`` (a
     `_helper.Helper`, lent only with a split) is posted q as soon as the
     crossing phase has made it, before this step computes q' and the test.
-    It computes grad_g(q)'s rows off R(q), all of them where q is more than
-    half nonzero (`_RowSplit.tail`). On a fallback the step computes the
-    rows on R(q) from the blocks it has just read for the test, then takes
-    the helper's if they come within as long again as the step has taken
-    since posting, and otherwise, as without a helper, computes them
-    itself; then f(q) on the assembled product. The helper
+    It computes grad_g(q)'s rows off R(q), all of them where q is more
+    than half nonzero (`_rowsplit.RowSplit.tail`). On a fallback the step
+    computes the rows on R(q) from the blocks it has just read for the
+    test, then takes the helper's if they come within as long again as the
+    step has taken since posting, and otherwise, as without a helper,
+    computes them itself; then f(q) on the assembled product. The helper
     returns only what this step would compute, and no error: those are
     raised here, where the step computes the rows. Where the move is kept
     the helper's work is dropped unread, as the step without it never

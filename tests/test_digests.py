@@ -83,7 +83,7 @@ DIGESTS = {
     # alg2 runs that hand the rows of grad_g at q off its support to the helper
     # process on a host with more than one CPU (`solvers._walk`), and whose
     # products multiply only the iterate's support once it has at most half
-    # the components nonzero, in two row blocks (`problems._RowSplit`); the
+    # the components nonzero, in two row blocks (`_rowsplit.RowSplit`); the
     # same with the helper and without it
     ("solve", "--problem", "quadratic", "--solver", "alg2", "--n", "1000", "--iters", "300",
      "--out", "out.csv"): {

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import l1subgrad._rowsplit as _rowsplit
 import l1subgrad.problems as problems
 from l1subgrad.numerics import Rng, logsumexp, softmax
 from l1subgrad.problems import (
@@ -171,7 +172,7 @@ class TestSharedProduct:
                 return self.view(np.ndarray) @ x
 
         monkeypatch.setattr(problems, "_BLOCK_MIN_SIZE", block_min_size)
-        monkeypatch.setattr(problems, "_QuadraticSplit", _recorded(problems._QuadraticSplit,
+        monkeypatch.setattr(_rowsplit, "QuadraticSplit", _recorded(_rowsplit.QuadraticSplit,
                                                                    RecordedMatrix))
         monkeypatch.setattr(problems, "_shared_product", _recorded(problems._shared_product,
                                                                    RecordedMatrix))
@@ -186,7 +187,7 @@ class TestSharedProduct:
             want = mat.take(support, axis=1) @ x.take(support) if block else mat @ x
             assert prob.objective.grad_g(x).tobytes() == (want + offset).tobytes()
             if block:
-                rows = problems._row_split(support, 40)
+                rows = _rowsplit.row_split(support, 40)
                 assert sorted(shapes) == sorted((r.size, nonzero) for r in rows if r.size)
             else:
                 assert shapes == [(40, 40)]
@@ -232,7 +233,7 @@ class TestSharedProduct:
                 computed["full" if self.shape == (50, 50) else "block"] += self.size
                 return self.view(np.ndarray) @ x
 
-        monkeypatch.setattr(problems, "_QuadraticSplit", _recorded(problems._QuadraticSplit,
+        monkeypatch.setattr(_rowsplit, "QuadraticSplit", _recorded(_rowsplit.QuadraticSplit,
                                                                    CountedMatrix))
         monkeypatch.setattr(problems, "_shared_product", _recorded(problems._shared_product,
                                                                    CountedMatrix))
@@ -255,7 +256,7 @@ class TestSharedProduct:
         for split in (False, True):
             def build():
                 if split:
-                    return problems._QuadraticSplit(mat, offset).grad
+                    return _rowsplit.QuadraticSplit(mat, offset).grad
                 return problems._shared_product(mat)
 
             product = build()
@@ -349,7 +350,7 @@ class TestRowSplit:
             support = np.flatnonzero(x)
             dense = 2 * support.size > x.size
             head, tail = (support[:0], np.arange(x.size)) if dense else \
-                problems._row_split(support, x.size)
+                _rowsplit.row_split(support, x.size)
             assert dense or set(support) <= set(head)
             assembled = rows.padded(x)
             assert not np.count_nonzero(assembled[tail])

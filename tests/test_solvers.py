@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import l1subgrad._helper as _helper
+import l1subgrad._rowsplit as _rowsplit
 import l1subgrad.bench as bench
 import l1subgrad.objective as objective
 import l1subgrad.problems as problems
@@ -841,7 +842,7 @@ _OVERLAP_SIZES = {
 def _split(family, seed=0, **sizes):
     """``build_problem(family, seed, **sizes)`` with the size constant
     lowered, so that the instance splits its gradient's rows
-    (`problems._RowSplit`) and alg2 may lend it the helper."""
+    (`_rowsplit.RowSplit`) and alg2 may lend it the helper."""
     with mock.patch.object(problems, "_BLOCK_MIN_SIZE", 1):
         return build_problem(family, seed, **sizes)
 
@@ -861,12 +862,12 @@ def _patient(obj, seconds=2e-4):
     however small the instance."""
     home = os.getpid()
 
-    def padded(method, x):
+    def covers(method, x, p):
         if os.getpid() == home:
             time.sleep(seconds)
-        return method(x)
+        return method(x, p)
 
-    return _wrap(obj, "padded", padded)
+    return _wrap(obj, "covers", covers)
 
 
 def _no_children_left():
@@ -1225,7 +1226,8 @@ class TestOverlap:
         errors = []
         for on in (True, False):
             overlap(on)
-            obj = _patient(_wrap(_split("lasso", **_OVERLAP_SIZES["lasso"]).objective, "tail", tail))
+            obj = _split("lasso", **_OVERLAP_SIZES["lasso"]).objective
+            obj = _patient(_wrap(obj, "tail", tail))
             with pytest.raises(SolverError, match="^alg2 failed at iteration") as failed:
                 run(obj, prob.x0, SolverConfig(method="alg2", max_iter=300))
             errors.append(str(failed.value))
@@ -1416,7 +1418,7 @@ class TestOverlap:
         # thread, one call at a time, at the points the method reads
         prob = _split("quadratic", **_OVERLAP_SIZES["quadratic"])
         b = prob.data["offset"]
-        rows = problems._QuadraticSplit(prob.data["matrix"], b)
+        rows = _rowsplit.QuadraticSplit(prob.data["matrix"], b)
         threads, last_x, last_y = [], None, None
 
         def product(x):
