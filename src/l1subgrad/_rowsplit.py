@@ -78,10 +78,11 @@ class _Point:
 
 class RowSplit:
     """The products of a family whose matrix M has at least
-    `problems._BLOCK_MIN_SIZE` elements, with grad_g(x) = W v(x) + c computed in two
-    blocks of rows: the rows R(x) that cover x's support, and every other
-    row, T(x) (`row_split`). Where x has more than half its components
-    nonzero, R is empty, T is every row, and each product is the whole one.
+    `problems._BLOCK_MIN_SIZE` elements, with grad_g(x) = W v(x) + c
+    computed in two blocks of rows: the rows R(x) that cover x's support,
+    and every other row, T(x) (`row_split`). Where x has more than half its
+    components nonzero, R is empty, T is every row, and each product is the
+    whole one.
 
     `grad` gives grad_g(x) on every row; `padded` gives it on R and zero
     on T, for alg2's momentum test; `tail` gives what alg2's helper
