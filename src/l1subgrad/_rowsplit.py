@@ -105,7 +105,9 @@ class RowSplit:
 
     def _point(self, x: np.ndarray) -> _Point:
         x = np.asarray(x, dtype=np.float64)
-        key = (x.shape, x.tobytes())
+        if x.shape != (self._mat.shape[1],):
+            raise ValueError(f"x has shape {x.shape}; the matrix has {self._mat.shape[1]} columns")
+        key = x.tobytes()
         last_key, point = self._last
         if key == last_key:
             return point
@@ -216,10 +218,13 @@ class QuadraticSplit(RowSplit):
 
 class TransposedSplit(RowSplit):
     """grad_g(x) = M^T phi(M x), with W = M^T and v(x) = phi(M x): the rows
-    of W are M's columns, gathered as the blocks ``M[:, R]`` and
-    ``M[:, T]`` and used transposed. M x is ``M[:, R] @ x[R]``, from the
-    block that also gives grad_g on R, so that alg2's test reads one block
-    for both products (``M @ x`` where x is more than half nonzero)."""
+    of W are M's columns. R's are gathered as the block ``M[:, R]`` and used
+    transposed, and M x is ``M[:, R] @ x[R]``, from the same block, so that
+    alg2's test reads one block for both products (``M @ x`` where x is more
+    than half nonzero). The rows on T are taken from the one product
+    ``M.T @ v(x)``, which gives them bit for bit, so that no block of T is
+    gathered: a support that lasts one call would pay a gather of most of M
+    for a product that reads it once."""
 
     def __init__(self, mat: np.ndarray, phi):
         super().__init__(mat)
@@ -241,17 +246,25 @@ class TransposedSplit(RowSplit):
         return point.v
 
     def _gather(self, blocks, i):
-        rows = blocks.rows[i]
+        rows = blocks.rows[0]  # only R's block is gathered
         return self._mat if rows.size == self._mat.shape[1] else self._mat.take(rows, axis=1)
 
     def _times(self, block, v):
         return block.T @ v
+
+    def _part(self, point, i):
+        if i == 0 or point.parts[1] is not None:
+            return super()._part(point, i)
+        rest = point.blocks.rows[1]
+        product = self._mat.T @ self._v(point)
+        part = point.parts[1] = product if rest.size == product.size else product.take(rest)
+        return part
 
     def mx(self, x) -> np.ndarray:
         """M x."""
         return self._mx(self._point(x))
 
     def whole(self, x) -> np.ndarray:
-        """grad_g(x) as the one product ``M.T @ v(x)``, which the blocks give
-        bit for bit, with no block gathered."""
+        """grad_g(x) as the one product ``M.T @ v(x)``, a new array at each
+        call, with no block gathered."""
         return self._mat.T @ self._v(self._point(x))

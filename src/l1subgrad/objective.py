@@ -82,11 +82,9 @@ class CompositeObjective:
     points the method reads.
     """
 
-    # elements of the matrix whose product with x dominates eval_g and
-    # grad_g, and the split of grad_g's rows; only the built-in matrix
-    # families set them (their oracles may run in a forked copy of the
-    # process), and without a split alg2 lends no helper
-    _matrix_size = 0
+    # the split of grad_g's rows; only the large built-in matrix families
+    # set it (their oracles may run in a forked copy of the process), and
+    # without a split alg2 lends no helper
     _rows = None
 
     eval_g: Callable[[np.ndarray], float]

@@ -20,9 +20,8 @@ columns of x's support, and the gradient comes in two row blocks: the rows
 R(x) that cover x's support and every other row, which together give
 ``grad_g(x)`` bit for bit. alg2's momentum test reads only the first, and
 its helper process computes the second. The family records its split on the
-objective (``CompositeObjective._rows``) with its matrix's element count
-(``_matrix_size``); only such an objective is lent the helper, whose process
-keeps its own copy of the memos. The 2-D example has no product to share
+objective (``CompositeObjective._rows``); only such an objective is lent
+the helper, whose process keeps its own copy of the memos. The 2-D example has no product to share
 and keeps plain closures.
 """
 
@@ -88,9 +87,8 @@ def _transposed(mat: np.ndarray, phi):
     return rows.mx, rows.whole, rows
 
 
-def _record(obj: CompositeObjective, mat: np.ndarray, rows):
+def _record(obj: CompositeObjective, rows):
     # what alg2's walk reads to lend its helper (`solvers._walk`)
-    object.__setattr__(obj, "_matrix_size", mat.size)
     object.__setattr__(obj, "_rows", rows)
 
 
@@ -162,7 +160,7 @@ def make_quadratic(
     obj = CompositeObjective(
         eval_g=eval_g, grad_g=grad_g, gamma=gamma, lipschitz_L=lip, dim=n, mu=mu
     )
-    _record(obj, m, rows)
+    _record(obj, rows)
     return ProblemInstance(
         objective=obj,
         x0=x0,
@@ -209,7 +207,7 @@ def make_lasso(
     obj = CompositeObjective(
         eval_g=eval_g, grad_g=grad_g, gamma=gamma, lipschitz_L=lip, dim=n, mu=mu
     )
-    _record(obj, a, rows)
+    _record(obj, rows)
     return ProblemInstance(
         objective=obj,
         x0=x0,
@@ -256,7 +254,7 @@ def make_logistic(m: int, n: int, rng: Rng, gamma: float | None = None) -> Probl
         gamma = 0.25 * float(np.max(np.abs(grad_g(np.zeros(n)))))
     lip = 0.25 * float(np.linalg.norm(mat, 2)) ** 2
     obj = CompositeObjective(eval_g=eval_g, grad_g=grad_g, gamma=gamma, lipschitz_L=lip, dim=n)
-    _record(obj, mat, rows)
+    _record(obj, rows)
     return ProblemInstance(
         objective=obj,
         x0=x0,
@@ -292,7 +290,7 @@ def make_logsumexp(
 
     lip = float(np.linalg.norm(mat, 2)) ** 2 / r
     obj = CompositeObjective(eval_g=eval_g, grad_g=grad_g, gamma=gamma, lipschitz_L=lip, dim=n)
-    _record(obj, mat, rows)
+    _record(obj, rows)
     return ProblemInstance(
         objective=obj,
         x0=x0,

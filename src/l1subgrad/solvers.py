@@ -45,10 +45,10 @@ from .objective import (
 
 METHODS = ("alg1", "alg2", "ista", "fista", "classic")
 
-# The least element count of a built-in family's matrix
-# (`CompositeObjective._matrix_size`) at which an alg2 walk hands the rows of
-# grad_g at q off q's support to a helper process (`_walk`); below it the
-# handoff costs more than it saves.
+# The least element count of a built-in family's matrix (the one its row
+# split, `CompositeObjective._rows`, multiplies) at which an alg2 walk hands
+# the rows of grad_g at q off q's support to a helper process (`_walk`);
+# below it the handoff costs more than it saves.
 _OVERLAP_MIN_SIZE = 250_000
 # The process that imported this module; a process forked from it, such as a
 # `bench._fork_map` worker, never starts a helper, since the workers hold every CPU.
@@ -502,11 +502,11 @@ def _walk(obj: CompositeObjective, x0: np.ndarray, h: float, cfg: SolverConfig):
     lends to each of its steps (`_accelerated_step`) to compute the rows of
     grad_g at q off q's support. Only a built-in matrix family's objective
     that splits grad_g's rows (``obj._rows``; its oracles may run in a
-    forked copy of the process), with ``obj._matrix_size >=
-    _OVERLAP_MIN_SIZE``, gets one, and
-    only in a process that may use 2 or more CPUs (`_usable_cpus`), whose
-    BLAS was pinned to one thread (`_BLAS_PINNED`), and that is not forked
-    from the one that imported this module (a `bench._fork_map` worker). It
+    forked copy of the process), with at least `_OVERLAP_MIN_SIZE` elements
+    in its matrix, gets one, and only in a process that may use 2 or more
+    CPUs (`_usable_cpus`), whose BLAS was pinned to one thread
+    (`_BLAS_PINNED`), and that is not forked from the one that imported
+    this module (a `bench._fork_map` worker). It
     is forked at the first step (where no process can be forked, the walk
     goes on without it) and killed and reaped when the walk is closed: close
     the walk rather than drop it. The bytes are those of the walk without it.
@@ -522,7 +522,7 @@ def _walk(obj: CompositeObjective, x0: np.ndarray, h: float, cfg: SolverConfig):
         state, f = x0.copy(), obj._value(x0)
     cycle = None if method == "classic" else _Cycle(key(state), period_one_only=method == "fista")
     period = 0
-    lend = (method == "alg2" and obj._rows is not None and obj._matrix_size >= _OVERLAP_MIN_SIZE
+    lend = (method == "alg2" and obj._rows is not None and obj._rows._mat.size >= _OVERLAP_MIN_SIZE
             and _BLAS_PINNED and os.getpid() == _HOME_PID and _usable_cpus() >= 2)
     helper = None
     try:

@@ -116,13 +116,16 @@ DIRECT = {
 
 
 class TestSharedProduct:
-    def test_matrix_families_record_their_matrix_size(self):
-        # the element count that gates alg2's helper process, which only
-        # these families' oracles are lent
-        sizes = {name: FAMILIES[name](Rng(47)).objective._matrix_size for name in FAMILIES}
-        assert sizes == {"quadratic": 25 * 25, "lasso": 30 * 40, "logistic": 60 * 20,
-                         "logsumexp": 50 * 25, "toy2d-perturbed": 0}
-        assert replace(FAMILIES["quadratic"](Rng(47)).objective, gamma=2.0)._matrix_size == 0
+    def test_matrix_families_record_their_matrix_size(self, monkeypatch):
+        # the row split, whose matrix's element count gates alg2's helper
+        # process, which only these families' oracles are lent; with the
+        # size constant lowered, so that each family records one
+        monkeypatch.setattr(problems, "_BLOCK_MIN_SIZE", 1)
+        rows = {name: FAMILIES[name](Rng(47)).objective._rows for name in FAMILIES}
+        assert rows.pop("toy2d-perturbed") is None
+        assert {name: split._mat.size for name, split in rows.items()} == {
+            "quadratic": 25 * 25, "lasso": 30 * 40, "logistic": 60 * 20, "logsumexp": 50 * 25}
+        assert replace(FAMILIES["quadratic"](Rng(47)).objective, gamma=2.0)._rows is None
 
     @pytest.mark.parametrize("family", sorted(DIRECT))
     def test_oracle_matches_direct_formula_bitwise(self, family):
@@ -221,8 +224,9 @@ class TestSharedProduct:
             assert len(seen) == 1, (nonzero, len(seen))
 
     def test_alg2_makes_at_most_two_products_per_iteration(self, monkeypatch):
-        # counted in elements multiplied, a product with the whole matrix
-        # being one: the row blocks gathered from the matrix (`take`) are
+        # counted in rows computed, a product with the whole matrix being 50,
+        # so that a point's two row blocks add up to one product however few
+        # columns they keep: the blocks gathered from the matrix (`take`) are
         # counted matrices too, so the products of every path are counted
         from l1subgrad.solvers import SolverConfig, run
 
@@ -230,7 +234,7 @@ class TestSharedProduct:
 
         class CountedMatrix(np.ndarray):
             def __matmul__(self, x):
-                computed["full" if self.shape == (50, 50) else "block"] += self.size
+                computed["full" if self.shape == (50, 50) else "block"] += self.shape[0]
                 return self.view(np.ndarray) @ x
 
         monkeypatch.setattr(_rowsplit, "QuadraticSplit", _recorded(_rowsplit.QuadraticSplit,
@@ -243,7 +247,7 @@ class TestSharedProduct:
             computed.update(full=0, block=0)
             prob = make_quadratic(50, Rng(0))
             run(prob.objective, prob.x0, SolverConfig(method="alg2", max_iter=iters))
-            assert 0 < computed["full"] + computed["block"] <= 2.0 * iters * 50 * 50
+            assert 0 < computed["full"] + computed["block"] <= 2 * iters * 50
             assert (computed["block"] > 0) == (block_min_size == 1)
 
     def test_concurrent_callers_each_get_their_own_points_product(self):
@@ -359,6 +363,21 @@ class TestRowSplit:
             assert assembled.tobytes() == want, support.size
             assert obj.grad_g(x).tobytes() == want
             assert rows.grad(x).tobytes() == want
+
+    def test_a_point_of_the_wrong_length_raises(self, family, monkeypatch):
+        # as ``M @ x`` does below the size constant, where no split is made
+        for block_min_size in (1, 10**12):
+            monkeypatch.setattr(problems, "_BLOCK_MIN_SIZE", block_min_size)
+            obj = SPLIT_FAMILIES[family](Rng(97)).objective
+            rows = obj._rows
+            calls = [obj.eval_g, obj.grad_g]
+            if block_min_size == 1:
+                calls += [rows.grad, rows.padded, rows.tail, rows.mx]
+            for size in (3, obj.dim - 1, obj.dim + 1):
+                x = Rng(89).gaussians(size, 0.0, 2.0)
+                for call in calls:
+                    with pytest.raises(ValueError):
+                        call(x)
 
     def test_the_bits_do_not_depend_on_the_cache(self, family, monkeypatch):
         # the blocks' bits at a point are the same with the cache cold, warm
