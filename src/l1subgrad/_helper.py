@@ -1,4 +1,4 @@
-"""alg2's helper process: grad_g's rows at q off q's support, while the step computes q'.
+"""alg2's helper process: grad_g at q, or its rows off q's support, while the step computes q'.
 
 `solvers._walk` imports this module only for a walk that lends the helper,
 and closes its `Helper` when the walk is closed.
@@ -8,10 +8,11 @@ matrix and its code without a copy (the pages are shared copy-on-write), and
 it runs on its own interpreter lock. One anonymous shared mapping, made
 before the fork, holds q for the helper, and for the step what the split of
 the objective (``obj._rows``, a `_rowsplit.RowSplit`) gives as its tail at
-q: the rows of grad_g(q) off q's support, T(q), after M q for the families
-whose g reads it. Two pipes carry only sequence numbers: down
-the request pipe, the number and a flag word; up the result pipe, the number
-and how many values the mapping holds, or -1 where no result was computed.
+q: the quadratic's rows of grad_g(q) off q's support, T(q), and for the
+families whose g reads M q, M q and then every row of grad_g(q). Two pipes
+carry only sequence numbers: down the request pipe, the number and a flag
+word; up the result pipe, the number and how many values the mapping holds,
+or -1 where no result was computed.
 The row partition is decided in `problems` alone: both processes split q
 with the same code. Each side writes the mapping first and the pipe after,
 and reads the pipe first and the mapping after. A

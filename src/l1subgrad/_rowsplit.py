@@ -86,17 +86,16 @@ class RowSplit:
 
     `grad` gives grad_g(x) on every row; `padded` gives it on R and zero
     on T, for alg2's momentum test; `tail` gives what alg2's helper
-    computes: M x where the family's g reads it apart from W v(x) (``lead``
-    values), then W v(x) on T. Each support's blocks are gathered once,
-    when first used, and kept until the support changes. A one-slot memo
-    keeps the last point's products, so that its g and grad_g share them.
-    Each slot is one tuple read once, so that no reader pairs a point or a
-    support with another's. The bits at a point never depend on what the
-    memos held.
+    computes (each family says what). Each support's blocks are gathered
+    once, when first used, and kept until the support changes. A one-slot
+    memo keeps the last point's products, so that its g and grad_g share
+    them. Each slot is one tuple read once, so that no reader pairs a point
+    or a support with another's. The bits at a point never depend on what
+    the memos held.
     """
 
     _offset = None  # c
-    lead = 0
+    lead = 0  # values of M x ahead of the rows in `tail`
 
     def __init__(self, mat: np.ndarray):
         self._mat = mat
@@ -146,23 +145,6 @@ class RowSplit:
             point.product = product
         return product
 
-    def grad(self, x, lent=None) -> np.ndarray:
-        """grad_g(x). W v(x) on R(x) comes first; then what `tail` gives at
-        x comes from ``lent()`` where it gives it (alg2's helper), else from
-        `tail`."""
-        point = self._point(x)
-        if point.parts[1] is None:
-            if point.blocks.rows[0].size:
-                self._part(point, 0)
-            tail = None if lent is None else lent()
-            if tail is None or tail.size != self.lead + point.blocks.rows[1].size:
-                tail = self.tail(x)
-            if point.mx is None and self.lead:
-                point.mx = tail[:self.lead]
-            point.parts[1] = tail[self.lead:]
-        product = self._product(point)
-        return product if self._offset is None else product + self._offset
-
     def covers(self, x, p: np.ndarray) -> bool:
         """Whether p is zero on every row of T(x)."""
         return np.count_nonzero(p.take(self._point(x).blocks.rows[1])) == 0
@@ -177,19 +159,13 @@ class RowSplit:
             out[head] = part if self._offset is None else part + self._offset.take(head)
         return out
 
-    def tail(self, x) -> np.ndarray:
-        """M x where the family has ``lead`` values of it, then W v(x) on
-        T(x)."""
-        point = self._point(x)
-        part = self._part(point, 1)
-        return np.concatenate((self._mx(point), part)) if self.lead else part
-
 
 class QuadraticSplit(RowSplit):
     """The quadratic's M x = W v(x): W is M and v(x) is x, and the blocks
     keep only the support's columns, ``M[R][:, S]`` and ``M[T][:, S]``, so
     that their rows are those of ``M[:, S] @ x[S]``; where x is more than
-    half nonzero, the one block is M and v(x) all of x. c is the offset b."""
+    half nonzero, the one block is M and v(x) all of x. c is the offset b.
+    alg2's helper computes the rows on T (`tail`), and the step those on R."""
 
     def __init__(self, mat: np.ndarray, offset: np.ndarray):
         super().__init__(mat)
@@ -211,6 +187,24 @@ class QuadraticSplit(RowSplit):
     def _times(self, block, v):
         return block @ v
 
+    def grad(self, x, lent=None) -> np.ndarray:
+        """grad_g(x). The rows on R(x) come first; then those on T(x) come
+        from ``lent()`` where it gives them (alg2's helper), else from
+        `tail`."""
+        point = self._point(x)
+        if point.parts[1] is None:
+            if point.blocks.rows[0].size:
+                self._part(point, 0)
+            tail = None if lent is None else lent()
+            if tail is None or tail.size != point.blocks.rows[1].size:
+                tail = self.tail(x)
+            point.parts[1] = tail
+        return self._product(point) + self._offset
+
+    def tail(self, x) -> np.ndarray:
+        """W v(x) on T(x)."""
+        return self._part(self._point(x), 1)
+
     def mx(self, x) -> np.ndarray:
         """M x."""
         return self._product(self._point(x))
@@ -218,13 +212,18 @@ class QuadraticSplit(RowSplit):
 
 class TransposedSplit(RowSplit):
     """grad_g(x) = M^T phi(M x), with W = M^T and v(x) = phi(M x): the rows
-    of W are M's columns. R's are gathered as the block ``M[:, R]`` and used
-    transposed, and M x is ``M[:, R] @ x[R]``, from the same block, so that
-    alg2's test reads one block for both products (``M @ x`` where x is more
-    than half nonzero). The rows on T are taken from the one product
-    ``M.T @ v(x)``, which gives them bit for bit, so that no block of T is
-    gathered: a support that lasts one call would pay a gather of most of M
-    for a product that reads it once."""
+    of W are M's columns, gathered as the blocks ``M[:, R]`` and
+    ``M[:, T]`` and used transposed. M x is ``M[:, R] @ x[R]``, from the
+    block that also gives grad_g on R, so that alg2's test reads one block
+    for both products (``M @ x`` where x is more than half nonzero).
+
+    alg2's helper computes M x and then every row, as the one product
+    ``M.T @ v(x)`` (`tail`): that product gives the rows on T, and those on
+    R with them, bit for bit, so the helper gathers no block of T, and a
+    step that falls back takes all of grad_g from it and computes no row
+    itself. The step's own `grad`, where the helper gives nothing (a kept
+    move, a miss, a walk without the helper), reads the two blocks, and so
+    computes no row twice."""
 
     def __init__(self, mat: np.ndarray, phi):
         super().__init__(mat)
@@ -246,25 +245,36 @@ class TransposedSplit(RowSplit):
         return point.v
 
     def _gather(self, blocks, i):
-        rows = blocks.rows[0]  # only R's block is gathered
+        rows = blocks.rows[i]
         return self._mat if rows.size == self._mat.shape[1] else self._mat.take(rows, axis=1)
 
     def _times(self, block, v):
         return block.T @ v
 
-    def _part(self, point, i):
-        if i == 0 or point.parts[1] is not None:
-            return super()._part(point, i)
-        rest = point.blocks.rows[1]
-        product = self._mat.T @ self._v(point)
-        part = point.parts[1] = product if rest.size == product.size else product.take(rest)
-        return part
+    def grad(self, x, lent=None) -> np.ndarray:
+        """grad_g(x): what ``lent()`` gives (alg2's helper), else the two
+        blocks' rows."""
+        point = self._point(x)
+        if point.product is None:
+            tail = None if lent is None else lent()
+            if tail is not None and tail.size == self.lead + point.x.size:
+                if point.mx is None:
+                    point.mx = tail[:self.lead]
+                point.product = tail[self.lead:]
+        return self._product(point)
+
+    def tail(self, x) -> np.ndarray:
+        """M x, then W v(x) on every row, as the one product."""
+        point = self._point(x)
+        if point.product is None:
+            point.product = self._mat.T @ self._v(point)
+        return np.concatenate((self._mx(point), point.product))
 
     def mx(self, x) -> np.ndarray:
         """M x."""
         return self._mx(self._point(x))
 
     def whole(self, x) -> np.ndarray:
-        """grad_g(x) as the one product ``M.T @ v(x)``, a new array at each
-        call, with no block gathered."""
+        """grad_g(x) as the one product ``M.T @ v(x)``, which the blocks give
+        bit for bit, a new array at each call, with no block gathered."""
         return self._mat.T @ self._v(self._point(x))

@@ -266,12 +266,15 @@ def _accelerated_step(
     The fallback to q (r > 0) needs f(q) and grad_g(q). A ``helper`` (a
     `_helper.Helper`, lent only with a split) is posted q as soon as the
     crossing phase has made it, before this step computes q' and the test.
-    It computes grad_g(q)'s rows off R(q), all of them where q is more
-    than half nonzero (`_rowsplit.RowSplit.tail`). On a fallback the step
-    computes the rows on R(q) from the blocks it has just read for the
-    test, then takes the helper's if they come within as long again as the
-    step has taken since posting, and otherwise, as without a helper,
-    computes them itself; then f(q) on the assembled product. The helper
+    It computes what the split's `tail` gives at q: for the quadratic the
+    rows of grad_g(q) off R(q), all of them where q is more than half
+    nonzero, and for the other families M q and every row, from the one
+    product that gives the rows off R(q). On a fallback the step computes
+    what the helper leaves to it (the quadratic's rows on R(q), from the
+    blocks it has just read for the test), then takes the helper's result
+    if it comes within as long again as the step has taken since posting,
+    and otherwise, as without a helper, computes the rest itself; then f(q)
+    on the assembled product (the quadratic) or on M q. The helper
     returns only what this step would compute, and no error: those are
     raised here, where the step computes the rows. Where the move is kept
     the helper's work is dropped unread, as the step without it never
@@ -499,8 +502,8 @@ def _walk(obj: CompositeObjective, x0: np.ndarray, h: float, cfg: SolverConfig):
     on stepping after a cycle closes.
 
     An alg2 walk may own one helper process (`_helper.Helper`), which it
-    lends to each of its steps (`_accelerated_step`) to compute the rows of
-    grad_g at q off q's support. Only a built-in matrix family's objective
+    lends to each of its steps (`_accelerated_step`) to compute grad_g at q,
+    or its rows off q's support. Only a built-in matrix family's objective
     that splits grad_g's rows (``obj._rows``; its oracles may run in a
     forked copy of the process), with at least `_OVERLAP_MIN_SIZE` elements
     in its matrix, gets one, and only in a process that may use 2 or more

@@ -351,6 +351,8 @@ class TestRowSplit:
         offset = prob.data["offset"] if prob.label == "quadratic" else np.zeros(obj.dim)
         for x in self._points(obj.dim):
             want = _one_product(prob, x).tobytes()
+            # the blocks' own rows, before `tail` fills the point's memo
+            assert SPLIT_FAMILIES[family](Rng(97)).objective._rows.grad(x).tobytes() == want
             support = np.flatnonzero(x)
             dense = 2 * support.size > x.size
             head, tail = (support[:0], np.arange(x.size)) if dense else \
@@ -358,9 +360,14 @@ class TestRowSplit:
             assert dense or set(support) <= set(head)
             assembled = rows.padded(x)
             assert not np.count_nonzero(assembled[tail])
-            # `tail` gives the family's M x first (``lead`` values), then the rows
-            assembled[tail] = rows.tail(x)[rows.lead:] + offset[tail]
+            # `tail` gives the family's M x first (``lead`` values), then the
+            # rows on T, or every row (the families with M x)
+            rest = rows.tail(x)[rows.lead:]
+            assert rest.size == (tail.size if rows.lead == 0 else x.size)
+            assembled[tail] = rest[tail] if rest.size != tail.size else rest + offset[tail]
             assert assembled.tobytes() == want, support.size
+            if rest.size != tail.size:
+                assert rest.tobytes() == want
             assert obj.grad_g(x).tobytes() == want
             assert rows.grad(x).tobytes() == want
 

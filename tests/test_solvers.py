@@ -945,21 +945,22 @@ class TestSupportRowTest:
             obj = _wrap(_split(family, **_OVERLAP_SIZES[family]).objective, "padded", padded)
             kept = solvers._accelerated_step(obj, state, h)
             target = kept.x.tobytes()
-            rest = obj._rows.tail(kept.x).size - obj._rows.lead
+            rest = obj._rows._point(kept.x).blocks.rows[1].size
             if kept.x is kept.q or target not in tested or target == kept.q.tobytes() or not rest:
                 continue
             value = (np.nan, np.inf)[planted % 2]
 
-            def tail(method, x):
-                rows = method(x)
-                if x.tobytes() == target:
+            def part(method, point, i):
+                # the rows on T, as the step computes them itself
+                rows = method(point, i)
+                if i == 1 and point.x.tobytes() == target:
                     rows = rows.copy()
-                    rows[obj._rows.lead + planted % rest] = value
+                    rows[planted % rest] = value
                 return rows
 
-            fresh = _wrap(_split(family, **_OVERLAP_SIZES[family]).objective, "tail", tail)
+            fresh = _wrap(_split(family, **_OVERLAP_SIZES[family]).objective, "_part", part)
             got = solvers._accelerated_step(fresh, state, h)
-            whole = _wrap(_split(family, **_OVERLAP_SIZES[family]).objective, "tail", tail)
+            whole = _wrap(_split(family, **_OVERLAP_SIZES[family]).objective, "_part", part)
             with np.errstate(invalid="ignore"):  # r is NaN
                 ref = _reference_accelerated_step(
                     dataclasses.replace(whole, grad_g=whole._rows.grad), state, h,
@@ -1166,14 +1167,18 @@ class TestOverlap:
             run(prob.objective, prob.x0, cfg)
         serial = set()
 
-        def tail(method, x):
+        def computed(method, x, *args):
             serial.add(x.tobytes())
-            return method(x)
+            return method(x, *args)
 
+        # without the helper, the quadratic's step computes those rows with
+        # `tail`; the other families' with `grad`, from the block of T (their
+        # `tail` is the helper's one product)
         fresh = _split(prob.label, **_OVERLAP_SIZES[prob.label])
+        name = "tail" if prob.label == "quadratic" else "grad"
         with monkeypatch.context() as patch:
             patch.setattr(solvers, "_OVERLAP_MIN_SIZE", 10**12)
-            run(_wrap(fresh.objective, "tail", tail), fresh.x0, cfg)
+            run(_wrap(fresh.objective, name, computed), fresh.x0, cfg)
         return [step for step in steps if (step[1] in serial) == step[0]]
 
     @pytest.mark.parametrize("fell_back", [True, False])
@@ -1212,22 +1217,22 @@ class TestOverlap:
         assert capfd.readouterr() == ("", "")
 
     def test_no_process_outlives_a_run_that_fails(self, overlap, monkeypatch):
-        # the rows off R(q) are NaN at the q of a lent step that falls back:
-        # the helper returns them, and the next step fails, as without the
-        # helper (lasso's f(q) reads none of them, so it stays finite)
+        # phi(M q) is NaN at the q of a lent step that falls back, and so is
+        # grad_g(q): the helper returns it, and the next step fails, as
+        # without the helper (lasso's f(q) reads M q alone, so it stays finite)
         prob = _split("lasso", **_OVERLAP_SIZES["lasso"])
         _, target, _ = [step for step in self._lent_steps(prob, monkeypatch) if step[0]][10]
 
-        def tail(method, x):
-            rows = method(x)
-            return np.full_like(rows, np.nan) if x.tobytes() == target else rows
+        def v(method, point):
+            out = method(point)
+            return np.full_like(out, np.nan) if point.x.tobytes() == target else out
 
         seen = _spy(monkeypatch)
         errors = []
         for on in (True, False):
             overlap(on)
             obj = _split("lasso", **_OVERLAP_SIZES["lasso"]).objective
-            obj = _patient(_wrap(obj, "tail", tail))
+            obj = _patient(_wrap(obj, "_v", v))
             with pytest.raises(SolverError, match="^alg2 failed at iteration") as failed:
                 run(obj, prob.x0, SolverConfig(method="alg2", max_iter=300))
             errors.append(str(failed.value))
