@@ -221,9 +221,10 @@ class TransposedSplit(RowSplit):
     ``M.T @ v(x)`` (`tail`): that product gives the rows on T, and those on
     R with them, bit for bit, so the helper gathers no block of T, and a
     step that falls back takes all of grad_g from it and computes no row
-    itself. The step's own `grad`, where the helper gives nothing (a kept
-    move, a miss, a walk without the helper), reads the two blocks, and so
-    computes no row twice."""
+    itself (a step lent the helper tests on the whole gradient, `whole`).
+    The step's own `grad`, where the helper gives nothing (a miss, a walk
+    without the helper), reads the two blocks, and so computes no row
+    twice."""
 
     def __init__(self, mat: np.ndarray, phi):
         super().__init__(mat)

@@ -73,13 +73,14 @@ class CompositeObjective:
 
     A large built-in matrix family (`problems`) also carries its gradient's
     row split (``_rows``, a `_rowsplit.RowSplit`). alg2's momentum test then
-    reads grad_g(q') on the rows that cover the support of q' alone, and on
-    an alg2 walk a helper process forked from the walk's (`solvers._walk`)
+    reads grad_g(q') on the rows that cover the support of q' alone (lasso,
+    logistic and logsumexp only in a walk without the helper), and on an
+    alg2 walk a helper process forked from the walk's (`solvers._walk`)
     computes grad_g's other rows, or all of them, at the point q that the
-    step may fall back to, also on steps that then keep their move. An objective made here, or
-    with `dataclasses.replace`, has no split and is never lent that process:
-    its oracles run in the calling thread alone, one call at a time, at the
-    points the method reads.
+    step may fall back to, also on steps that then keep their move. An
+    objective made here, or with `dataclasses.replace`, has no split and is
+    never lent that process: its oracles run in the calling thread alone,
+    one call at a time, at the points the method reads.
     """
 
     # the split of grad_g's rows; only the large built-in matrix families

@@ -20,7 +20,8 @@ columns of x's support, and the gradient comes in two row blocks: the rows
 R(x) that cover x's support and every other row, which together give
 ``grad_g(x)`` bit for bit. alg2's momentum test reads only the first, and
 its helper process computes the second (the quadratic), or every row from
-the one product that gives the second (the families with M x). The family records its split on the
+the one product that gives the second (the families with M x, whose steps
+then test on the whole gradient, the work that overlaps the helper's). The family records its split on the
 objective (``CompositeObjective._rows``); only such an objective is lent
 the helper, whose process keeps its own copy of the memos. The 2-D example has no product to share
 and keeps plain closures.
