@@ -79,9 +79,14 @@ VECTORS = [
     ("solve", "--problem", "toy2d", "--solver", "classic", "--classic-scale", "1e300",
      "--iters", "5", "--out", "out.csv"),
     # one trial runs in this process, so the reference's alg2 walk (and alg2's run) hands
-    # f and grad_g at q to the helper process at default sizes on a host with 2 or more CPUs
+    # the tail of its row split at q to the helper process at default sizes on a host
+    # with 2 or more CPUs
     ("bench", "--experiment", "quadratic", "--trials", "1", "--iters", "300", "--out", "out.csv"),
     ("bench", "--experiment", "lasso", "--solvers", "alg2", "--trials", "1", "--iters", "300",
+     "--out", "out.csv"),
+    # two trials run in forked workers, which lend no helper: default-size lasso's row
+    # split in a worker process
+    ("bench", "--experiment", "lasso", "--solvers", "alg2", "--trials", "2", "--iters", "100",
      "--out", "out.csv"),
     # alg2 on matrices of 400 000 elements, above the block products' size constant
     ("solve", "--problem", "logistic", "--solver", "alg2", "--m", "1000", "--n", "400",
