@@ -1,7 +1,7 @@
 """alg2's helper process: grad_g at q, or its rows off q's support, while the step computes q'.
 
-`solvers._walk` imports this module only for a walk that lends the helper,
-and closes its `Helper` when the walk is closed.
+`_fork.helper_for` imports this module only for a walk that lends the
+helper, and `solvers._walk` closes its `Helper` when the walk is closed.
 
 The helper is forked from the walk's process, so it holds the objective, its
 matrix and its code without a copy (the pages are shared copy-on-write), and
@@ -13,13 +13,13 @@ families whose g reads M q, M q and then every row of grad_g(q). Two pipes
 carry only sequence numbers: down the request pipe, the number and a flag
 word; up the result pipe, the number and how many values the mapping holds,
 or -1 where no result was computed.
-The row partition is decided in `problems` alone: both processes split q
+The row partition is decided in `_rowsplit` alone: both processes split q
 with the same code. Each side writes the mapping first and the pipe after,
-and reads the pipe first and the mapping after. A
-pipe write and the read that returns its bytes meet in the kernel, behind
-its pipe lock, so the payload written before a number is visible to whoever
-reads that number, on any processor; no ordering of plain loads and stores
-is assumed. Every message is at most ``PIPE_BUF`` bytes, so it arrives whole.
+and reads the pipe first and the mapping after. A pipe write and the read
+that returns its bytes meet in the kernel, behind its pipe lock, so the
+payload written before a number is visible to whoever reads that number, on
+any processor; no ordering of plain loads and stores is assumed. Every
+message is at most ``PIPE_BUF`` bytes, so it arrives whole.
 
 The step takes a result only if its number is that of its own request, and
 reads the mapping only then. The walk's process writes q again only when it
@@ -37,7 +37,7 @@ warning, it reports no result, and the step computes the rows itself,
 raising or warning as it would without the helper. After each request it
 polls for the next for `_SPIN_S`, then blocks on its pipe; it ends at the
 pipe's end of file, so it does not outlive the walk's process, and it
-leaves through `os._exit`, writing nothing to stdout or stderr.
+leaves through `os._exit` (`_fork._start`), writing nothing to stdout or stderr.
 """
 
 from __future__ import annotations
@@ -46,12 +46,13 @@ import gc
 import mmap
 import os
 import select
-import signal
 import struct
 import time
 import warnings
 
 import numpy as np
+
+from ._fork import _end, _start
 
 # how long the helper polls for its next request before it blocks on its pipe
 _SPIN_S = 1e-3
@@ -67,9 +68,8 @@ class Helper:
 
     `post` hands it q before the step computes q' and its test; `take`, on a
     fallback to q, returns the rows if they arrive within as long again as
-    the step has taken since posting, else None.
-    `close` kills and reaps the process. Creating one raises `OSError` where
-    the process cannot be forked.
+    the step has taken since posting, else None. `close` kills and reaps the
+    process. Creating one raises `OSError` where it cannot be forked.
     """
 
     def __init__(self, obj):
@@ -78,18 +78,13 @@ class Helper:
         self._q, self._tail = shared[:dim], shared[dim:]
         requests, self._requests = os.pipe()
         self._results, results = os.pipe()
-        # a Ctrl-C signals the helper too: it is held until the helper ignores it
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
-            self._pid = os.fork()
+            self._pid = _start(lambda: _serve(obj._rows, self._q, self._tail, requests, results),
+                               (self._requests, self._results))
         except OSError:
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             for fd in (requests, self._requests, self._results, results):
                 os.close(fd)
             raise
-        if self._pid == 0:
-            _serve(obj._rows, self._q, self._tail, requests, results,
-                   (self._requests, self._results), mask)
         os.close(requests)
         os.close(results)
         # a helper that has stopped reading fills the pipe, and one that has
@@ -100,11 +95,6 @@ class Helper:
         self._number = 0
         self._sent = False
         self._posted = 0.0
-        try:
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        except BaseException:  # the Ctrl-C held since the fork
-            self.close()
-            raise
 
     def post(self, q: np.ndarray):
         self._number += 1
@@ -140,52 +130,44 @@ class Helper:
     def close(self):
         os.close(self._requests)
         os.close(self._results)
-        os.kill(self._pid, signal.SIGKILL)
-        os.waitpid(self._pid, 0)
+        _end([self._pid])
 
 
-def _serve(split, q_in, rows_out, requests, results, inherited, mask):
+def _serve(split, q_in, rows_out, requests, results):
     """The helper's whole life; see the module docstring."""
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        # no finalizer of an object inherited from the walk's process runs here
-        gc.disable()
-        warnings.simplefilter("error")
-        for fd in inherited:
-            os.close(fd)
-        # a result the walk's process leaves unread is dropped when the pipe is full
-        os.set_blocking(results, False)
-        ready = select.poll()
-        ready.register(requests, select.POLLIN)
-        errors = None
-        while True:
-            deadline = time.perf_counter() + _SPIN_S
-            while not ready.poll(0):
-                if time.perf_counter() > deadline:
-                    ready.poll()
-                    break
-            data = os.read(requests, _DRAIN)
-            if not data:
+    # no finalizer of an object inherited from the walk's process runs here
+    gc.disable()
+    warnings.simplefilter("error")
+    # a result the walk's process leaves unread is dropped when the pipe is full
+    os.set_blocking(results, False)
+    ready = select.poll()
+    ready.register(requests, select.POLLIN)
+    errors = None
+    while True:
+        deadline = time.perf_counter() + _SPIN_S
+        while not ready.poll(0):
+            if time.perf_counter() > deadline:
+                ready.poll()
                 break
-            number, flags = _REQUEST.unpack_from(data, len(data) - _REQUEST.size)
-            q = q_in.copy()
-            if ready.poll(0):
-                continue  # a newer request, or the end: this one is stale
-            size = -1
-            try:
-                if flags != errors:
-                    errors = flags
-                    np.seterr(**{name: "raise" if errors >> i & 1 else "ignore"
-                                 for i, name in enumerate(_CATEGORIES)})
-                rows = split.tail(q)
-                rows_out[:rows.size] = rows
-                size = rows.size
-            except Exception:
-                pass
-            try:
-                os.write(results, _RESULT.pack(number, size))
-            except BlockingIOError:
-                pass
-    finally:
-        os._exit(0)
+        data = os.read(requests, _DRAIN)
+        if not data:
+            break
+        number, flags = _REQUEST.unpack_from(data, len(data) - _REQUEST.size)
+        q = q_in.copy()
+        if ready.poll(0):
+            continue  # a newer request, or the end: this one is stale
+        size = -1
+        try:
+            if flags != errors:
+                errors = flags
+                np.seterr(**{name: "raise" if errors >> i & 1 else "ignore"
+                             for i, name in enumerate(_CATEGORIES)})
+            rows = split.tail(q)
+            rows_out[:rows.size] = rows
+            size = rows.size
+        except Exception:
+            pass
+        try:
+            os.write(results, _RESULT.pack(number, size))
+        except BlockingIOError:
+            pass

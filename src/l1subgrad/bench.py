@@ -4,7 +4,7 @@ An experiment regenerates its problem once per trial (seed = base_seed +
 trial index), runs every configured solver from the trial's common start
 point, and averages the gap curves pointwise across trials. The trials are
 independent, so they run in forked worker processes, one per CPU
-(`_fork_map`), and are merged in trial order. Only this module
+(`_fork.fork_map`), and are merged in trial order. Only this module
 knows of references: `run` records f, each `TrialResult` carries its trial's
 `ReferenceOptimum`, and a gap is f minus its value. All file output is
 deterministic: row order is fixed and floats are written with shortest
@@ -14,7 +14,6 @@ round-trip repr.
 from __future__ import annotations
 
 import os
-import pickle
 from contextlib import closing
 from dataclasses import dataclass, fields
 from functools import partial
@@ -23,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._fork import fork_map
 from ._version import __version__
 from .numerics import Rng
 from .objective import _min_norm_from_grad
@@ -40,7 +40,6 @@ from .solvers import (
     IterationTrace,
     SolverConfig,
     SolverError,
-    _usable_cpus,
     _walk,
     run,
 )
@@ -236,114 +235,20 @@ def _run_trial(cfg: ExperimentConfig, solver_cfgs: tuple[SolverConfig, ...], t: 
     return TrialResult(trial=t, ref=ref, traces=traces)
 
 
-def _fork_map(fn, items) -> list:
-    """``[fn(item) for item in items]`` for independent items, computed in
-    forked workers, with the same results and the same first error.
-
-    There is one worker per CPU (`solvers._usable_cpus`), at most one per
-    item, and item j goes to worker j mod W, so that blocks of items of
-    unequal cost are shared.
-    Each worker runs its items in order and sends each result down its own
-    pipe as a pickle; at its first exception it sends that instead and stops.
-    The parent does no item's work: it reads the results in item order, so
-    the first exception it reads is that of the lowest failing item, every
-    lower item having succeeded, and it raises it as the loop would. A worker
-    that ends without sending its result (killed by a signal, or holding an
-    exception that cannot be pickled) raises `ExperimentError`. Every worker
-    is reaped before this returns or raises, and killed first when it raises.
-    With one worker the loop runs in this process and forks nothing.
-    """
-    items = list(items)
-    workers = min(_usable_cpus(), len(items))
-    if workers <= 1:
-        return [fn(item) for item in items]
-    pipes = [os.pipe() for _ in range(workers)]
-    readers = [open(read_end, "rb") for read_end, _ in pipes]
-    pids = []
-    results = []
-    try:
-        for w, (_, write_end) in enumerate(pipes):
-            pid = os.fork()
-            if pid == 0:
-                # the read ends, and the write ends of the workers not yet forked
-                _serve(fn, items[w::workers], write_end,
-                       [r for r, _ in pipes] + [x for _, x in pipes[w + 1:]])
-            pids.append(pid)
-            os.close(write_end)
-        for j in range(len(items)):
-            try:
-                ok, value = pickle.load(readers[j % workers])
-            except Exception:  # end of file, or a pickle that does not load: no result
-                ok, value = False, None
-            if not ok:
-                break
-            results.append(value)
-    finally:
-        for _, write_end in pipes[len(pids):]:
-            os.close(write_end)
-        for reader in readers:
-            reader.close()
-        if len(results) < len(items):
-            import signal  # only here: a run that completes never loads it
-
-            for pid in pids:
-                os.kill(pid, signal.SIGKILL)
-        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-    if len(results) < len(items):
-        j = len(results)
-        if value is not None:
-            raise value
-        code = os.waitstatus_to_exitcode(statuses[j % workers])
-        how = f"signal {-code}" if code < 0 else f"exit status {code}"
-        raise ExperimentError(f"the worker for item {j} ended without its result ({how})")
-    return results
-
-
-def _serve(fn, items, write_end, inherited):
-    """A forked worker's whole life: close the ``inherited`` pipe ends, send
-    ``(True, fn(item))`` for each item in turn, or ``(False, exc)`` for the
-    first that raises, down ``write_end``, then leave through `os._exit`.
-
-    Holding only its own write end, a worker whose parent has gone meets a
-    broken pipe rather than blocking on a sibling's read end. Leaving through
-    `os._exit` runs none of the parent's exit handlers, buffered writes or
-    ``finally`` clauses in the worker.
-    """
-    status = 1
-    try:
-        for fd in inherited:
-            os.close(fd)
-        # never closed here: `os._exit` closes it, so the parent reads the end
-        # of this pipe only once this worker has ended, with its exit status
-        out = open(write_end, "wb")
-        for item in items:
-            try:
-                message = (True, fn(item))
-            except Exception as exc:
-                message = (False, exc)
-            out.write(pickle.dumps(message))
-            out.flush()
-            if not message[0]:
-                break
-        status = 0
-    finally:
-        os._exit(status)
-
-
 def run_experiment(cfg: ExperimentConfig) -> GapCurve:
     """Run all trials of ``cfg``, each solver as in
     `ExperimentConfig.solver_configs`, average the gap curves, and write CSV
     output if requested.
 
-    The trials are independent, so they run in forked workers (`_fork_map`),
-    and their results are merged in trial order. A solver error in any trial
-    fails the experiment: the lowest failing trial's is raised again as a
-    `SolverError` that names the trial.
+    The trials are independent, so they run in forked workers
+    (`_fork.fork_map`), and their results are merged in trial order. A
+    solver error in any trial fails the experiment: the lowest failing
+    trial's is raised again as a `SolverError` that names the trial.
     """
     solver_cfgs = cfg.solver_configs()
     if cfg.out is not None:
         _check_writable(_experiment_paths(cfg.out))
-    results = _fork_map(partial(_run_trial, cfg, solver_cfgs), range(cfg.trials))
+    results = fork_map(partial(_run_trial, cfg, solver_cfgs), range(cfg.trials))
     mean_gaps = {
         name: np.mean([res.traces[name].f_values - res.ref.value for res in results], axis=0)
         for name in cfg.solvers

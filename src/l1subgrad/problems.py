@@ -13,18 +13,18 @@ turn (f(x) after a step, the subgradient at x in the next), and the product
 dominates either call. Below `_BLOCK_MIN_SIZE` elements a family reads it
 through `_shared_product`, which remembers the last point and its product.
 
-From `_BLOCK_MIN_SIZE` on, a family computes its products in `_rowsplit`.
-Where x has at most half its components nonzero, as the l1 methods'
-iterates do once their sign pattern settles, the products read only the
-columns of x's support, and the gradient comes in two row blocks: the rows
-R(x) that cover x's support and every other row, which together give
-``grad_g(x)`` bit for bit. alg2's momentum test reads only the first, and
-its helper process computes the second (the quadratic), or every row from
-the one product that gives the second (the families with M x, whose steps
-then test on the whole gradient, the work that overlaps the helper's). The family records its split on the
-objective (``CompositeObjective._rows``); only such an objective is lent
-the helper, whose process keeps its own copy of the memos. The 2-D example has no product to share
-and keeps plain closures.
+From `_BLOCK_MIN_SIZE` on, a family computes its products in `_rowsplit`. Where
+x has at most half its components nonzero, as the l1 methods' iterates do once
+their sign pattern settles, the products read only the columns of x's support,
+and the gradient comes in two row blocks: the rows R(x) that cover x's support
+and every other row, which together give ``grad_g(x)`` bit for bit. alg2's
+momentum test reads only the first, and its helper process computes the second
+(the quadratic), or every row from the one product that gives the second (the
+families with M x, whose steps then test on the whole gradient, the work that
+overlaps the helper's). The family records its split on the objective
+(``CompositeObjective._rows``); only such an objective is lent the helper,
+whose process keeps its own copy of the memos. The 2-D example has no product
+to share and keeps plain closures.
 """
 
 from __future__ import annotations

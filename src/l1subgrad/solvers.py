@@ -27,14 +27,13 @@ own `_Cycle`, the one detector used everywhere.
 from __future__ import annotations
 
 import math
-import os
 from contextlib import closing
 from dataclasses import dataclass
 from itertools import count, islice
-from pathlib import Path
 
 import numpy as np
 
+from . import _fork
 from .numerics import as_vector
 from .objective import (
     CompositeObjective,
@@ -44,22 +43,6 @@ from .objective import (
 )
 
 METHODS = ("alg1", "alg2", "ista", "fista", "classic")
-
-# The least element count of a built-in family's matrix (the one its row
-# split, `CompositeObjective._rows`, multiplies) at which an alg2 walk hands
-# the rows of grad_g at q off q's support to a helper process (`_walk`);
-# below it the handoff costs more than it saves.
-_OVERLAP_MIN_SIZE = 250_000
-# The process that imported this module; a process forked from it, such as a
-# `bench._fork_map` worker, never starts a helper, since the workers hold every CPU.
-_HOME_PID = os.getpid()
-# Whether BLAS and OpenMP were pinned to one thread when this module was
-# imported, as `import l1subgrad` does before numpy loads. A helper process
-# would compete for the CPUs with a threaded BLAS.
-_BLAS_PINNED = all(os.environ.get(var) == "1"
-                   for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"))
-# The root under which `_cpu_quota` reads /proc and /sys.
-_ROOT = Path("/")
 
 
 class SolverError(RuntimeError):
@@ -77,58 +60,6 @@ def _check_schedule(scale: float, exponent: float):
     # exponent 0 gives a constant step, as in verify's anti-oscillation suite
     if not (math.isfinite(exponent) and exponent >= 0):
         raise ValueError(f"classic_step_exponent must be finite and >= 0, got {exponent}")
-
-
-def _cpu_quota() -> int | None:
-    """The CPUs that the least CPU quota on the path from this process's
-    cgroup to the root grants, rounded up, or None where no quota is set or
-    none can be read.
-
-    The cgroup comes from /proc/self/cgroup. A quota is cgroup v2's
-    ``cpu.max`` or v1's ``cpu.cfs_quota_us`` and ``cpu.cfs_period_us``, read
-    in the cgroup's directory and in each directory above it up to the
-    mount's root; where a container shows its own cgroup as the root of the
-    mount, the directories below the root are missing and the root holds its
-    quota. A level whose quota is unlimited (v2's ``max``, v1's -1), missing,
-    unreadable or unparsable sets no cap of its own.
-    """
-    try:
-        lines = (_ROOT / "proc/self/cgroup").read_text().splitlines()
-    except OSError:
-        return None
-    cpus = []
-    for line in lines:
-        try:
-            _, controllers, path = line.split(":", 2)
-        except ValueError:
-            continue
-        if controllers == "":
-            mount, files = _ROOT / "sys/fs/cgroup", ("cpu.max",)
-        elif "cpu" in controllers.split(","):
-            mount = _ROOT / "sys/fs/cgroup" / controllers
-            files = ("cpu.cfs_quota_us", "cpu.cfs_period_us")
-        else:
-            continue
-        parts = [part for part in path.split("/") if part]
-        for depth in range(len(parts), -1, -1):
-            where = mount.joinpath(*parts[:depth])
-            try:
-                text = " ".join((where / name).read_text() for name in files)
-                quota, period = map(int, text.split())
-            except (OSError, ValueError):
-                continue
-            if quota > 0 and period > 0:
-                cpus.append(-(-quota // period))
-    return min(cpus, default=None)
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on (its affinity mask, capped by the
-    CPU quotas of its cgroup and the cgroups above it), or 1 without
-    `os.fork` or `os.sched_getaffinity`."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return min(len(os.sched_getaffinity(0)), _cpu_quota() or math.inf)
 
 
 class _Cycle:
@@ -507,18 +438,10 @@ def _walk(obj: CompositeObjective, x0: np.ndarray, h: float, cfg: SolverConfig):
     zero. classic never closes, since its step depends on k. The walk goes
     on stepping after a cycle closes.
 
-    An alg2 walk may own one helper process (`_helper.Helper`), which it
-    lends to each of its steps (`_accelerated_step`) to compute grad_g at q,
-    or its rows off q's support. Only a built-in matrix family's objective
-    that splits grad_g's rows (``obj._rows``; its oracles may run in a
-    forked copy of the process), with at least `_OVERLAP_MIN_SIZE` elements
-    in its matrix, gets one, and only in a process that may use 2 or more
-    CPUs (`_usable_cpus`), whose BLAS was pinned to one thread
-    (`_BLAS_PINNED`), and that is not forked from the one that imported
-    this module (a `bench._fork_map` worker). It
-    is forked at the first step (where no process can be forked, the walk
-    goes on without it) and killed and reaped when the walk is closed: close
-    the walk rather than drop it. The bytes are those of the walk without it.
+    An alg2 walk may own one helper process (`_fork.helper_for`), forked at
+    its first step and lent to each step (`_accelerated_step`), which is
+    killed and reaped when the walk is closed: close the walk rather than
+    drop it. The bytes are those of the walk without it.
     """
     method = cfg.method
     key = np.ndarray.tobytes
@@ -531,21 +454,13 @@ def _walk(obj: CompositeObjective, x0: np.ndarray, h: float, cfg: SolverConfig):
         state, f = x0.copy(), obj._value(x0)
     cycle = None if method == "classic" else _Cycle(key(state), period_one_only=method == "fista")
     period = 0
-    lend = (method == "alg2" and obj._rows is not None and obj._rows._mat.size >= _OVERLAP_MIN_SIZE
-            and _BLAS_PINNED and os.getpid() == _HOME_PID and _usable_cpus() >= 2)
     helper = None
     try:
         for k in count(1):
             yield state, f, period
             if method == "alg2":
-                if lend:
-                    lend = False
-                    from ._helper import Helper
-
-                    try:
-                        helper = Helper(obj)
-                    except OSError:
-                        pass
+                if k == 1:
+                    helper = _fork.helper_for(obj)
                 state = _accelerated_step(obj, state, h, helper)
                 f = state.f_x
             elif method == "alg1":

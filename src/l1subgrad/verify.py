@@ -13,7 +13,8 @@ from functools import partial
 
 import numpy as np
 
-from .bench import _fork_map, reference_optimum
+from ._fork import fork_map
+from .bench import reference_optimum
 from .numerics import Rng, random_orthogonal
 from .objective import CompositeObjective
 from .problems import (
@@ -163,9 +164,9 @@ def suite_pl(seed: int = 0, instances: int = 5, samples_per: int = 200) -> list[
     """Gap bounded by |min-norm subgradient|^2 / (2 mu) on strongly convex instances.
 
     The instances are independent, so they run in forked workers
-    (`bench._fork_map`); the worst margin is the min over instances.
+    (`_fork.fork_map`); the worst margin is the min over instances.
     """
-    margins = _fork_map(partial(_pl_margin, seed, samples_per), range(instances))
+    margins = fork_map(partial(_pl_margin, seed, samples_per), range(instances))
     if None in margins:
         return [PropertyResult("pl", False, -np.inf, "reference failed to certify")]
     worst = _least(margins)
@@ -264,9 +265,9 @@ def suite_rate(
     trajectory once (`_rate_gaps`): the walk stops once its iterate closes a
     cycle, x* is taken from that cycle, and each distinct iterate's gap is
     measured once. The instances are independent, so they run in forked
-    workers (`bench._fork_map`); the worst margin is the min over instances.
+    workers (`_fork.fork_map`); the worst margin is the min over instances.
     """
-    worst = _least(_fork_map(partial(_rate_margin, seed, n, iters), range(instances)))
+    worst = _least(fork_map(partial(_rate_margin, seed, n, iters), range(instances)))
     return [
         PropertyResult(
             "rate",
@@ -322,11 +323,11 @@ def suite_dominance(seed: int = 0, instances: int = 100, iters: int = 300) -> li
     When the step kept ``x = q`` (``state.x is state.q``), f(q) is the
     ``state.f_x`` the step computed, the same `_value` of the same array, so
     it is read from there rather than computed again. The instances are
-    independent, so they run in forked workers (`bench._fork_map`); the worst
+    independent, so they run in forked workers (`_fork.fork_map`); the worst
     margin is the min over instances.
     """
     worst = _least(
-        _fork_map(partial(_dominance_margin, seed, instances, iters), range(instances))
+        fork_map(partial(_dominance_margin, seed, instances, iters), range(instances))
     )
     return [
         PropertyResult(

@@ -3,7 +3,7 @@
 pytest loads this file before any test module, so importing `l1subgrad`
 here, before anything imports numpy, pins BLAS to one thread in the test
 process as on the command line: in-process results then match the CLI's,
-and `bench._fork_map` forks from a process with no BLAS thread pool.
+and `_fork.fork_map` forks from a process with no BLAS thread pool.
 """
 
 import l1subgrad  # noqa: F401  (first: see above)
@@ -41,10 +41,12 @@ def cli():
 
 @pytest.fixture
 def workers(monkeypatch):
-    """Set how many forked workers `bench._fork_map` starts: ``workers(count)``."""
-    import l1subgrad.bench as bench
+    """Set the CPU count `_fork` reads, ``workers(count)``: how many forked
+    workers `_fork.fork_map` starts, and whether an alg2 walk may lend a
+    helper process (2 or more)."""
+    import l1subgrad._fork as _fork
 
     def set_count(count):
-        monkeypatch.setattr(bench, "_usable_cpus", lambda: count)
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: count)
 
     return set_count

@@ -1,5 +1,6 @@
 import math
 import os
+import pickle
 import signal
 import time
 import tracemalloc
@@ -8,6 +9,7 @@ from dataclasses import astuple, dataclass, replace
 import numpy as np
 import pytest
 
+import l1subgrad._fork as _fork
 import l1subgrad.bench as bench
 import l1subgrad.solvers as solvers
 from l1subgrad.bench import (
@@ -425,12 +427,12 @@ def _no_children_left():
 
 
 class TestForkMap:
-    """`bench._fork_map` returns and raises as the loop it replaces, and leaves no process."""
+    """`_fork.fork_map` returns and raises as the loop it replaces, and leaves no process."""
 
     @pytest.mark.parametrize("count", [1, 2, 3])
     def test_results_in_item_order(self, count, workers):
         workers(count)
-        assert bench._fork_map(lambda i: i * i, range(7)) == [i * i for i in range(7)]
+        assert _fork.fork_map(lambda i: i * i, range(7)) == [i * i for i in range(7)]
         _no_children_left()
 
     def test_the_test_process_forks_with_one_thread(self):
@@ -444,15 +446,15 @@ class TestForkMap:
 
     def test_items_are_dealt_round_robin(self, workers):
         workers(3)
-        pids = [pid for _, pid in bench._fork_map(lambda i: (i, os.getpid()), range(7))]
+        pids = [pid for _, pid in _fork.fork_map(lambda i: (i, os.getpid()), range(7))]
         assert os.getpid() not in pids
         assert [pids.index(pid) for pid in pids] == [0, 1, 2, 0, 1, 2, 0]
 
     def test_one_worker_or_one_item_forks_nothing(self, workers):
         workers(1)
-        assert bench._fork_map(lambda i: os.getpid(), range(3)) == [os.getpid()] * 3
+        assert _fork.fork_map(lambda i: os.getpid(), range(3)) == [os.getpid()] * 3
         workers(4)
-        assert bench._fork_map(lambda i: os.getpid(), [0]) == [os.getpid()]
+        assert _fork.fork_map(lambda i: os.getpid(), [0]) == [os.getpid()]
 
     @pytest.mark.parametrize("count", [1, 2, 3])
     def test_a_raising_item_raises_its_own_exception(self, count, workers):
@@ -464,7 +466,7 @@ class TestForkMap:
             return i
 
         with pytest.raises(ValueError, match="^item 3 fails$"):
-            bench._fork_map(fail_at_three, range(8))
+            _fork.fork_map(fail_at_three, range(8))
         _no_children_left()
 
     def test_workers_still_busy_are_killed_when_an_item_raises(self, workers):
@@ -477,7 +479,7 @@ class TestForkMap:
 
         start = time.monotonic()
         with pytest.raises(ValueError, match="^item 0 fails$"):
-            bench._fork_map(slow_or_failing, range(4))
+            _fork.fork_map(slow_or_failing, range(4))
         assert time.monotonic() - start < 30
         _no_children_left()
 
@@ -492,7 +494,7 @@ class TestForkMap:
         with pytest.raises(
             ExperimentError, match=r"^the worker for item 3 ended without its result \(signal 9\)$"
         ):
-            bench._fork_map(killed_at_three, range(6))
+            _fork.fork_map(killed_at_three, range(6))
         _no_children_left()
 
     def test_an_exception_that_cannot_be_pickled_is_an_experiment_error(self, workers):
@@ -506,7 +508,7 @@ class TestForkMap:
         with pytest.raises(ExperimentError, match=(
             r"^the worker for item 0 ended without its result \(exit status 1\)$"
         )):
-            bench._fork_map(unpicklable, range(4))
+            _fork.fork_map(unpicklable, range(4))
         _no_children_left()
 
     @pytest.mark.parametrize("error", [SolverError, ExperimentError, ValueError, MemoryError])
@@ -519,8 +521,26 @@ class TestForkMap:
             return i
 
         with pytest.raises(error) as info:
-            bench._fork_map(failing, range(4))
+            _fork.fork_map(failing, range(4))
         assert type(info.value) is error and str(info.value) == "item 2 fails"
+        _no_children_left()
+
+    def test_an_interrupt_while_reading_kills_every_worker(self, workers, monkeypatch):
+        # Ctrl-C reaches the parent while it waits for the second result
+        workers(3)
+        load, reads = pickle.load, []
+
+        def interrupted(file):
+            reads.append(file)
+            if len(reads) == 2:
+                raise KeyboardInterrupt
+            return load(file)
+
+        monkeypatch.setattr(pickle, "load", interrupted)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            _fork.fork_map(lambda i: time.sleep(60 * (i > 0)), range(6))
+        assert time.monotonic() - start < 30
         _no_children_left()
 
 

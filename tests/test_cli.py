@@ -5,9 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import l1subgrad._fork as _fork
 import l1subgrad.bench as bench
 import l1subgrad.cli as cli_module
-import l1subgrad.solvers as solvers
 from l1subgrad.bench import ReferenceOptimum, build_problem
 from l1subgrad.cli import main
 from l1subgrad.solvers import SolverConfig, run
@@ -285,6 +285,7 @@ class TestBench:
     def test_worker_killed_by_a_signal_exits_one_with_one_error_line(self, tmp_path, cli):
         program = ("-c", """if True:
             import os, signal, sys
+            import l1subgrad._fork as _fork
             import l1subgrad.bench as bench
             from l1subgrad.cli import main
             real_run = bench.run
@@ -296,7 +297,7 @@ class TestBench:
                 return real_run(obj, x0, cfg)
 
             bench.run = killed
-            bench._usable_cpus = lambda: 2  # never this process, on a host with one CPU
+            _fork.usable_cpus = lambda: 2  # never this process, on a host with one CPU
             code = main(sys.argv[1:])
             try:
                 os.waitpid(-1, os.WNOHANG)
@@ -311,13 +312,42 @@ class TestBench:
         assert proc.stderr == "error: the worker for item 5 ended without its result (signal 9)\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_a_worker_that_cannot_be_forked_leaves_the_run_to_this_process(self, cli):
+        # the second fork fails as where the process limit is reached: the
+        # first worker is killed and reaped, and the trials run here
+        program = ("-c", """if True:
+            import errno, os, sys
+            import l1subgrad._fork as _fork
+            from l1subgrad.cli import main
+            fork, forks = os.fork, []
+
+            def failing():
+                forks.append(None)
+                if len(forks) == 2:
+                    raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+                return fork()
+
+            os.fork = failing
+            _fork.usable_cpus = lambda: 2  # never this process, on a host with one CPU
+            code = main(sys.argv[1:])
+            try:
+                os.waitpid(-1, os.WNOHANG)
+            except ChildProcessError:
+                sys.exit(code if len(forks) == 2 else f"{len(forks)} forks")
+            sys.exit(f"a worker was left behind, exit code {code}")
+        """)
+        argv = ("bench", "--experiment", "toy2d-perturbed", "--trials", "4", "--iters", "20")
+        failed, forked = cli(*argv, program=program), cli(*argv)
+        assert (failed.returncode, failed.stderr) == (0, "")
+        assert failed.stdout == forked.stdout and forked.returncode == 0
+
     def test_alg2_bytes_do_not_depend_on_the_helper_process(self, cli, tmp_path):
         # n = 1000 lends alg2's steps a helper process where the process may
         # use 2 CPUs; pinned to one, as by `taskset -c 0`, it runs without one.
         # Either way the run starts no thread and leaves no child process.
         if len(os.sched_getaffinity(0)) < 2:
             pytest.skip("the helper process needs a process that may use 2 CPUs")
-        assert solvers._OVERLAP_MIN_SIZE <= 1000 * 1000
+        assert _fork._OVERLAP_MIN_SIZE <= 1000 * 1000
         program = ("-c", """if True:
             import os, sys, threading
             if sys.argv[1] == "pinned":

@@ -11,6 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import l1subgrad._fork as _fork
 import l1subgrad._helper as _helper
 import l1subgrad._rowsplit as _rowsplit
 import l1subgrad.bench as bench
@@ -972,14 +973,14 @@ class TestSupportRowTest:
 
 
 @pytest.fixture
-def overlap(monkeypatch):
+def overlap(monkeypatch, workers):
     """Gate alg2's helper process: ``overlap(True)`` lets every walk of this
     process start one, whatever its size or the host's CPU count, and
     ``overlap(False)`` lets none. It starts as ``overlap(True)``."""
-    monkeypatch.setattr(solvers, "_usable_cpus", lambda: 2)
+    workers(2)
 
     def gate(on):
-        monkeypatch.setattr(solvers, "_OVERLAP_MIN_SIZE", 1 if on else 10**12)
+        monkeypatch.setattr(_fork, "_OVERLAP_MIN_SIZE", 1 if on else 10**12)
 
     gate(True)
     return gate
@@ -1177,7 +1178,7 @@ class TestOverlap:
         fresh = _split(prob.label, **_OVERLAP_SIZES[prob.label])
         name = "tail" if prob.label == "quadratic" else "grad"
         with monkeypatch.context() as patch:
-            patch.setattr(solvers, "_OVERLAP_MIN_SIZE", 10**12)
+            patch.setattr(_fork, "_OVERLAP_MIN_SIZE", 10**12)
             run(_wrap(fresh.objective, name, computed), fresh.x0, cfg)
         return [step for step in steps if (step[1] in serial) == step[0]]
 
@@ -1371,13 +1372,13 @@ class TestOverlap:
         assert calls["n"] == 20
         _no_children_left()
 
-    def test_an_interrupt_sent_to_the_helper_leaves_it_serving(self, capfd):
+    def test_an_interrupt_sent_to_the_helper_leaves_it_serving(self, overlap, capfd):
         # Ctrl-C signals the whole process group: the walk's process handles
         # it, and the helper, which prints nothing, keeps serving until closed
         obj = _split("quadratic", **_OVERLAP_SIZES["quadratic"]).objective
         x = Rng(9).gaussians(obj.dim)
         x[::3] = 0.0
-        helper = _helper.Helper(obj)
+        helper = _fork.helper_for(obj)
         try:
             for _ in range(2):  # while the helper starts, then while it waits
                 os.kill(helper._pid, signal.SIGINT)
@@ -1403,18 +1404,30 @@ class TestOverlap:
         assert capfd.readouterr() == ("", "")
         _no_children_left()
 
-    def test_forked_workers_start_no_helper(self, overlap, workers, monkeypatch):
+    def test_forked_workers_start_no_helper(self, overlap, monkeypatch):
         def refuse(*args):
             raise AssertionError(f"a helper process started from process {os.getpid()}")
 
         monkeypatch.setattr(_helper, "Helper", refuse)
         monkeypatch.setattr(problems, "_BLOCK_MIN_SIZE", 1)
         cfg = ExperimentConfig("quadratic", trials=2, solvers=("alg2",), max_iter=50, n=30)
-        workers(2)
         run_experiment(cfg)
-        workers(1)  # the trials run in this process, which starts one
+        # one trial runs in this process, which starts one
         with pytest.raises(AssertionError, match="^a helper process started from process"):
-            run_experiment(cfg)
+            run_experiment(dataclasses.replace(cfg, trials=1))
+
+    def test_one_cpu_forks_neither_a_worker_nor_a_helper(self, overlap, workers, monkeypatch):
+        def refuse():
+            raise AssertionError("a process was forked")
+
+        monkeypatch.setattr(problems, "_BLOCK_MIN_SIZE", 1)
+        cfg = ExperimentConfig("quadratic", trials=2, solvers=("alg2",), max_iter=50, n=30)
+        expected = run_experiment(cfg)
+        monkeypatch.setattr(os, "fork", refuse)
+        workers(1)
+        got = run_experiment(cfg)
+        assert [t.traces["alg2"].f_values.tobytes() for t in got.raw] == \
+            [t.traces["alg2"].f_values.tobytes() for t in expected.raw]
 
     def test_a_custom_objective_runs_on_the_calling_thread_alone(self, overlap, monkeypatch):
         # a one-slot memo that keeps the point and its product in two
@@ -1460,7 +1473,7 @@ class TestOverlap:
         # a program that imports numpy before l1subgrad keeps its BLAS thread
         # settings; where they are not one thread, the BLAS threads would
         # compete with the helper for the CPUs, so the walk runs serially
-        if pinned and solvers._usable_cpus() < 2:
+        if pinned and _fork.usable_cpus() < 2:
             pytest.skip("a helper needs 2 or more CPUs")
         script = """if True:
             import numpy
@@ -1492,7 +1505,7 @@ class TestUsableCpus:
         """Write a fake /proc/self/cgroup and cgroup tree under ``tmp_path``:
         ``cgroup(line, {relative path: text})``. The process's affinity mask
         holds 4 CPUs."""
-        monkeypatch.setattr(solvers, "_ROOT", tmp_path)
+        monkeypatch.setattr(_fork, "_ROOT", tmp_path)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
 
         def write(line, files):
@@ -1508,7 +1521,7 @@ class TestUsableCpus:
     ])
     def test_a_v2_quota_caps_the_affinity_mask(self, cgroup, cpu_max, count):
         cgroup("0::/box", {"sys/fs/cgroup/box/cpu.max": cpu_max + "\n"})
-        assert solvers._usable_cpus() == count
+        assert _fork.usable_cpus() == count
 
     @pytest.mark.parametrize("quota, count", [("200000", 2), ("150000", 2), ("-1", 4)])
     def test_a_v1_quota_caps_the_affinity_mask(self, cgroup, quota, count):
@@ -1516,11 +1529,11 @@ class TestUsableCpus:
         cgroup("5:memory:/box\n4:cpu,cpuacct:/box", {
             base + "cpu.cfs_quota_us": quota + "\n", base + "cpu.cfs_period_us": "100000\n",
         })
-        assert solvers._usable_cpus() == count
+        assert _fork.usable_cpus() == count
 
     def test_a_container_s_own_cgroup_at_the_mount_root_is_read(self, cgroup):
         cgroup("0::/host/path/of/the/container", {"sys/fs/cgroup/cpu.max": "100000 100000"})
-        assert solvers._usable_cpus() == 1
+        assert _fork.usable_cpus() == 1
 
     @pytest.mark.parametrize("leaf, parent, count", [
         (None, "100000 100000", 1), ("max 100000", "150000 100000", 2),
@@ -1532,7 +1545,7 @@ class TestUsableCpus:
         if leaf is not None:
             files["sys/fs/cgroup/slice/box/cpu.max"] = leaf + "\n"
         cgroup("0::/slice/box", files)
-        assert solvers._usable_cpus() == count
+        assert _fork.usable_cpus() == count
 
     def test_a_v1_quota_above_the_cgroup_caps_the_mask(self, cgroup):
         leaf, parent = "sys/fs/cgroup/cpu/slice/box/", "sys/fs/cgroup/cpu/slice/"
@@ -1540,7 +1553,7 @@ class TestUsableCpus:
             leaf + "cpu.cfs_quota_us": "-1\n", leaf + "cpu.cfs_period_us": "100000\n",
             parent + "cpu.cfs_quota_us": "150000\n", parent + "cpu.cfs_period_us": "100000\n",
         })
-        assert solvers._usable_cpus() == 2
+        assert _fork.usable_cpus() == 2
 
     @pytest.mark.parametrize("line, files", [
         ("0::/box", {}),
@@ -1549,7 +1562,7 @@ class TestUsableCpus:
     ], ids=["no cpu.max", "no period", "unparsable"])
     def test_a_missing_or_unreadable_quota_is_no_cap(self, cgroup, line, files):
         cgroup(line, files)
-        assert solvers._usable_cpus() == 4
+        assert _fork.usable_cpus() == 4
 
     def test_no_proc_file_is_no_cap(self, cgroup):
-        assert solvers._usable_cpus() == 4
+        assert _fork.usable_cpus() == 4
