@@ -174,9 +174,9 @@ def _serve(fn, items, write_end):
 def helper_for(obj):
     """A started `_helper.Helper` for an alg2 walk on ``obj``, which the caller
     closes, or None where the gate fails (only a built-in matrix family's
-    objective, whose oracles may run in a forked copy, splits its rows) or no
-    process can be forked. A Ctrl-C, which signals the helper too, is held
-    from before the fork and never reaches it."""
+    objective splits its rows, and only its oracles may run in a forked copy)
+    or no process can be forked. A Ctrl-C, which signals the helper too, is
+    held from before the fork and never reaches it."""
     if not (obj._rows is not None and obj._rows._mat.size >= _OVERLAP_MIN_SIZE and _BLAS_PINNED
             and os.getpid() == _HOME_PID and usable_cpus() >= 2):
         return None
