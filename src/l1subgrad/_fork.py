@@ -9,9 +9,9 @@ import pickle
 from functools import partial
 from pathlib import Path
 
-# The least element count of a built-in family's matrix at which an alg2 walk
+# The least element count of the quadratic's matrix at which an alg2 walk
 # lends a helper process; below it the handoff costs more than it saves.
-_OVERLAP_MIN_SIZE = 250_000
+_OVERLAP_MIN_SIZE = 490_000
 # The process that imported this module; a process forked from it, such as a
 # `fork_map` worker, never starts a helper, since the workers hold every CPU.
 _HOME_PID = os.getpid()
@@ -173,11 +173,11 @@ def _serve(fn, items, write_end):
 
 def helper_for(obj):
     """A started `_helper.Helper` for an alg2 walk on ``obj``, which the caller
-    closes, or None where the gate fails (only a built-in matrix family's
-    objective splits its rows, and only its oracles may run in a forked copy)
-    or no process can be forked. A Ctrl-C, which signals the helper too, is
-    held from before the fork and never reaches it."""
-    if not (obj._rows is not None and obj._rows._mat.size >= _OVERLAP_MIN_SIZE and _BLAS_PINNED
+    closes, or None where the gate fails (only the large quadratic's split
+    has the `tail` the helper computes, and only a built-in family's oracles
+    may run in a forked copy) or no process can be forked. A Ctrl-C, which
+    signals the helper too, is held from before the fork and never reaches it."""
+    if not (hasattr(obj._rows, "tail") and obj._rows._mat.size >= _OVERLAP_MIN_SIZE and _BLAS_PINNED
             and os.getpid() == _HOME_PID and usable_cpus() >= 2):
         return None
     import signal

@@ -1,4 +1,4 @@
-"""alg2's helper process: grad_g at q, or its rows off q's support, while the step computes q'.
+"""alg2's helper process: the quadratic's grad_g at q off q's support, while the step computes q'.
 
 `_fork.helper_for` imports this module only for a walk that lends the
 helper, and `solvers._walk` closes its `Helper` when the walk is closed.
@@ -6,13 +6,12 @@ helper, and `solvers._walk` closes its `Helper` when the walk is closed.
 The helper is forked from the walk's process, so it holds the objective, its
 matrix and its code without a copy (the pages are shared copy-on-write), and
 it runs on its own interpreter lock. One anonymous shared mapping, made
-before the fork, holds q for the helper, and for the step what the split of
-the objective (``obj._rows``, a `_rowsplit.RowSplit`) gives as its tail at
-q: the quadratic's rows of grad_g(q) off q's support, T(q), and for the
-families whose g reads M q, M q and then every row of grad_g(q). Two pipes
-carry only sequence numbers: down the request pipe, the number and a flag
-word; up the result pipe, the number and how many values the mapping holds,
-or -1 where no result was computed.
+before the fork, holds q for the helper, and for the step the tail of the
+objective's split (``obj._rows``, a `_rowsplit.QuadraticSplit`) at q: the
+rows of grad_g(q) off q's support, T(q), every row where q is more than
+half nonzero. Two pipes carry only sequence numbers: down the request pipe,
+the number and a flag word; up the result pipe, the number and how many
+rows the mapping holds, or -1 where no result was computed.
 The row partition is decided in `_rowsplit` alone: both processes split q
 with the same code. Each side writes the mapping first and the pipe after,
 and reads the pipe first and the mapping after. A pipe write and the read
@@ -74,7 +73,7 @@ class Helper:
 
     def __init__(self, obj):
         dim = obj.dim
-        shared = np.frombuffer(mmap.mmap(-1, 8 * (2 * dim + obj._rows.lead)), dtype=np.float64)
+        shared = np.frombuffer(mmap.mmap(-1, 16 * dim), dtype=np.float64)
         self._q, self._tail = shared[:dim], shared[dim:]
         requests, self._requests = os.pipe()
         self._results, results = os.pipe()

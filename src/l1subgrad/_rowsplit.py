@@ -5,9 +5,10 @@ has at least `problems._BLOCK_MIN_SIZE` elements, so that smaller runs do
 not compile it.
 
 grad_g(x) = W v(x) + c is computed in two blocks of rows: the rows R(x) that
-cover x's support, and every other row, T(x) (`row_split`). alg2's momentum
-test reads only the first (`RowSplit.padded`), and its helper process
-computes the second (`RowSplit.tail`); together they give grad_g bit for bit.
+cover x's support, and every other row, T(x) (`row_split`); together they
+give grad_g bit for bit. alg2's momentum test reads only the first
+(`RowSplit.padded`), and for the quadratic its helper process computes the
+second (`QuadraticSplit.tail`).
 """
 
 from __future__ import annotations
@@ -85,8 +86,7 @@ class RowSplit:
     whole one.
 
     `grad` gives grad_g(x) on every row; `padded` gives it on R and zero
-    on T, for alg2's momentum test; `tail` gives what alg2's helper
-    computes (each family says what). Each support's blocks are gathered
+    on T, for alg2's momentum test. Each support's blocks are gathered
     once, when first used, and kept until the support changes. A one-slot
     memo keeps the last point's products, so that its g and grad_g share
     them. Each slot is one tuple read once, so that no reader pairs a point
@@ -95,7 +95,6 @@ class RowSplit:
     """
 
     _offset = None  # c
-    lead = 0  # values of M x ahead of the rows in `tail`
 
     def __init__(self, mat: np.ndarray):
         self._mat = mat
@@ -165,7 +164,8 @@ class QuadraticSplit(RowSplit):
     keep only the support's columns, ``M[R][:, S]`` and ``M[T][:, S]``, so
     that their rows are those of ``M[:, S] @ x[S]``; where x is more than
     half nonzero, the one block is M and v(x) all of x. c is the offset b.
-    alg2's helper computes the rows on T (`tail`), and the step those on R."""
+    alg2's helper computes the rows on T (`tail`), and the step those on R;
+    only a split with a `tail` is lent the helper (`_fork.helper_for`)."""
 
     def __init__(self, mat: np.ndarray, offset: np.ndarray):
         super().__init__(mat)
@@ -215,21 +215,12 @@ class TransposedSplit(RowSplit):
     of W are M's columns, gathered as the blocks ``M[:, R]`` and
     ``M[:, T]`` and used transposed. M x is ``M[:, R] @ x[R]``, from the
     block that also gives grad_g on R, so that alg2's test reads one block
-    for both products (``M @ x`` where x is more than half nonzero).
-
-    alg2's helper computes M x and then every row, as the one product
-    ``M.T @ v(x)`` (`tail`): that product gives the rows on T, and those on
-    R with them, bit for bit, so the helper gathers no block of T, and a
-    step that falls back takes all of grad_g from it and computes no row
-    itself (a step lent the helper tests on the whole gradient, `whole`).
-    The step's own `grad`, where the helper gives nothing (a miss, a walk
-    without the helper), reads the two blocks, and so computes no row
-    twice."""
+    for both products (``M @ x`` where x is more than half nonzero). alg2
+    lends these families no helper: its step computes every row itself."""
 
     def __init__(self, mat: np.ndarray, phi):
         super().__init__(mat)
         self._phi = phi
-        self.lead = mat.shape[0]
 
     def _mx(self, point):
         if point.mx is None:
@@ -252,24 +243,9 @@ class TransposedSplit(RowSplit):
     def _times(self, block, v):
         return block.T @ v
 
-    def grad(self, x, lent=None) -> np.ndarray:
-        """grad_g(x): what ``lent()`` gives (alg2's helper), else the two
-        blocks' rows."""
-        point = self._point(x)
-        if point.product is None:
-            tail = None if lent is None else lent()
-            if tail is not None and tail.size == self.lead + point.x.size:
-                if point.mx is None:
-                    point.mx = tail[:self.lead]
-                point.product = tail[self.lead:]
-        return self._product(point)
-
-    def tail(self, x) -> np.ndarray:
-        """M x, then W v(x) on every row, as the one product."""
-        point = self._point(x)
-        if point.product is None:
-            point.product = self._mat.T @ self._v(point)
-        return np.concatenate((self._mx(point), point.product))
+    def grad(self, x) -> np.ndarray:
+        """grad_g(x), from the two blocks' rows."""
+        return self._product(self._point(x))
 
     def mx(self, x) -> np.ndarray:
         """M x."""

@@ -18,13 +18,10 @@ x has at most half its components nonzero, as the l1 methods' iterates do once
 their sign pattern settles, the products read only the columns of x's support,
 and the gradient comes in two row blocks: the rows R(x) that cover x's support
 and every other row, which together give ``grad_g(x)`` bit for bit. alg2's
-momentum test reads only the first, and its helper process computes the second
-(the quadratic), or every row from the one product that gives the second (the
-families with M x, whose steps then test on the whole gradient, the work that
-overlaps the helper's). The family records its split on the objective
-(``CompositeObjective._rows``); only such an objective is lent the helper,
-whose process keeps its own copy of the memos. The 2-D example has no product
-to share and keeps plain closures.
+momentum test reads only the first. The family records its split on the
+objective (``CompositeObjective._rows``); only the quadratic's is lent alg2's
+helper process, which computes the second block and keeps its own copy of the
+memos. The 2-D example has no product to share and keeps plain closures.
 """
 
 from __future__ import annotations
@@ -90,7 +87,8 @@ def _transposed(mat: np.ndarray, phi):
 
 
 def _record(obj: CompositeObjective, rows):
-    # what alg2's walk reads to lend its helper (`solvers._walk`)
+    # what alg2's momentum test reads, and its helper's gate: only a split
+    # with a `tail`, the quadratic's, is lent one (`_fork.helper_for`)
     object.__setattr__(obj, "_rows", rows)
 
 

@@ -189,30 +189,25 @@ def _accelerated_step(
 
     Where the objective splits grad_g's rows (``obj._rows``) and p is zero
     off the rows R(q') that cover the support of q', the momentum test r
-    reads grad_g(q') on R(q') alone, zero elsewhere, unless a helper is lent
-    that computes all of grad_g(q) (below). The terms off R(q') are then
-    zero as in the whole test, so r and every decision keep their bits;
-    the other rows are computed only where the move is kept, and a
+    reads grad_g(q') on R(q') alone, zero elsewhere. The terms off R(q')
+    are then zero as in the whole test, so r and every decision keep their
+    bits; the other rows are computed only where the move is kept, and a
     non-finite entry there makes the step fall back, as its NaN in r would.
 
     The fallback to q (r > 0) needs f(q) and grad_g(q). A ``helper`` (a
-    `_helper.Helper`, lent only with a split) is posted q as soon as the
-    crossing phase has made it, before this step computes q' and the test.
-    It computes what the split's `tail` gives at q: for the quadratic the
-    rows of grad_g(q) off R(q), all of them where q is more than half
-    nonzero, and for the other families M q and every row, from the one
-    product that gives the rows off R(q). With such a helper the step tests
-    on the whole gradient at q', the work that overlaps the helper's: a
-    test on R(q') reads little where q' has few nonzeros. On a fallback the
-    step computes what the helper leaves to it (the quadratic's rows on
-    R(q), from the blocks it has just read for the test), then takes the
-    helper's result if it comes within as long again as the step has taken
-    since posting, and otherwise, as without a helper, computes the rest
-    itself; then f(q) on the assembled product (the quadratic) or on M q.
-    The helper returns only what this step would compute, and no error:
-    those are raised here, where the step computes the rows. Where the move
-    is kept the helper's work is dropped unread, as the step without it
-    never evaluates at q. The bytes are the same either way.
+    `_helper.Helper`, lent only with the quadratic's split) is posted q as
+    soon as the crossing phase has made it, before this step computes q'
+    and the test. It computes the split's `tail` at q, the rows of
+    grad_g(q) off R(q), all of them where q is more than half nonzero. On a
+    fallback the step computes the rows on R(q), from the blocks it has
+    just read for the test, then takes the helper's rows if they come
+    within as long again as the step has taken since posting, and
+    otherwise, as without a helper, computes them itself; then f(q) on the
+    assembled product. The helper returns only what this step would
+    compute, and no error: those are raised here, where the step computes
+    the rows. Where the move is kept the helper's work is dropped unread,
+    as the step without it never evaluates at q. The bytes are the same
+    either way.
     """
     x = state.x
     p = state.p
@@ -241,11 +236,8 @@ def _accelerated_step(
         p = (q_prime - q) / sqrt_h
         prod = None
 
-    # a helper that computes all of grad_g(q) (a tail that leads with M q)
-    # is overlapped by the whole test at q'; a test on R(q') would leave the
-    # step waiting for it
     rows = obj._rows
-    if rows is not None and (helper is None or not rows.lead) and rows.covers(q_prime, p):
+    if rows is not None and rows.covers(q_prime, p):
         r = float(_directional_from_grad(rows.padded(q_prime), q, q_prime, obj.gamma, prod) @ p)
         if r <= 0.0:
             grad_qp = rows.grad(q_prime)
@@ -267,7 +259,7 @@ def _accelerated_step(
             grad = obj._grad(q)
         else:
             # the rows first: the quadratic's f(q) then reads their product
-            grad = rows.grad(q, None if helper is None else helper.take)
+            grad = rows.grad(q) if helper is None else rows.grad(q, helper.take)
             f_new = obj._value(q) if f_q is None else f_q
 
     return SolverState(x=x_new, p=p, f_x=f_new, grad=grad, q=q)
@@ -438,10 +430,11 @@ def _walk(obj: CompositeObjective, x0: np.ndarray, h: float, cfg: SolverConfig):
     zero. classic never closes, since its step depends on k. The walk goes
     on stepping after a cycle closes.
 
-    An alg2 walk may own one helper process (`_fork.helper_for`), forked at
-    its first step and lent to each step (`_accelerated_step`), which is
-    killed and reaped when the walk is closed: close the walk rather than
-    drop it. The bytes are those of the walk without it.
+    An alg2 walk on a large quadratic may own one helper process
+    (`_fork.helper_for`), forked at its first step and lent to each step
+    (`_accelerated_step`), which is killed and reaped when the walk is
+    closed: close the walk rather than drop it. The bytes are those of the
+    walk without it.
     """
     method = cfg.method
     key = np.ndarray.tobytes

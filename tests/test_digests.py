@@ -80,11 +80,11 @@ DIGESTS = {
         "stdout": "24792acc3d233bc53f2eb1fdb01c194f84f0d2181fc6c1ed3acd9badcb901ea1",
         "out.csv": "2a94a7fbca0fddcdb35c753b591542fc16d1fa155acb422b17bdfe8dadb7caeb",
     },
-    # alg2 runs that hand the rows of grad_g at q off its support to the helper
-    # process on a host with more than one CPU (`solvers._walk`), and whose
-    # products multiply only the iterate's support once it has at most half
-    # the components nonzero, in two row blocks (`_rowsplit.RowSplit`); the
-    # same with the helper and without it
+    # alg2 runs whose products multiply only the iterate's support once it has
+    # at most half the components nonzero, in two row blocks
+    # (`_rowsplit.RowSplit`); the quadratic's hands the rows of grad_g at q off
+    # its support to the helper process on a host with more than one CPU
+    # (`_fork.helper_for`), the same with the helper and without it
     ("solve", "--problem", "quadratic", "--solver", "alg2", "--n", "1000", "--iters", "300",
      "--out", "out.csv"): {
         "stdout": "b8d057203196813253e67277b68bfae0cef0ddc2172aa2916b31f9a30e37fad9",

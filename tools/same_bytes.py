@@ -78,9 +78,9 @@ VECTORS = [
      "--trials", "2", "--iters", "5", "--out", "out.csv"),
     ("solve", "--problem", "toy2d", "--solver", "classic", "--classic-scale", "1e300",
      "--iters", "5", "--out", "out.csv"),
-    # one trial runs in this process, so the reference's alg2 walk (and alg2's run) hands
-    # the tail of its row split at q to the helper process at default sizes on a host
-    # with 2 or more CPUs
+    # one trial runs in this process: on a host with 2 or more CPUs the default-size
+    # quadratic's reference walk and alg2 run hand the tail of its row split at q to the
+    # helper process; lasso's lend no helper, and compute every row in this process
     ("bench", "--experiment", "quadratic", "--trials", "1", "--iters", "300", "--out", "out.csv"),
     ("bench", "--experiment", "lasso", "--solvers", "alg2", "--trials", "1", "--iters", "300",
      "--out", "out.csv"),
