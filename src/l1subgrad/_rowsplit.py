@@ -85,13 +85,13 @@ class RowSplit:
     components nonzero, R is empty, T is every row, and each product is the
     whole one.
 
-    `grad` gives grad_g(x) on every row; `padded` gives it on R and zero
-    on T, for alg2's momentum test. Each support's blocks are gathered
-    once, when first used, and kept until the support changes. A one-slot
-    memo keeps the last point's products, so that its g and grad_g share
-    them. Each slot is one tuple read once, so that no reader pairs a point
-    or a support with another's. The bits at a point never depend on what
-    the memos held.
+    `grad` is the family's grad_g, every row from the two blocks; `padded`
+    gives grad_g on R and zero on T, for alg2's momentum test. Each
+    support's blocks are gathered once, when first used, and kept until the
+    support changes. A one-slot memo keeps the last point's products, so
+    that its g and grad_g share them. Each slot is one tuple read once, so
+    that no reader pairs a point or a support with another's. The bits at
+    a point never depend on what the memos held.
     """
 
     _offset = None  # c
@@ -215,7 +215,8 @@ class TransposedSplit(RowSplit):
     of W are M's columns, gathered as the blocks ``M[:, R]`` and
     ``M[:, T]`` and used transposed. M x is ``M[:, R] @ x[R]``, from the
     block that also gives grad_g on R, so that alg2's test reads one block
-    for both products (``M @ x`` where x is more than half nonzero). alg2
+    for both products (``M @ x`` where x is more than half nonzero). The
+    blocks give every method's grad_g, ``M.T @ v(x)`` bit for bit. alg2
     lends these families no helper: its step computes every row itself."""
 
     def __init__(self, mat: np.ndarray, phi):
@@ -250,8 +251,3 @@ class TransposedSplit(RowSplit):
     def mx(self, x) -> np.ndarray:
         """M x."""
         return self._mx(self._point(x))
-
-    def whole(self, x) -> np.ndarray:
-        """grad_g(x) as the one product ``M.T @ v(x)``, which the blocks give
-        bit for bit, a new array at each call, with no block gathered."""
-        return self._mat.T @ self._v(self._point(x))

@@ -72,14 +72,14 @@ class CompositeObjective:
     constant of g when one is known.
 
     A large built-in matrix family (`problems`) also carries its gradient's
-    row split (``_rows``, a `_rowsplit.RowSplit`). alg2's momentum test then
-    reads grad_g(q') on the rows that cover the support of q' alone, and on
-    the quadratic a helper process forked from the walk's (`solvers._walk`)
-    computes grad_g's other rows at the point q that the step may fall back
-    to, also on steps that then keep their move. An objective made here, or
-    with `dataclasses.replace`, has no split and is never lent that process:
-    its oracles run in the calling thread alone, one call at a time, at the
-    points the method reads.
+    row split (``_rows``, a `_rowsplit.RowSplit`), whose two row blocks are
+    its grad_g. alg2's momentum test then reads grad_g(q') on the rows that
+    cover the support of q' alone, and on the quadratic a helper process
+    forked from the walk's (`solvers._walk`) computes grad_g's other rows at
+    the point q that the step may fall back to, also on steps that then keep
+    their move. An objective made here, or with `dataclasses.replace`, has
+    no split and is never lent that process: its oracles run in the calling
+    thread alone, one call at a time, at the points the method reads.
     """
 
     # the split of grad_g's rows; only the large built-in matrix families

@@ -74,8 +74,8 @@ def _transposed(mat: np.ndarray, phi):
     is ``mat.T @ phi(mat @ x)``.
 
     Below `_BLOCK_MIN_SIZE` the split is None and mx is `_shared_product`'s
-    memo; from it on, both come from `_rowsplit.TransposedSplit`, and grad_g
-    is the one product, which reads no block.
+    memo; from it on, all three come from `_rowsplit.TransposedSplit`, whose
+    row blocks give grad_g for every method, as the quadratic's do.
     """
     if mat.size < _BLOCK_MIN_SIZE:
         mx = _shared_product(mat)
@@ -83,7 +83,7 @@ def _transposed(mat: np.ndarray, phi):
     from ._rowsplit import TransposedSplit
 
     rows = TransposedSplit(mat, phi)
-    return rows.mx, rows.whole, rows
+    return rows.mx, rows.grad, rows
 
 
 def _record(obj: CompositeObjective, rows):

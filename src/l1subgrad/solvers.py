@@ -193,8 +193,11 @@ def _accelerated_step(
     are then zero as in the whole test, so r and every decision keep their
     bits; the other rows are computed only where the move is kept, and a
     non-finite entry there makes the step fall back, as its NaN in r would.
+    Every full gradient is read through ``obj._grad``, the split's two
+    blocks where there is one; the split itself serves only the test and
+    a lent fallback.
 
-    The fallback to q (r > 0) needs f(q) and grad_g(q). A ``helper`` (a
+    The fallback to q (r > 0) needs grad_g(q) and then f(q). A ``helper`` (a
     `_helper.Helper`, lent only with the quadratic's split) is posted q as
     soon as the crossing phase has made it, before this step computes q'
     and the test. It computes the split's `tail` at q, the rows of
@@ -240,7 +243,7 @@ def _accelerated_step(
     if rows is not None and rows.covers(q_prime, p):
         r = float(_directional_from_grad(rows.padded(q_prime), q, q_prime, obj.gamma, prod) @ p)
         if r <= 0.0:
-            grad_qp = rows.grad(q_prime)
+            grad_qp = obj._grad(q_prime)
             if np.count_nonzero(np.isfinite(grad_qp)) != grad_qp.size:
                 r = math.nan
     else:
@@ -254,13 +257,9 @@ def _accelerated_step(
     else:
         x_new = q
         p = (q - q_old) / sqrt_h
-        if rows is None:
-            f_new = obj._value(q) if f_q is None else f_q
-            grad = obj._grad(q)
-        else:
-            # the rows first: the quadratic's f(q) then reads their product
-            grad = rows.grad(q) if helper is None else rows.grad(q, helper.take)
-            f_new = obj._value(q) if f_q is None else f_q
+        # the gradient first: the quadratic's f(q) then reads its product
+        grad = obj._grad(q) if helper is None else rows.grad(q, helper.take)
+        f_new = obj._value(q) if f_q is None else f_q
 
     return SolverState(x=x_new, p=p, f_x=f_new, grad=grad, q=q)
 
@@ -486,7 +485,9 @@ def run(obj: CompositeObjective, x0, cfg: SolverConfig) -> IterationTrace:
     re-raised with the iteration index attached. If an iterate or objective
     value stops being finite (possible for ``classic``, whose large early
     steps may overflow on steep problems), the remaining trace is filled with
-    +inf and iteration stops; methods with crossing control raise instead.
+    +inf and iteration stops. alg1 and alg2 raise `SolverError` where their
+    crossing control makes a non-finite point, but a non-finite f at a
+    finite iterate ends their trace with +inf too.
 
     Iteration also stops once the walk (`_walk`) closes a cycle of period P
     at step k: ``f_values[k+1:]`` is filled by repeating the last P values,

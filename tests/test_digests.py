@@ -94,6 +94,12 @@ DIGESTS = {
         "stdout": "a5dc2e0d47a518f2f62541411bd2ae14b145d9c260b10a3a04139cbd5e82289a",
         "out.csv": "c29650f82211d19b6f4e3c7526b46df55d5e2726900259bd0463296b20500113",
     },
+    # a method other than alg2 on a large transposed family: its grad_g comes
+    # from the two row blocks too
+    ("solve", "--problem", "lasso", "--solver", "fista", "--iters", "300", "--out", "out.csv"): {
+        "stdout": "c7173eccfb10b50755d06fd23d442f982aeac84f8c3b18feff5d1b40316d5d99",
+        "out.csv": "5dcac02dd1cfac79d2726c41ba43c565ed79490f2c096a355e13386cca20bad2",
+    },
     # alg2 on the small matrix-family instances, below the helper's gate
     ("solve", "--problem", "quadratic", "--solver", "alg2", "--n", "30", "--iters", "300",
      "--out", "out.csv"): {

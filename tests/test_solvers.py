@@ -383,6 +383,33 @@ class TestRunDriver:
         assert not np.any(np.isnan(trace.f_values))
         assert trace.f_values[-1] == np.inf
 
+    @pytest.mark.parametrize("method", ["alg1", "alg2"])
+    def test_a_non_finite_value_at_a_finite_iterate_ends_the_trace_with_inf(self, method):
+        # g is NaN once x[0] passes 2.5, which the iterates reach on their way
+        # to (4.5, -2.5, 1.5) without crossing zero: crossing control does not
+        # raise, and the trace reads +inf from that iteration on
+        c = np.array([5.0, -3.0, 2.0])
+
+        def eval_g(x):
+            return math.nan if x[0] > 2.5 else 0.5 * float((x - c) @ (x - c))
+
+        obj = CompositeObjective(eval_g=eval_g, grad_g=lambda x: x - c, gamma=0.5,
+                                 lipschitz_L=1.0, dim=3)
+        x0, h = np.zeros(3), 0.2
+        trace = run(obj, x0, SolverConfig(method=method, max_iter=40, step_h=h))
+        want, x, state = [obj.value(x0)], x0, SolverState.initial(obj, x0)
+        while math.isfinite(want[-1]):
+            if method == "alg1":
+                x = subgradient_step(obj, x, h)
+            else:
+                state = accelerated_step(obj, state, h)
+                x = state.x
+            want.append(obj.value(x))
+        k = len(want) - 1
+        assert 2 <= k < 40
+        assert np.array_equal(trace.f_values[:k], want[:k])
+        assert np.all(trace.f_values[k:] == np.inf)
+
     def test_error_carries_iteration_index(self):
         calls = {"n": 0}
 

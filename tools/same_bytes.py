@@ -95,6 +95,10 @@ VECTORS = [
      "--iters", "300", "--out", "out.csv"),
     # default-size lasso past its support's last change (about step 194 at seed 0)
     ("solve", "--problem", "lasso", "--solver", "alg2", "--iters", "1000", "--out", "out.csv"),
+    # other methods on the large transposed families, whose grad_g is the row split's
+    ("solve", "--problem", "lasso", "--solver", "alg1", "--iters", "1000", "--out", "out.csv"),
+    ("solve", "--problem", "logistic", "--solver", "ista", "--m", "1000", "--n", "400",
+     "--iters", "300", "--out", "out.csv"),
     # help texts, which solve and bench build without the verify suites loaded,
     # and an unknown suite (exit 2, usage on stderr)
     ("--help",), ("solve", "--help"), ("bench", "--help"), ("verify", "--help"),
