@@ -10,7 +10,7 @@ and names the vector and the reason.
 The toy2d vectors do their arithmetic elementwise or in Python floats, except
 the norm `solve` prints, which goes through a BLAS dot. The small quadratic,
 lasso, logistic and logsumexp `bench` and alg2 `solve` vectors, and the
-default-size alg2 `solve` vectors, use BLAS matrix products throughout, in
+default-size `solve` vectors, use BLAS matrix products throughout, in
 their problems, their runs and their reference optima. Another numpy or BLAS
 build may round those differently, so the digests were recorded with the
 build in `RECORDED_WITH`, and a mismatch names both builds.
